@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .labeled import DensityOperator, herm_eig, partial_trace, trace_distance
+from .labeled import herm_eig, trace_distance
 from .channels import (
     apply_channel,
     completely_factorizable,
@@ -125,14 +125,9 @@ def run_thm1(trials: int = 500, seed: int = 0) -> dict:
     for t in range(trials):
         order = "AB" if t % 2 == 0 else "BA"
         pc = sample_purified_comb(seed + t, order=order)
-        tau = interventional_state(pc, "statevector").tau
-        past = ["A0", "A1", "B0"] if order == "AB" else ["B0", "B1", "A0"]
-        lam_all = herm_eig(tau)[0]
-        lam_past = herm_eig(partial_trace(tau, past))[0]
-        retained = "B1" if order == "AB" else "A1"
-        bound = math.log2(tau.dims.dim(retained) / tau.dims.dim("F"))
+        tau = interventional_state(pc, "statevector")
         for spec in DP_FAMILIES:
-            value = entropy_from_spectrum(lam_all, spec) - entropy_from_spectrum(lam_past, spec)
+            value, bound = dp_witness(tau, order, spec)
             slack = value - bound
             worst = min(worst, slack)
             if slack < -TOL:

@@ -59,7 +59,8 @@ class KrausChannel:
                 )
             ops.append(k)
         stack = np.stack(ops)
-        gram = np.einsum("tij,til->jl", stack.conj(), stack)
+        flat = stack.reshape(-1, in_dims.total)
+        gram = flat.conj().T @ flat
         dev = float(np.max(np.abs(gram - np.eye(in_dims.total))))
         if dev <= TRACE_TOL:
             tp = True

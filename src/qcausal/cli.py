@@ -68,17 +68,17 @@ def parse_entropy(text: str) -> EntropySpec:
     )
 
 
-def sweep_reports(process: str, lams, spec: EntropySpec,
-                  backend: str = "statevector") -> list[tuple[float, object]]:
-    """Evaluate the witness report at each control weight of one case study.
+def sweep_states(process: str, lams, backend: str = "statevector"):
+    """Yield ``(lambda, interventional state)`` at each control weight of one
+    case study.
 
-    Marginal witnesses are always included (von Neumann) so the CSV schema
-    does not depend on the entropy family chosen for the DP columns.
+    A generator, so only one state is alive at a time.  ``backend="both"``
+    builds the state with both backends, checks that they agree and yields
+    the statevector one.
     """
     if process not in PROCESS_TAGS:
         raise ValueError(f"process must be one of {PROCESS_TAGS}, got {process!r}")
     mode = _FUTURE_OF[process]
-    rows = []
     for lam in lams:
         lam = float(lam)
         s = SwitchSpec(lam, future_mode=mode)
@@ -93,9 +93,20 @@ def sweep_reports(process: str, lams, spec: EntropySpec,
                 )
         else:
             tau = interventional_state(s, backend)
-        tag = f"{process}@{lam:.6g}"
-        rows.append((lam, evaluate(tau, spec=spec, tag=tag, marginals=True)))
-    return rows
+        yield lam, tau
+
+
+def _point_report(process: str, lam: float, state, spec: EntropySpec):
+    # marginal witnesses are always included (von Neumann) so the CSV schema
+    # does not depend on the entropy family chosen for the DP columns
+    return evaluate(state, spec=spec, tag=f"{process}@{lam:.6g}", marginals=True)
+
+
+def sweep_reports(process: str, lams, spec: EntropySpec,
+                  backend: str = "statevector") -> list[tuple[float, object]]:
+    """Evaluate the witness report at each control weight of one case study."""
+    return [(lam, _point_report(process, lam, state, spec))
+            for lam, state in sweep_states(process, lams, backend)]
 
 
 def _fmt(value) -> str:
@@ -158,21 +169,21 @@ def cmd_verify(args) -> int:
     return 0
 
 
-# figure tag -> list of (file name, process, entropy spec)
+# figure tag -> (process, [(file name, entropy spec)])
 _FIGURE_PLAN = {
-    "3a": [("fig3a.csv", "switch_full", VON_NEUMANN)],
-    "3b": [("fig3b.csv", "upsilon1", VON_NEUMANN)],
-    "3c": [("fig3c.csv", "upsilon2", VON_NEUMANN)],
-    "4": [("fig4.csv", "upsilon1", VON_NEUMANN)],
-    "5a": [("fig5a_vn.csv", "upsilon2", VON_NEUMANN),
-           ("fig5a_alpha0.5.csv", "upsilon2", renyi(0.5)),
-           ("fig5a_alpha0.65.csv", "upsilon2", renyi(0.65)),
-           ("fig5a_alpha0.8.csv", "upsilon2", renyi(0.8))],
-    "5b": [("fig5b_vn.csv", "upsilon2", VON_NEUMANN),
-           ("fig5b_alpha2.csv", "upsilon2", renyi(2.0)),
-           ("fig5b_alpha3.csv", "upsilon2", renyi(3.0)),
-           ("fig5b_alpha4.csv", "upsilon2", renyi(4.0)),
-           ("fig5b_alphainf.csv", "upsilon2", MIN_ENTROPY)],
+    "3a": ("switch_full", [("fig3a.csv", VON_NEUMANN)]),
+    "3b": ("upsilon1", [("fig3b.csv", VON_NEUMANN)]),
+    "3c": ("upsilon2", [("fig3c.csv", VON_NEUMANN)]),
+    "4": ("upsilon1", [("fig4.csv", VON_NEUMANN)]),
+    "5a": ("upsilon2", [("fig5a_vn.csv", VON_NEUMANN),
+                        ("fig5a_alpha0.5.csv", renyi(0.5)),
+                        ("fig5a_alpha0.65.csv", renyi(0.65)),
+                        ("fig5a_alpha0.8.csv", renyi(0.8))]),
+    "5b": ("upsilon2", [("fig5b_vn.csv", VON_NEUMANN),
+                        ("fig5b_alpha2.csv", renyi(2.0)),
+                        ("fig5b_alpha3.csv", renyi(3.0)),
+                        ("fig5b_alpha4.csv", renyi(4.0)),
+                        ("fig5b_alphainf.csv", MIN_ENTROPY)]),
 }
 
 
@@ -180,11 +191,16 @@ def cmd_reproduce(args) -> int:
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     lams = np.linspace(0.0, 1.0, 101)
-    for name, process, spec in _FIGURE_PLAN[args.figure]:
-        rows = sweep_reports(process, lams, spec, "statevector")
+    process, files = _FIGURE_PLAN[args.figure]
+    # each grid state is built once and evaluated in every file's family
+    rows = {name: [] for name, _ in files}
+    for lam, state in sweep_states(process, lams):
+        for name, spec in files:
+            rows[name].append((lam, _point_report(process, lam, state, spec)))
+    for name, _ in files:
         path = outdir / name
         with open(path, "w", newline="\n") as fh:
-            fh.write(csv_text(rows))
+            fh.write(csv_text(rows[name]))
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -110,12 +110,15 @@ def entropy_from_spectrum(lam: Sequence[float] | np.ndarray,
 def entropy(rho: DensityOperator | LabeledOperator,
             subsystem: Sequence[str] | None = None,
             spec: EntropySpec = VON_NEUMANN) -> float:
-    """Entropy of ``rho``, or of its marginal on ``subsystem`` if given."""
-    op = rho.op if isinstance(rho, DensityOperator) else rho
-    if subsystem is not None:
-        op = partial_trace(op, subsystem)
-    lam, _ = herm_eig(op)
-    return entropy_from_spectrum(lam, spec)
+    """Entropy of ``rho``, or of its marginal on ``subsystem`` if given.
+
+    A :class:`DensityOperator` decomposes each marginal once and serves every
+    later call, in any entropy family, from its memo of spectra.
+    """
+    if isinstance(rho, DensityOperator):
+        return entropy_from_spectrum(rho.spectrum(subsystem), spec)
+    op = rho if subsystem is None else partial_trace(rho, subsystem)
+    return entropy_from_spectrum(herm_eig(op)[0], spec)
 
 
 def conditional_entropy(rho: DensityOperator | LabeledOperator,

@@ -11,6 +11,7 @@ label-driven; callers never handle raw axis arithmetic.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ RANK_REL_TOL = 1e-9  # eigenvalues below RANK_REL_TOL * lambda_max do not count 
 class LabeledDims:
     """Ordered collection of uniquely labeled subsystem dimensions."""
 
-    __slots__ = ("_labels", "_dims")
+    __slots__ = ("_labels", "_dims", "_total")
 
     def __init__(self, entries: Iterable[tuple[str, int]]):
         labels = []
@@ -42,6 +43,7 @@ class LabeledDims:
             raise ValueError(f"duplicate subsystem labels in {labels}")
         self._labels = tuple(labels)
         self._dims = tuple(dims)
+        self._total = math.prod(dims)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -53,7 +55,7 @@ class LabeledDims:
 
     @property
     def total(self) -> int:
-        return int(np.prod(self._dims, dtype=np.int64)) if self._dims else 1
+        return self._total
 
     def dim(self, label: str) -> int:
         return self._dims[self.index(label)]
@@ -138,9 +140,12 @@ class DensityOperator:
     unit trace (within ``TRACE_TOL``) and positivity: eigenvalues in
     ``[-PSD_TOL, 0)`` are clipped to zero and the spectrum renormalized, while
     anything more negative is a hard error.
+
+    The stored matrix is read-only, so the marginal spectra that
+    :meth:`spectrum` memoizes can never go stale.
     """
 
-    __slots__ = ("op",)
+    __slots__ = ("op", "_spectra")
 
     def __init__(self, matrix: np.ndarray | LabeledOperator,
                  dims: LabeledDims | Iterable[tuple[str, int]] | None = None):
@@ -166,7 +171,23 @@ class DensityOperator:
             lam = np.clip(lam, 0.0, None)
             lam /= lam.sum()
             m = (v * lam) @ v.conj().T
+        m.flags.writeable = False
         self.op = LabeledOperator(m, op.dims)
+        self._spectra: dict[frozenset[str], np.ndarray] = {}
+
+    def spectrum(self, keep: Sequence[str] | None = None) -> np.ndarray:
+        """Descending spectrum of the marginal on ``keep`` (all labels if None).
+
+        Each label set is decomposed once; later calls, in any label order,
+        return the same read-only array.
+        """
+        key = frozenset(self.labels if keep is None else keep)
+        lam = self._spectra.get(key)
+        if lam is None:
+            lam = herm_eig(partial_trace(self.op, key))[0]
+            lam.flags.writeable = False
+            self._spectra[key] = lam
+        return lam
 
     @property
     def matrix(self) -> np.ndarray:

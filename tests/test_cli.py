@@ -162,6 +162,21 @@ class TestReproduce:
         assert len(rows) == 101
         assert rows[0]["lambda"] == "0" and rows[-1]["lambda"] == "1"
 
+    @pytest.mark.parametrize("figure, families", [
+        ("5a", {"fig5a_vn.csv": "vn", "fig5a_alpha0.5.csv": "renyi:0.5",
+                "fig5a_alpha0.65.csv": "renyi:0.65", "fig5a_alpha0.8.csv": "renyi:0.8"}),
+        ("5b", {"fig5b_vn.csv": "vn", "fig5b_alpha2.csv": "renyi:2",
+                "fig5b_alpha3.csv": "renyi:3", "fig5b_alpha4.csv": "renyi:4",
+                "fig5b_alphainf.csv": "min"}),
+    ])
+    def test_shared_states_match_single_family_sweeps(self, tmp_path, figure, families):
+        assert main(["reproduce", figure, "--out", str(tmp_path)]) == 0
+        for name, family in families.items():
+            swept = tmp_path / f"sweep_{name}"
+            assert main(["sweep", "--process", "upsilon2", "--entropy", family,
+                         "--out", str(swept)]) == 0
+            assert (tmp_path / name).read_bytes() == swept.read_bytes()
+
     def test_unknown_figure_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "9z"])

@@ -1,4 +1,6 @@
 """Labeled tensor core: dims bookkeeping, permutation, traces, purification."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ class TestLabeledDims:
         assert d.labels == ("A", "B", "C")
         assert d.dims == (2, 3, 4)
         assert d.total == 24
+        assert LabeledDims([]).total == 1
         assert d.dim("B") == 3
         assert d.index("C") == 2
 
@@ -179,6 +182,37 @@ class TestDensityOperator:
         lam, _ = herm_eig(rho)
         assert lam[-1] >= 0.0
         assert np.isclose(np.trace(rho.matrix), 1.0)
+
+
+class TestSpectrumMemo:
+    DIMS = [("X", 2), ("Y", 3), ("Z", 2)]
+
+    def rho(self):
+        return DensityOperator(rand_density_matrix(12), self.DIMS)
+
+    def test_matches_direct_eigensolve_on_every_subset(self):
+        rho = self.rho()
+        for r in range(len(rho.labels) + 1):
+            for keep in itertools.combinations(rho.labels, r):
+                expected = herm_eig(partial_trace(rho, keep))[0]
+                assert np.array_equal(rho.spectrum(keep), expected)
+        assert np.array_equal(rho.spectrum(), herm_eig(rho)[0])
+
+    def test_label_order_and_none_share_entries(self):
+        rho = self.rho()
+        assert rho.spectrum(["X", "Y"]) is rho.spectrum(["Y", "X"])
+        assert rho.spectrum() is rho.spectrum(["Z", "X", "Y"])
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(KeyError):
+            self.rho().spectrum(["W"])
+
+    def test_matrix_and_spectra_are_read_only(self):
+        rho = self.rho()
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rho.spectrum(["X"])[0] = 0.0
 
 
 class TestPureState:

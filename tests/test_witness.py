@@ -148,3 +148,21 @@ class TestEvaluatePlumbing:
         rb = evaluate(upsilon1(0.75))
         assert np.isclose(ra.dp_ab, rb.dp_ba, atol=1e-9)
         assert np.isclose(ra.i2_ab, rb.i2_ba, atol=1e-9)
+
+
+class TestSharedSpectra:
+    def test_one_eigensolve_per_distinct_marginal(self, monkeypatch):
+        state = interventional_state(SwitchSpec(0.3))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        evaluate(state, marginals=True)
+        # 16 entropies, 10 distinct marginals
+        assert len(calls) == 10
+        evaluate(state, spec=renyi(2.0), marginals=True)
+        assert len(calls) == 10
