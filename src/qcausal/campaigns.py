@@ -1,15 +1,27 @@
 """Seeded property campaigns behind the ``verify`` command.
 
 Each campaign returns a summary dict with a uniform slack convention: a trial
-fails when its slack drops below ``-tolerance``.  For inequality campaigns
-the slack is ``value - bound``; for agreement campaigns it is minus the
-observed distance.  All randomness derives from per-trial seeds ``seed + t``
-so trials are order-independent and reproducible.
+fails when its slack drops below ``-tolerance`` or is NaN.  For inequality
+campaigns the slack is ``value - bound``; for agreement campaigns it is minus
+the observed distance.  All randomness derives from per-trial seeds
+``seed + t`` so trials are order-independent and reproducible.
+
+Each campaign is a module-level trial function ``trial(seed, t)`` returning
+that trial's ``(worst slack, failures)``, run by one driver, ``_run``.  It
+spreads the trials over worker processes, as many as the CPUs this process
+may use divided by the BLAS threads per process, and folds the results in
+trial order, so a summary is the same bit for bit whatever the number of
+workers; only ``elapsed_s``, the wall time, differs.
 """
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 import time
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -23,7 +35,7 @@ from .channels import (
     random_density,
     random_pure,
 )
-from .entropy import MIN_ENTROPY, VON_NEUMANN, entropy_from_spectrum, renyi
+from .entropy import MIN_ENTROPY, VON_NEUMANN, entropy_from_spectrum, renyi, ssa_gap
 from .process import (
     FUTURE_MODES,
     PureState,
@@ -42,15 +54,84 @@ SLOT_DIMS = (2, 3)
 TAU_DIM_CAP = 64
 # entropy families exercised by the inequality campaigns (validated range)
 DP_FAMILIES = (VON_NEUMANN, renyi(0.5), renyi(0.8), renyi(2.0), MIN_ENTROPY)
+# work items per worker: a few lemma3 trials take seconds each, so chunks
+# stay small enough for idle workers to take over the rest
+CHUNKS_PER_WORKER = 16
 
 CAMPAIGNS = ("thm1", "lemma1", "lemma3", "ssa", "crosscheck", "marginal_bounds")
 
 
-def _summary(campaign: str, trials: int, failures: int, worst: float,
-             seed: int, t0: float) -> dict:
+def _check(slack) -> tuple[float, int]:
+    """One slack as a ``(worst slack, failures)`` pair; NaN is a failure."""
+    slack = float(slack)
+    return slack, int(not slack >= -TOL)
+
+
+def _fold(results) -> tuple[float, int]:
+    """Fold ``(worst slack, failures)`` pairs in order: the smallest slack
+    (the first of equals, NaN once one is seen) and the summed failures."""
+    worst, failures = math.inf, 0
+    for slack, fails in results:
+        if slack < worst or (math.isnan(slack) and not math.isnan(worst)):
+            worst = slack
+        failures += fails
+    return worst, failures
+
+
+def _blas_threads(cpus: int) -> int:
+    """Threads the BLAS runs per process: OpenBLAS reads these variables in
+    this order and by default runs one thread per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, "").split(",")[0])
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cpus
+
+
+def _workers(trials: int) -> int:
+    """Worker processes for a campaign of ``trials`` trials.
+
+    Workers and their BLAS threads share the CPUs this process may use.  With
+    BLAS on one thread per CPU (its default) extra processes only make the
+    threads compete: on 2 CPUs, two concurrent lemma3 runs took 19 s at two
+    BLAS threads and 6 s at one.  So then the trials run in this process.
+    They do too where workers cannot be forked safely.  Forked workers
+    inherit the imported package, but fork is unsafe while this process runs
+    other threads, and on macOS, whose system libraries start threads.
+    """
+    if not hasattr(os, "fork") or sys.platform == "darwin" or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus // _blas_threads(cpus), trials))
+
+
+def _map_trials(trial, seed: int, n: int, workers: int) -> list[tuple[float, int]]:
+    """``trial(seed, t)`` for ``t`` in ``range(n)``, in trial order."""
+    if workers <= 1:
+        return list(map(trial, repeat(seed, n), range(n)))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = max(1, n // (workers * CHUNKS_PER_WORKER))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(trial, repeat(seed, n), range(n), chunksize=chunk))
+
+
+def _run(campaign: str, trial, trials: int, seed: int, n: int | None = None) -> dict:
+    """Summary of ``trial(seed, t)`` over ``t`` in ``range(n)`` (default
+    ``trials``), on ``_workers(trials)`` processes."""
+    t0 = time.perf_counter()
+    n = trials if n is None else n
+    worst, failures = _fold(_map_trials(trial, seed, n, _workers(trials)))
     return {
         "campaign": campaign,
-        "trials": trials,
+        "trials": n,
         "failures": failures,
         "worst_slack": worst,
         "tolerance": TOL,
@@ -59,10 +140,15 @@ def _summary(campaign: str, trials: int, failures: int, worst: float,
     }
 
 
+def _pick(rng, options):
+    # same stream as rng.choice(options), at a fraction of its cost
+    return options[int(rng.integers(len(options)))]
+
+
 def _sample_slot_dims(rng) -> dict[str, int]:
     # five slot dims from {2,3}, capped so the five-system state fits in 64
     while True:
-        dims = {l: int(rng.choice(SLOT_DIMS)) for l in ("A0", "A1", "B0", "B1", "F")}
+        dims = {l: _pick(rng, SLOT_DIMS) for l in ("A0", "A1", "B0", "B1", "F")}
         if math.prod(dims.values()) <= TAU_DIM_CAP:
             return dims
 
@@ -75,7 +161,7 @@ def sample_purified_comb(seed, order: str | None = None) -> PurifiedComb:
     first, second = order[0], order[1]
     while True:
         dims = _sample_slot_dims(rng)
-        dq0 = int(rng.choice((2, 3, 4)))
+        dq0 = _pick(rng, (2, 3, 4))
         if (dims[f"{first}1"] * dq0) % dims[f"{second}0"]:
             continue
         dq1 = dims[f"{first}1"] * dq0 // dims[f"{second}0"]
@@ -98,7 +184,7 @@ def sample_fixed_order_comb(seed, order: str | None = None) -> FixedOrderComb:
         order = "AB" if int(rng.integers(2)) == 0 else "BA"
     first, second = order[0], order[1]
     dims = _sample_slot_dims(rng)
-    de0, de1, de2 = (int(rng.choice((1, 2, 3))) for _ in range(3))
+    de0, de1, de2 = (_pick(rng, (1, 2, 3)) for _ in range(3))
     d_rho = dims[f"{first}0"] * de0
     rho = random_density(d_rho, rank=int(rng.integers(1, d_rho + 1)), seed=rng,
                          dims=[(f"{first}0", dims[f"{first}0"]), ("E0", de0)])
@@ -116,155 +202,130 @@ def sample_fixed_order_comb(seed, order: str | None = None) -> FixedOrderComb:
     return FixedOrderComb(order, rho, lam1, lam2)
 
 
+def _thm1_trial(seed: int, t: int) -> tuple[float, int]:
+    order = "AB" if t % 2 == 0 else "BA"
+    tau = interventional_state(sample_purified_comb(seed + t, order=order), "statevector")
+    return _fold(_check(value - bound)
+                 for value, bound in (dp_witness(tau, order, spec) for spec in DP_FAMILIES))
+
+
 def run_thm1(trials: int = 500, seed: int = 0) -> dict:
     """Matching-order DP witness >= its dimension bound on random purified
     combs, across all validated entropy families (shared spectra)."""
-    t0 = time.perf_counter()
-    worst = math.inf
-    failures = 0
-    for t in range(trials):
-        order = "AB" if t % 2 == 0 else "BA"
-        pc = sample_purified_comb(seed + t, order=order)
-        tau = interventional_state(pc, "statevector")
-        for spec in DP_FAMILIES:
-            value, bound = dp_witness(tau, order, spec)
-            slack = value - bound
-            worst = min(worst, slack)
-            if slack < -TOL:
-                failures += 1
-    return _summary("thm1", trials, failures, worst, seed, t0)
+    return _run("thm1", _thm1_trial, trials, seed)
+
+
+def _lemma1_trial(seed: int, t: int) -> tuple[float, int]:
+    rng = ensure_rng(seed + t)
+    while True:
+        dn = _pick(rng, (2, 3))
+        din = _pick(rng, (2, 3, 4))
+        dtr = _pick(rng, (2, 3))
+        if (dn * din) % dtr == 0:
+            break
+    dout = dn * din // dtr
+    u = haar_unitary(dn * din, rng)
+    chan = completely_factorizable(u, dim_noise=dn, dim_in=din, dim_traced=dtr)
+    rho = random_density(din, rank=int(rng.integers(1, din + 1)), seed=rng,
+                         dims=[("Q1", din)])
+    out = apply_channel(chan, rho)
+    lam_in = herm_eig(rho)[0]
+    lam_out = herm_eig(out)[0]
+    bound = math.log2(dout / din)
+    return _fold(_check(entropy_from_spectrum(lam_out, spec)
+                        - entropy_from_spectrum(lam_in, spec) - bound)
+                 for spec in DP_FAMILIES)
 
 
 def run_lemma1(trials: int = 500, seed: int = 0) -> dict:
     """Entropy gain of completely factorizable channels >= log2 dim ratio."""
-    t0 = time.perf_counter()
-    worst = math.inf
-    failures = 0
-    for t in range(trials):
-        rng = ensure_rng(seed + t)
-        while True:
-            dn = int(rng.choice((2, 3)))
-            din = int(rng.choice((2, 3, 4)))
-            dtr = int(rng.choice((2, 3)))
-            if (dn * din) % dtr == 0:
-                break
-        dout = dn * din // dtr
-        u = haar_unitary(dn * din, rng)
-        chan = completely_factorizable(u, dim_noise=dn, dim_in=din, dim_traced=dtr)
-        rho = random_density(din, rank=int(rng.integers(1, din + 1)), seed=rng,
-                             dims=[("Q1", din)])
-        out = apply_channel(chan, rho)
-        lam_in = herm_eig(rho)[0]
-        lam_out = herm_eig(out)[0]
-        bound = math.log2(dout / din)
-        for spec in DP_FAMILIES:
-            gain = entropy_from_spectrum(lam_out, spec) - entropy_from_spectrum(lam_in, spec)
-            slack = gain - bound
-            worst = min(worst, slack)
-            if slack < -TOL:
-                failures += 1
-    return _summary("lemma1", trials, failures, worst, seed, t0)
+    return _run("lemma1", _lemma1_trial, trials, seed)
+
+
+def _lemma3_trial(seed: int, t: int) -> tuple[float, int]:
+    rng = ensure_rng(seed + t)
+    comb = sample_fixed_order_comb(rng)
+    flat = as_fixed_order(purify_comb(comb))
+
+    def slot(x0, x1):
+        din, dout = comb.slot_dim(x0), comb.slot_dim(x1)
+        rank = max(int(rng.integers(1, 4)), -(-din // dout))
+        return random_channel([(x0, din)], [(x1, dout)], kraus_rank=rank, seed=rng)
+
+    a, b = slot("A0", "A1"), slot("B0", "B1")
+    diff = comb_apply(comb, a, b).matrix - comb_apply(flat, a, b).matrix
+    return _check(-float(np.max(np.abs(diff))))
 
 
 def run_lemma3(trials: int = 100, seed: int = 0) -> dict:
     """comb_apply agrees with the purified form on random channel pairs."""
-    t0 = time.perf_counter()
-    worst = math.inf
-    failures = 0
-    for t in range(trials):
-        rng = ensure_rng(seed + t)
-        comb = sample_fixed_order_comb(rng)
-        flat = as_fixed_order(purify_comb(comb))
+    return _run("lemma3", _lemma3_trial, trials, seed)
 
-        def slot(x0, x1):
-            din, dout = comb.slot_dim(x0), comb.slot_dim(x1)
-            rank = max(int(rng.integers(1, 4)), -(-din // dout))
-            return random_channel([(x0, din)], [(x1, dout)], kraus_rank=rank, seed=rng)
 
-        a, b = slot("A0", "A1"), slot("B0", "B1")
-        diff = comb_apply(comb, a, b).matrix - comb_apply(flat, a, b).matrix
-        slack = -float(np.max(np.abs(diff)))
-        worst = min(worst, slack)
-        if slack < -TOL:
-            failures += 1
-    return _summary("lemma3", trials, failures, worst, seed, t0)
+def _ssa_trial(seed: int, t: int) -> tuple[float, int]:
+    rng = ensure_rng(seed + t)
+    rho = random_density(8, rank=int(rng.integers(1, 9)), seed=rng,
+                         dims=[("X", 2), ("Y", 2), ("Z", 2)])
+    return _check(ssa_gap(rho, ["X"], ["Y"], ["Z"]))
 
 
 def run_ssa(trials: int = 1000, seed: int = 0) -> dict:
     """Strong subadditivity gap >= 0 on random three-qubit states."""
-    from .entropy import ssa_gap
+    return _run("ssa", _ssa_trial, trials, seed)
 
-    t0 = time.perf_counter()
-    worst = math.inf
-    failures = 0
-    for t in range(trials):
-        rng = ensure_rng(seed + t)
-        rho = random_density(8, rank=int(rng.integers(1, 9)), seed=rng,
-                             dims=[("X", 2), ("Y", 2), ("Z", 2)])
-        slack = ssa_gap(rho, ["X"], ["Y"], ["Z"])
-        worst = min(worst, slack)
-        if slack < -TOL:
-            failures += 1
-    return _summary("ssa", trials, failures, worst, seed, t0)
+
+# crosscheck's first trial indices: the switch over every future mode and
+# these control weights; the sampled combs follow
+_SWITCH_GRID = tuple((mode, lam) for mode in FUTURE_MODES for lam in (0.0, 0.3, 0.7, 1.0))
+
+
+def _crosscheck_trial(seed: int, t: int) -> tuple[float, int]:
+    if t < len(_SWITCH_GRID):
+        mode, lam = _SWITCH_GRID[t]
+        source = SwitchSpec(lam, future_mode=mode)
+    else:
+        source = sample_purified_comb(seed + t - len(_SWITCH_GRID))
+    sv = interventional_state(source, "statevector").tau
+    ct = interventional_state(source, "contraction").tau
+    return _check(-trace_distance(sv, ct))
 
 
 def run_crosscheck(trials: int = 50, seed: int = 0) -> dict:
     """Statevector and contraction backends agree in trace distance: the
     switch over all future modes and a grid of control weights, plus random
     purified combs."""
-    t0 = time.perf_counter()
-    worst = math.inf
-    failures = 0
-    count = 0
-
-    def check(source):
-        nonlocal worst, failures, count
-        sv = interventional_state(source, "statevector").tau
-        ct = interventional_state(source, "contraction").tau
-        slack = -trace_distance(sv, ct)
-        worst = min(worst, slack)
-        count += 1
-        if slack < -TOL:
-            failures += 1
-
-    for mode in FUTURE_MODES:
-        for lam in (0.0, 0.3, 0.7, 1.0):
-            check(SwitchSpec(lam, future_mode=mode))
-    for t in range(trials):
-        check(sample_purified_comb(seed + t))
-    return _summary("crosscheck", count, failures, worst, seed, t0)
+    return _run("crosscheck", _crosscheck_trial, trials, seed,
+                n=len(_SWITCH_GRID) + trials)
 
 
-def run_marginal_bounds(trials: int = 500, seed: int = 0) -> dict:
-    """Two-part soundness of the marginal witnesses: I1 and I2 upper-bound
-    the DP witness on arbitrary five-system states, and meet the dimension
-    bound of the matching order on random fixed-order processes."""
-    t0 = time.perf_counter()
-    worst = math.inf
-    failures = 0
-    for t in range(trials):
+def _marginal_bounds_trial(trials: int, seed: int, t: int) -> tuple[float, int]:
+    if t < trials:
         rng = ensure_rng(seed + t)
         dims = _sample_slot_dims(rng)
         total = math.prod(dims.values())
         rho = random_density(total, rank=int(rng.integers(1, total + 1)), seed=rng,
                              dims=list(dims.items()))
+        checks = []
         for order in ("AB", "BA"):
             dp, _ = dp_witness(rho, order)
             i1, i2, _ = marginal_witnesses(rho, order)
-            slack = min(i1 - dp, i2 - dp)
-            worst = min(worst, slack)
-            if slack < -TOL:
-                failures += 1
-    for t in range(trials):
-        order = "AB" if t % 2 == 0 else "BA"
-        pc = sample_purified_comb(seed + 500_000 + t, order=order)
-        tau = interventional_state(pc, "statevector")
-        i1, i2, bound = marginal_witnesses(tau, order)
-        slack = min(i1 - bound, i2 - bound)
-        worst = min(worst, slack)
-        if slack < -TOL:
-            failures += 1
-    return _summary("marginal_bounds", 2 * trials, failures, worst, seed, t0)
+            checks.append(_check(min(i1 - dp, i2 - dp)))
+        return _fold(checks)
+    t -= trials
+    order = "AB" if t % 2 == 0 else "BA"
+    pc = sample_purified_comb(seed + 500_000 + t, order=order)
+    tau = interventional_state(pc, "statevector")
+    i1, i2, bound = marginal_witnesses(tau, order)
+    return _check(min(i1 - bound, i2 - bound))
+
+
+def run_marginal_bounds(trials: int = 500, seed: int = 0) -> dict:
+    """Two-part soundness of the marginal witnesses: I1 and I2 upper-bound
+    the DP witness on arbitrary five-system states (trials ``0 .. trials-1``),
+    and meet the dimension bound of the matching order on random fixed-order
+    processes (trial ``trials + t`` draws from ``seed + 500_000 + t``)."""
+    return _run("marginal_bounds", partial(_marginal_bounds_trial, trials), trials, seed,
+                n=2 * trials)
 
 
 RUNNERS = {

@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--backend", choices=("statevector", "contraction", "both"),
                     default="statevector",
                     help="'both' cross-checks the backends at every grid point")
-    sw.add_argument("--seed", type=int, default=0,
-                    help="accepted for interface uniformity; sweeps are deterministic")
     sw.add_argument("--out", default=None, help="CSV path (default stdout)")
     sw.set_defaults(func=cmd_sweep)
 
@@ -249,6 +247,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "trials", None) is not None and args.trials < 1:
         print("error: trials must be at least 1", file=sys.stderr)
+        return 2
+    if getattr(args, "seed", 0) < 0:
+        print("error: seed must be non-negative", file=sys.stderr)
         return 2
     return args.func(args)
 

@@ -126,6 +126,12 @@ class TestSweep:
             main(["sweep", "--process", "upsilon1", "--entropy", "shannon"])
         assert exc.value.code == 2
 
+    def test_seed_is_not_a_sweep_option(self):
+        # sweeps are deterministic, so they take no seed
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--process", "upsilon1", "--seed", "1"])
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_clean_run_exit_0(self, tmp_path):
@@ -151,6 +157,10 @@ class TestVerify:
 
     def test_trials_floor(self):
         assert main(["verify", "ssa", "--trials", "0"]) == 2
+
+    def test_negative_seed_usage_error(self, capsys):
+        assert main(["verify", "thm1", "--seed", "-5"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_unknown_campaign_usage_error(self):
         with pytest.raises(SystemExit) as exc:
