@@ -17,9 +17,7 @@ from .labeled import (
     herm_eig,
     identity,
     kron,
-    max_entangled,
     partial_trace,
-    partial_transpose,
     permute,
     purify,
     trace_distance,
@@ -28,7 +26,6 @@ from .channels import (
     ChoiOperator,
     KrausChannel,
     apply_channel,
-    apply_choi,
     choi_from_kraus,
     cj_vector,
     completely_factorizable,
@@ -37,17 +34,14 @@ from .channels import (
     random_channel,
     random_density,
     random_pure,
-    stinespring,
 )
 from .entropy import (
     MAX_ENTROPY,
     MIN_ENTROPY,
     VON_NEUMANN,
     EntropySpec,
-    conditional_entropy,
     entropy,
     entropy_from_spectrum,
-    relative_entropy,
     renyi,
     ssa_gap,
 )
@@ -65,7 +59,6 @@ from .process import (
     comb_apply,
     interventional_state,
     link,
-    mix_processes,
     process_matrix_of,
     purify_comb,
     switch_apply,
@@ -98,30 +91,3 @@ from .campaigns import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "HERM_TOL", "PSD_TOL", "RECON_TOL", "TRACE_TOL",
-    "DensityOperator", "LabeledDims", "LabeledOperator", "PureState",
-    "as_dims", "herm_eig", "identity", "kron", "max_entangled",
-    "partial_trace", "partial_transpose", "permute", "purify",
-    "trace_distance",
-    "ChoiOperator", "KrausChannel", "apply_channel", "apply_choi",
-    "choi_from_kraus", "cj_vector", "completely_factorizable", "ensure_rng",
-    "haar_unitary", "random_channel", "random_density", "random_pure",
-    "stinespring",
-    "MAX_ENTROPY", "MIN_ENTROPY", "VON_NEUMANN", "EntropySpec",
-    "conditional_entropy", "entropy", "entropy_from_spectrum",
-    "relative_entropy", "renyi", "ssa_gap",
-    "FUTURE_MODES", "ORDERS", "TAU_LABELS",
-    "FixedOrderComb", "InterventionalState", "ProcessMatrix", "PurifiedComb",
-    "SwitchSpec", "apply_process", "as_fixed_order", "comb_apply",
-    "interventional_state", "link", "mix_processes", "process_matrix_of",
-    "purify_comb", "switch_apply",
-    "VERDICT_BEYOND", "VERDICT_NONE", "VERDICT_NOT_AB", "VERDICT_NOT_BA",
-    "VIOLATION_TOL", "WitnessReport", "dp_witness", "evaluate", "is_violated",
-    "marginal_witnesses", "verdict_token",
-    "CAMPAIGNS", "DEFAULT_TRIALS", "RUNNERS",
-    "run_crosscheck", "run_lemma1", "run_lemma3", "run_marginal_bounds",
-    "run_ssa", "run_thm1", "sample_fixed_order_comb", "sample_purified_comb",
-    "__version__",
-]

@@ -8,19 +8,17 @@ Conventions:
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .labeled import (
-    HERM_TOL,
     PSD_TOL,
     TRACE_TOL,
     DensityOperator,
     LabeledDims,
     LabeledOperator,
     as_dims,
-    identity,
     partial_trace,
     permute,
 )
@@ -207,38 +205,6 @@ def apply_channel(c: KrausChannel,
     return DensityOperator(out_op) if wrap else out_op
 
 
-def apply_choi(j: ChoiOperator, rho: DensityOperator | LabeledOperator) -> LabeledOperator:
-    """Contract a Choi operator against a state on the channel's input labels.
-
-    Independent evaluation route from :func:`apply_channel`:
-    ``Λ(ρ) = Tr_in[(ρ^T ⊗ 1) J]`` expressed as an index contraction.
-    """
-    op = rho.op if isinstance(rho, DensityOperator) else rho
-    if set(op.labels) != set(j.in_labels):
-        raise ValueError(f"state labels {op.labels} must equal Choi input labels {j.in_labels}")
-    jin = permute(j.op, list(j.in_labels) + list(j.out_labels))
-    din = op.dims.total
-    dout = jin.dims.total // din
-    jt = jin.matrix.reshape(din, dout, din, dout)
-    r = permute(op, j.in_labels).matrix
-    out = np.einsum("xy,xayb->ab", r, jt)
-    return LabeledOperator(out, jin.dims.restrict(j.out_labels))
-
-
-def stinespring(c: KrausChannel) -> tuple[np.ndarray, int]:
-    """Isometry ``V: in -> out ⊗ env`` with ``Tr_env V ρ V† = Λ(ρ)``.
-
-    The environment index is least significant in the output composite and its
-    dimension equals the number of Kraus operators.
-    """
-    if not c.trace_preserving:
-        raise ValueError("stinespring dilation requires a trace-preserving channel")
-    r = len(c.kraus)
-    dout, din = c.out_dims.total, c.in_dims.total
-    v = np.transpose(c.kraus_stack, (1, 0, 2)).reshape(dout * r, din)
-    return v, r
-
-
 def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-random unitary via the QR decomposition with phase correction."""
     if d < 1:
@@ -251,7 +217,7 @@ def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_pure(d: int, seed: int | np.random.Generator, dims=None) -> np.ndarray:
+def random_pure(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-random unit vector of dimension ``d`` (plain ndarray)."""
     rng = ensure_rng(seed)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)

@@ -130,12 +130,26 @@ def csv_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(text: str, out: str | None) -> None:
+def _cannot_write(path: str | Path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
+def _write(text: str, out: str | Path | None) -> int:
+    """Write ``text`` to the file ``out``, or to stdout if ``out`` is None.
+
+    Returns the exit status: 0, or 2 after an error message on stderr when
+    the file cannot be written.
+    """
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        return _cannot_write(out, exc)
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -151,8 +165,7 @@ def cmd_sweep(args) -> int:
     except BackendMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write(csv_text(rows), args.out)
-    return 0
+    return _write(csv_text(rows), args.out)
 
 
 def cmd_verify(args) -> int:
@@ -160,7 +173,9 @@ def cmd_verify(args) -> int:
     if trials is None:
         trials = campaigns.DEFAULT_TRIALS[args.campaign]
     summary = campaigns.RUNNERS[args.campaign](trials=trials, seed=args.seed)
-    _write(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.out)
+    status = _write(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.out)
+    if status:
+        return status
     if summary["failures"]:
         print(f"error: campaign {args.campaign} had {summary['failures']} "
               f"tolerance failures (worst slack {summary['worst_slack']:.3e})",
@@ -189,7 +204,10 @@ _FIGURE_PLAN = {
 
 def cmd_reproduce(args) -> int:
     outdir = Path(args.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(outdir, exc)
     lams = np.linspace(0.0, 1.0, 101)
     process, files = _FIGURE_PLAN[args.figure]
     # each grid state is built once and evaluated in every file's family
@@ -199,8 +217,9 @@ def cmd_reproduce(args) -> int:
             rows[name].append((lam, _point_report(process, lam, state, spec)))
     for name, _ in files:
         path = outdir / name
-        with open(path, "w", newline="\n") as fh:
-            fh.write(csv_text(rows[name]))
+        status = _write(csv_text(rows[name]), path)
+        if status:
+            return status
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -18,12 +18,10 @@ from .labeled import (
     LabeledOperator,
     herm_eig,
     partial_trace,
-    permute,
 )
 
 EIG_FLOOR = 1e-12
-RENYI_VN_EPS = 1e-6      # |alpha - 1| below this dispatches to von Neumann
-SUPPORT_MASS_TOL = 1e-10  # weight of rho allowed outside supp(sigma)
+RENYI_VN_EPS = 1e-6  # |alpha - 1| below this dispatches to von Neumann
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class EntropySpec:
         if self.kind not in ("von_neumann", "renyi", "min", "max"):
             raise ValueError(f"unknown entropy family {self.kind!r}")
         if self.kind == "renyi":
-            if self.alpha is None or self.alpha <= 0:
+            if self.alpha is None or not self.alpha > 0:
                 raise ValueError(f"Renyi entropy needs alpha > 0, got {self.alpha!r}")
         elif self.alpha is not None:
             raise ValueError(f"{self.kind} entropy takes no alpha")
@@ -69,8 +67,8 @@ MAX_ENTROPY = EntropySpec("max")
 
 
 def renyi(alpha: float) -> EntropySpec:
-    """Renyi-``alpha`` spec; ``alpha = inf`` is the min-entropy."""
-    if math.isinf(alpha):
+    """Renyi-``alpha`` spec; ``alpha = +inf`` is the min-entropy."""
+    if alpha == math.inf:
         return MIN_ENTROPY
     return EntropySpec("renyi", float(alpha))
 
@@ -119,50 +117,6 @@ def entropy(rho: DensityOperator | LabeledOperator,
         return entropy_from_spectrum(rho.spectrum(subsystem), spec)
     op = rho if subsystem is None else partial_trace(rho, subsystem)
     return entropy_from_spectrum(herm_eig(op)[0], spec)
-
-
-def conditional_entropy(rho: DensityOperator | LabeledOperator,
-                        target: Sequence[str], given: Sequence[str],
-                        spec: EntropySpec = VON_NEUMANN) -> float:
-    """Difference-based conditional entropy ``H(target given) - H(given)``."""
-    target = list(target)
-    given = list(given)
-    if set(target) & set(given):
-        raise ValueError(f"target {target} and conditioning {given} labels overlap")
-    joint = entropy(rho, target + given, spec)
-    if not given:
-        return joint
-    return joint - entropy(rho, given, spec)
-
-
-def relative_entropy(rho: DensityOperator | LabeledOperator,
-                     sigma: DensityOperator | LabeledOperator) -> float:
-    """Umegaki relative entropy ``Tr ρ(log2 ρ - log2 σ)``.
-
-    Returns ``math.inf`` when the support of ``rho`` is not contained in the
-    support of ``sigma``.
-    """
-    rop = rho.op if isinstance(rho, DensityOperator) else rho
-    sop = sigma.op if isinstance(sigma, DensityOperator) else sigma
-    if set(rop.labels) != set(sop.labels):
-        raise ValueError(f"label sets differ: {rop.labels} vs {sop.labels}")
-    sop = permute(sop, rop.labels)
-    slam, svec = herm_eig(sop)
-    slam = _clean_spectrum(slam)
-    on_support = slam > RANK_REL_TOL * slam.max()
-    kernel = svec[:, ~on_support]
-    if kernel.shape[1]:
-        mass = float(np.einsum("ik,ij,jk->", kernel.conj(), rop.matrix, kernel).real)
-        if mass > SUPPORT_MASS_TOL:
-            return math.inf
-    rlam, rvec = herm_eig(rop)
-    rlam = _clean_spectrum(rlam)
-    rsup = rlam > EIG_FLOOR
-    h_rho = float(-np.sum(rlam[rsup] * np.log2(rlam[rsup])))
-    vecs = svec[:, on_support]
-    weights = np.einsum("ij,ik,kj->j", vecs.conj(), rop.matrix, vecs).real
-    cross = float(np.sum(weights * np.log2(slam[on_support])))
-    return -h_rho - cross
 
 
 def ssa_gap(rho: DensityOperator | LabeledOperator,

@@ -6,7 +6,7 @@ label most significant, so ``kron(a, b)`` agrees with ``numpy.kron`` and a
 matrix on labels ``("X", "Y")`` reshapes to a 4-index tensor as
 ``m.reshape(dx, dy, dx, dy)`` with row axes first.
 
-All structural operations (permutation, partial trace, partial transpose) are
+All structural operations (permutation, partial trace, purification) are
 label-driven; callers never handle raw axis arithmetic.
 """
 from __future__ import annotations
@@ -283,21 +283,6 @@ def partial_trace(a: LabeledOperator | DensityOperator, keep: Sequence[str]) -> 
     return LabeledOperator(reduced.reshape(dims.total, dims.total), dims)
 
 
-def partial_transpose(a: LabeledOperator | DensityOperator, subset: Sequence[str]) -> LabeledOperator:
-    """Transpose the listed subsystems in place."""
-    a = _op(a)
-    chosen = set(subset)
-    missing = chosen - set(a.labels)
-    if missing:
-        raise KeyError(f"labels {sorted(missing)} not present in {a.labels}")
-    n = len(a.dims)
-    axes = list(range(2 * n))
-    for i in range(n):
-        if a.labels[i] in chosen:
-            axes[i], axes[n + i] = n + i, i
-    return LabeledOperator(a.tensor().transpose(axes).reshape(a.matrix.shape), a.dims)
-
-
 def herm_eig(a: LabeledOperator | DensityOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvectors.
 
@@ -311,14 +296,6 @@ def herm_eig(a: LabeledOperator | DensityOperator | np.ndarray) -> tuple[np.ndar
         raise ValueError(f"matrix is not Hermitian: max deviation {herm_dev:.3e} > {HERM_TOL}")
     lam, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     return lam[::-1].copy(), v[:, ::-1].copy()
-
-
-def max_entangled(d: int, labels: tuple[str, str] = ("M0", "M1")) -> PureState:
-    """Normalized maximally entangled pair of dimension ``d`` on two fresh labels."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    amp = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-    return PureState(amp, LabeledDims([(labels[0], d), (labels[1], d)]))
 
 
 def purify(rho: DensityOperator, purifier_label: str = "REF") -> PureState:

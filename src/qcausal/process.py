@@ -11,8 +11,11 @@ The entangled intervention keeps a copy of each slot input under its own name
 entangled pair whose other half is retained under the slot-output name
 (``A1``, ``B1``).  The resulting five-system state on
 ``A0 ⊗ A1 ⊗ B0 ⊗ B1 ⊗ F`` is produced by two independent backends: exact
-statevector wiring, and link-product contraction against a process matrix
-reconstructed by basis-channel tomography.
+statevector wiring, and the process matrix reconstructed by basis-channel
+tomography.  Linking that matrix with the interventions' Choi operators
+(Φ̃ on the inputs, Φ⁺ on the outputs) only divides it by ``d_A1 d_B1``, so
+the contraction backend is that rescale; the backends stay independent
+because tomography never touches the statevector wiring.
 """
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ from .labeled import (
     LabeledDims,
     LabeledOperator,
     PureState,
-    kron,
     partial_trace,
     permute,
     purify,
@@ -301,17 +303,6 @@ def link(x: LabeledOperator | DensityOperator,
     return LabeledOperator(res.reshape(dims.total, dims.total), dims)
 
 
-def _phi_tilde(d: int, l0: str, l1: str) -> LabeledOperator:
-    """Unnormalized maximally entangled projector ``sum_ij |ii><jj|``."""
-    e = np.eye(d, dtype=complex).reshape(-1)
-    return LabeledOperator(np.outer(e, e), [(l0, d), (l1, d)])
-
-
-def _phi_plus(d: int, l0: str, l1: str) -> LabeledOperator:
-    op = _phi_tilde(d, l0, l1)
-    return LabeledOperator(op.matrix / d, op.dims)
-
-
 # ---------------------------------------------------------------------------
 # direct (Kraus) evaluation of combs and the switch
 
@@ -518,7 +509,7 @@ def as_fixed_order(pc: PurifiedComb) -> FixedOrderComb:
 
 
 # ---------------------------------------------------------------------------
-# process-matrix tomography and contraction
+# process-matrix tomography and the Born rule
 
 def process_matrix_of(source) -> ProcessMatrix:
     """Process matrix on ``(P, A0, A1, B0, B1, F)`` by basis-channel tomography.
@@ -559,15 +550,6 @@ def process_matrix_of(source) -> ProcessMatrix:
     w = out.transpose(0, 2, 4, 1, 3, 5).reshape(na * nb * df, na * nb * df)
     dims = [("P", 1), ("A0", da0), ("A1", da1), ("B0", db0), ("B1", db1), ("F", df)]
     return ProcessMatrix(LabeledOperator(w, dims))
-
-
-def mix_processes(q: float, w1: ProcessMatrix, w2: ProcessMatrix) -> ProcessMatrix:
-    """Convex mixture ``q w1 + (1-q) w2`` of process matrices."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {q!r}")
-    if w1.dims != w2.dims:
-        raise ValueError(f"process dimensions differ: {w1.dims} vs {w2.dims}")
-    return ProcessMatrix(LabeledOperator(q * w1.matrix + (1.0 - q) * w2.matrix, w1.dims))
 
 
 def apply_process(w: ProcessMatrix, ja: ChoiOperator, jb: ChoiOperator) -> ChoiOperator:
@@ -679,12 +661,16 @@ def _tau_statevector_switch(s: SwitchSpec) -> InterventionalState:
 
 
 def _tau_contraction(w: ProcessMatrix) -> InterventionalState:
-    ja = kron(_phi_tilde(w.dim("A0"), "A0", "A0m"), _phi_plus(w.dim("A1"), "A1", "A1m"))
-    jb = kron(_phi_tilde(w.dim("B0"), "B0", "B0m"), _phi_plus(w.dim("B1"), "B1", "B1m"))
-    t = link(link(w.op, ja), jb)
-    t = partial_trace(t, ["F", "A0m", "A1m", "B0m", "B1m"])
-    t = t.relabel({"A0m": "A0", "A1m": "A1", "B0m": "B0", "B1m": "B1"})
-    return InterventionalState(DensityOperator(permute(t, TAU_LABELS)))
+    """Five-part state ``W / (d_A1 d_B1)`` of a process matrix.
+
+    Linking ``W`` with Φ̃ on each slot input and Φ⁺ on each slot output, then
+    relabeling the retained halves, gives exactly this rescale (link-product
+    algebra, Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009).
+    Tracing out a nontrivial ``P`` leaves trace ``d_P``, which validation rejects.
+    """
+    t = partial_trace(w.op, TAU_LABELS)
+    t = LabeledOperator(t.matrix / (w.dim("A1") * w.dim("B1")), t.dims)
+    return InterventionalState(DensityOperator(t))
 
 
 def interventional_state(source, backend: str = "statevector") -> InterventionalState:
@@ -692,8 +678,9 @@ def interventional_state(source, backend: str = "statevector") -> Interventional
 
     ``backend="statevector"`` wires the purified comb or switch directly;
     ``backend="contraction"`` reconstructs the process matrix by tomography
-    and contracts it with the intervention Choi operators.  The two routes are
-    independent and must agree to numerical precision.
+    and divides it by ``d_A1 d_B1``, which is its link with the intervention
+    Choi operators.  The two routes are independent and must agree to
+    numerical precision.
     """
     if backend == "statevector":
         if isinstance(source, PurifiedComb):

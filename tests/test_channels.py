@@ -1,4 +1,4 @@
-"""Channels: Kraus/Choi representations, dilation, random ensembles."""
+"""Channels: Kraus/Choi representations, application, random ensembles."""
 import numpy as np
 import pytest
 
@@ -8,18 +8,15 @@ from qcausal import (
     KrausChannel,
     LabeledOperator,
     apply_channel,
-    apply_choi,
     choi_from_kraus,
     cj_vector,
     completely_factorizable,
     ensure_rng,
     haar_unitary,
-    max_entangled,
     partial_trace,
     random_channel,
     random_density,
     random_pure,
-    stinespring,
 )
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -69,8 +66,8 @@ class TestChoi:
         d = 3
         c = KrausChannel.from_unitary(np.eye(d), [("I", d)], [("O", d)])
         j = choi_from_kraus(c)
-        phi = max_entangled(d, ("I", "O")).density().matrix
-        assert np.allclose(j.matrix, d * phi)
+        bell = np.eye(d).reshape(-1)  # sum_i |i>|i>
+        assert np.allclose(j.matrix, np.outer(bell, bell))
         assert j.in_labels == ("I",) and j.out_labels == ("O",)
 
     def test_gauge_invariance(self):
@@ -109,31 +106,11 @@ class TestApply:
         assert out.labels == rho.labels
         assert np.allclose(out.matrix, rho.matrix)
 
-    def test_choi_route_agrees(self):
-        c = random_channel([("I", 3)], [("O", 2)], kraus_rank=2, seed=21)
-        rho = random_density(3, 3, 22, dims=[("I", 3)])
-        via_kraus = apply_channel(c, rho)
-        via_choi = apply_choi(choi_from_kraus(c), rho)
-        assert np.allclose(via_kraus.matrix, via_choi.matrix)
-
     def test_tni_refused(self):
         c = KrausChannel([("A", 2)], [("A", 2)], [damp_kraus(0.3)[0]])
         rho = random_density(2, 2, 0, dims=[("A", 2)])
         with pytest.raises(ValueError):
             apply_channel(c, rho)
-
-
-class TestStinespring:
-    def test_isometry_and_action(self):
-        c = random_channel([("I", 3)], [("O", 4)], kraus_rank=2, seed=31)
-        v, r = stinespring(c)
-        assert r == len(c.kraus)
-        assert np.allclose(v.conj().T @ v, np.eye(3))
-        rho = random_density(3, 2, 32, dims=[("I", 3)])
-        big = v @ rho.matrix @ v.conj().T
-        dout = 4
-        out = np.trace(big.reshape(dout, r, dout, r), axis1=1, axis2=3)
-        assert np.allclose(out, apply_channel(c, rho).matrix)
 
 
 class TestRandomEnsembles:

@@ -126,6 +126,17 @@ class TestSweep:
             main(["sweep", "--process", "upsilon1", "--entropy", "shannon"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("family", ["renyi:nan", "renyi:-inf"])
+    def test_nan_and_negative_infinity_alpha_usage_error(self, family):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--process", "switch_full", "--entropy", family])
+        assert exc.value.code == 2
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(SWEEP_ARGS + ["--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+
     def test_seed_is_not_a_sweep_option(self):
         # sweeps are deterministic, so they take no seed
         with pytest.raises(SystemExit) as exc:
@@ -154,6 +165,11 @@ class TestVerify:
                    "--out", str(tmp_path / "f.json")])
         assert rc == 1
         assert "failures" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.json"
+        assert main(["verify", "ssa", "--trials", "1", "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_trials_floor(self):
         assert main(["verify", "ssa", "--trials", "0"]) == 2
@@ -191,6 +207,15 @@ class TestReproduce:
             assert main(["sweep", "--process", "upsilon2", "--entropy", family,
                          "--out", str(swept)]) == 0
             assert (tmp_path / name).read_bytes() == swept.read_bytes()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"  # a file where the directory should go
+        taken.write_text("")
+        assert main(["reproduce", "4", "--out", str(taken)]) == 2
+        assert f"cannot write {taken}" in capsys.readouterr().err
+        (tmp_path / "fig4.csv").mkdir()  # a directory where a CSV should go
+        assert main(["reproduce", "4", "--out", str(tmp_path)]) == 2
+        assert f"cannot write {tmp_path / 'fig4.csv'}" in capsys.readouterr().err
 
     def test_unknown_figure_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -13,9 +13,7 @@ from qcausal import (
     herm_eig,
     identity,
     kron,
-    max_entangled,
     partial_trace,
-    partial_transpose,
     permute,
     purify,
     trace_distance,
@@ -115,33 +113,9 @@ class TestPartialTrace:
         assert np.isclose(partial_trace(op, ["B"]).trace(), op.trace())
 
     def test_entangled_marginal(self):
-        phi = max_entangled(3, ("A", "B"))
+        phi = PureState(np.eye(3).reshape(-1) / np.sqrt(3), [("A", 3), ("B", 3)])
         marg = partial_trace(phi.density(), ["A"])
         assert np.allclose(marg.matrix, np.eye(3) / 3)
-
-
-class TestPartialTranspose:
-    def test_involution(self):
-        m = rand_herm(6)
-        op = LabeledOperator(m, [("A", 2), ("B", 3)])
-        again = partial_transpose(partial_transpose(op, ["B"]), ["B"])
-        assert np.allclose(again.matrix, m)
-
-    def test_max_entangled_gives_swap(self):
-        d = 3
-        phi = max_entangled(d, ("A", "B"))
-        pt = partial_transpose(phi.density(), ["B"])
-        swap = np.zeros((d * d, d * d))
-        for i in range(d):
-            for j in range(d):
-                swap[i * d + j, j * d + i] = 1.0
-        assert np.allclose(pt.matrix, swap / d)
-
-    def test_full_transpose(self):
-        m = rand_herm(6)
-        op = LabeledOperator(m, [("A", 2), ("B", 3)])
-        pt = partial_transpose(op, ["A", "B"])
-        assert np.allclose(pt.matrix, m.T)
 
 
 class TestHermEig:
@@ -268,10 +242,6 @@ class TestMisc:
         b = DensityOperator(np.eye(2) / 2, [("B", 2)])
         with pytest.raises(ValueError):
             trace_distance(a, b)
-
-    def test_max_entangled_normalized(self):
-        phi = max_entangled(4, ("X", "Y"))
-        assert np.isclose(phi.density().matrix.trace(), 1.0)
 
     def test_relabel(self):
         op = identity([("A", 2)]).relabel({"A": "Z"})

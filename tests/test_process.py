@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from qcausal import (
+    TAU_LABELS,
     DensityOperator,
     FixedOrderComb,
+    InterventionalState,
     KrausChannel,
+    LabeledOperator,
     ProcessMatrix,
     SwitchSpec,
     apply_channel,
-    apply_choi,
     apply_process,
     as_fixed_order,
     choi_from_kraus,
@@ -22,8 +24,8 @@ from qcausal import (
     interventional_state,
     kron,
     link,
-    mix_processes,
     partial_trace,
+    permute,
     process_matrix_of,
     purify_comb,
     random_channel,
@@ -61,6 +63,24 @@ def comb_apply_dense(comb, a, b):
     return partial_trace(s, ["F"])
 
 
+def phi_tilde(d, l0, l1, scale=1.0):
+    """``scale * sum_ij |ii><jj|`` on two fresh labels."""
+    e = np.eye(d, dtype=complex).reshape(-1)
+    return LabeledOperator(scale * np.outer(e, e), [(l0, d), (l1, d)])
+
+
+def link_contraction(w):
+    """Five-part state by linking ``w`` with Φ̃ on the slot inputs and Φ⁺ on
+    the slot outputs, tracing ``F`` and relabeling the retained copies."""
+    ja = kron(phi_tilde(w.dim("A0"), "A0", "A0m"),
+              phi_tilde(w.dim("A1"), "A1", "A1m", 1.0 / w.dim("A1")))
+    jb = kron(phi_tilde(w.dim("B0"), "B0", "B0m"),
+              phi_tilde(w.dim("B1"), "B1", "B1m", 1.0 / w.dim("B1")))
+    t = partial_trace(link(link(w.op, ja), jb), ["F", "A0m", "A1m", "B0m", "B1m"])
+    t = t.relabel({"A0m": "A0", "A1m": "A1", "B0m": "B0", "B1m": "B1"})
+    return InterventionalState(DensityOperator(permute(t, TAU_LABELS)))
+
+
 class TestLink:
     def test_disjoint_is_tensor(self):
         x = random_density(2, 2, 1, dims=[("A", 2)])
@@ -74,7 +94,7 @@ class TestLink:
         rho = random_density(2, 2, 4, dims=[("I", 2)])
         out = link(rho, j.op)
         assert out.labels == ("O",)
-        assert np.allclose(out.matrix, apply_choi(j, rho).matrix)
+        assert np.allclose(out.matrix, apply_channel(c, rho).matrix)
 
     def test_choi_composition(self):
         c1 = random_channel([("I", 2)], [("M", 3)], kraus_rank=2, seed=5)
@@ -203,23 +223,6 @@ class TestProcessMatrix:
         direct = switch_apply(s, a, b)
         assert np.allclose(out.matrix, direct.matrix, atol=1e-9)
 
-    def test_mixture_acts_linearly(self):
-        w0 = process_matrix_of(SwitchSpec(0.0))
-        w1 = process_matrix_of(SwitchSpec(1.0))
-        wm = mix_processes(0.3, w0, w1)
-        a = random_channel([("A0", 2)], [("A1", 2)], kraus_rank=1, seed=54)
-        b = random_channel([("B0", 2)], [("B1", 2)], kraus_rank=2, seed=55)
-        ja, jb = choi_from_kraus(a), choi_from_kraus(b)
-        mixed = apply_process(wm, ja, jb).matrix
-        parts = (0.3 * apply_process(w0, ja, jb).matrix
-                 + 0.7 * apply_process(w1, ja, jb).matrix)
-        assert np.allclose(mixed, parts, atol=1e-9)
-
-    def test_mix_weight_validated(self):
-        w = process_matrix_of(SwitchSpec(0.5))
-        with pytest.raises(ValueError):
-            mix_processes(1.2, w, w)
-
     def test_choi_label_contract(self):
         w = process_matrix_of(SwitchSpec(0.5))
         wrong = choi_from_kraus(random_channel([("X", 2)], [("Y", 2)],
@@ -261,7 +264,6 @@ class TestInterventionalState:
         assert st.labels == ("A0", "A1", "B0", "B1", "F")
 
     def test_invalid_marginal_rejected(self):
-        from qcausal import InterventionalState
         m = np.zeros((32, 32))
         m[0, 0] = 1.0
         bad = DensityOperator(m, [("A0", 2), ("A1", 2), ("B0", 2), ("B1", 2), ("F", 2)])
@@ -275,3 +277,30 @@ class TestInterventionalState:
         ct = interventional_state(w, "contraction")
         sv = interventional_state(SwitchSpec(0.5), "statevector")
         assert trace_distance(ct.tau, sv.tau) < 1e-9
+
+
+class TestContractionConvention:
+    """The contraction backend is ``W / (d_A1 d_B1)``; the link contraction
+    with the intervention Choi operators gives the same validated state."""
+
+    @pytest.mark.parametrize("mode", ["full", "trace_control", "trace_target"])
+    def test_switch_equals_link_contraction(self, mode):
+        s = SwitchSpec(0.3, future_mode=mode)
+        expect = link_contraction(process_matrix_of(s)).tau.matrix
+        assert np.array_equal(interventional_state(s, "contraction").tau.matrix, expect)
+
+    def test_combs_equal_link_contraction(self):
+        combs = [sample_purified_comb(seed) for seed in (0, 1, 5, 7, 13)]
+        # 3-dimensional slot outputs on both sides are covered
+        assert any(pc.dims["A1"] == 3 for pc in combs)
+        assert any(pc.dims["B1"] == 3 for pc in combs)
+        for pc in combs:
+            expect = link_contraction(process_matrix_of(pc)).tau.matrix
+            assert np.array_equal(interventional_state(pc, "contraction").tau.matrix, expect)
+
+    def test_nontrivial_past_rejected(self):
+        w = process_matrix_of(SwitchSpec(0.4))
+        w2 = ProcessMatrix(LabeledOperator(np.kron(np.eye(2), w.matrix),
+                                           [("P", 2)] + list(w.dims)[1:]))
+        with pytest.raises(ValueError, match="trace 2.0 is not 1"):
+            interventional_state(w2, "contraction")
