@@ -31,7 +31,7 @@ def main():
     args = p.parse_args()
 
     comb = sample_fixed_order_comb(args.seed, order=args.order)
-    dims = {l: comb.slot_dim(l) for l in ("A0", "A1", "B0", "B1", "F")}
+    dims = {l: comb.dims[l] for l in ("A0", "A1", "B0", "B1", "F")}
     print(f"comb order {comb.order}, slot dims {dims}")
 
     a = random_channel([("A0", dims["A0"])], [("A1", dims["A1"])],

@@ -145,7 +145,7 @@ def _pick(rng, options):
     return options[int(rng.integers(len(options)))]
 
 
-def _sample_slot_dims(rng) -> dict[str, int]:
+def _sample_dims(rng) -> dict[str, int]:
     # five slot dims from {2,3}, capped so the five-system state fits in 64
     while True:
         dims = {l: _pick(rng, SLOT_DIMS) for l in ("A0", "A1", "B0", "B1", "F")}
@@ -160,7 +160,7 @@ def sample_purified_comb(seed, order: str | None = None) -> PurifiedComb:
         order = "AB" if int(rng.integers(2)) == 0 else "BA"
     first, second = order[0], order[1]
     while True:
-        dims = _sample_slot_dims(rng)
+        dims = _sample_dims(rng)
         dq0 = _pick(rng, (2, 3, 4))
         if (dims[f"{first}1"] * dq0) % dims[f"{second}0"]:
             continue
@@ -183,7 +183,7 @@ def sample_fixed_order_comb(seed, order: str | None = None) -> FixedOrderComb:
     if order is None:
         order = "AB" if int(rng.integers(2)) == 0 else "BA"
     first, second = order[0], order[1]
-    dims = _sample_slot_dims(rng)
+    dims = _sample_dims(rng)
     de0, de1, de2 = (_pick(rng, (1, 2, 3)) for _ in range(3))
     d_rho = dims[f"{first}0"] * de0
     rho = random_density(d_rho, rank=int(rng.integers(1, d_rho + 1)), seed=rng,
@@ -248,7 +248,7 @@ def _lemma3_trial(seed: int, t: int) -> tuple[float, int]:
     flat = as_fixed_order(purify_comb(comb))
 
     def slot(x0, x1):
-        din, dout = comb.slot_dim(x0), comb.slot_dim(x1)
+        din, dout = comb.dims[x0], comb.dims[x1]
         rank = max(int(rng.integers(1, 4)), -(-din // dout))
         return random_channel([(x0, din)], [(x1, dout)], kraus_rank=rank, seed=rng)
 
@@ -301,7 +301,7 @@ def run_crosscheck(trials: int = 50, seed: int = 0) -> dict:
 def _marginal_bounds_trial(trials: int, seed: int, t: int) -> tuple[float, int]:
     if t < trials:
         rng = ensure_rng(seed + t)
-        dims = _sample_slot_dims(rng)
+        dims = _sample_dims(rng)
         total = math.prod(dims.values())
         rho = random_density(total, rank=int(rng.integers(1, total + 1)), seed=rng,
                              dims=list(dims.items()))

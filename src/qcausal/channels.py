@@ -13,13 +13,11 @@ from typing import Sequence
 import numpy as np
 
 from .labeled import (
-    PSD_TOL,
     TRACE_TOL,
     DensityOperator,
     LabeledDims,
     LabeledOperator,
     as_dims,
-    partial_trace,
     permute,
 )
 
@@ -32,15 +30,21 @@ def ensure_rng(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-class KrausChannel:
-    """Completely positive map given by a list of Kraus operators.
+def _check_unitary(u: np.ndarray, name: str = "matrix") -> None:
+    """Raise unless ``u† u`` is the identity within ``UNITARY_TOL``."""
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
+    if dev > UNITARY_TOL:
+        raise ValueError(f"{name} is not unitary: max deviation {dev:.3e} > {UNITARY_TOL}")
 
-    ``sum_t K_t† K_t`` must equal the identity within ``TRACE_TOL``
-    (trace preserving) or be dominated by it within ``PSD_TOL``
-    (trace non-increasing, flagged via ``trace_preserving=False``).
+
+class KrausChannel:
+    """CPTP map given by a list of Kraus operators.
+
+    ``sum_t K_t† K_t`` must equal the identity within ``TRACE_TOL``; every
+    channel is trace preserving, so nothing downstream checks it again.
     """
 
-    __slots__ = ("in_dims", "out_dims", "kraus", "trace_preserving")
+    __slots__ = ("in_dims", "out_dims", "kraus")
 
     def __init__(self, in_dims, out_dims, kraus: Sequence[np.ndarray]):
         in_dims = as_dims(in_dims)
@@ -56,24 +60,17 @@ class KrausChannel:
                     f"{out_dims.total} x {in_dims.total} for {in_dims} -> {out_dims}"
                 )
             ops.append(k)
-        stack = np.stack(ops)
-        flat = stack.reshape(-1, in_dims.total)
+        flat = np.stack(ops).reshape(-1, in_dims.total)
         gram = flat.conj().T @ flat
         dev = float(np.max(np.abs(gram - np.eye(in_dims.total))))
-        if dev <= TRACE_TOL:
-            tp = True
-        else:
-            top = float(np.linalg.eigvalsh(gram)[-1])
-            if top > 1.0 + PSD_TOL:
-                raise ValueError(
-                    f"Kraus operators are not trace non-increasing: "
-                    f"max eigenvalue of sum K†K is {top!r}"
-                )
-            tp = False
+        if dev > TRACE_TOL:
+            raise ValueError(
+                f"Kraus operators are not trace preserving: sum K†K deviates "
+                f"from the identity by {dev:.3e} > {TRACE_TOL}"
+            )
         self.in_dims = in_dims
         self.out_dims = out_dims
         self.kraus = tuple(ops)
-        self.trace_preserving = tp
 
     @classmethod
     def from_unitary(cls, u: np.ndarray, in_dims, out_dims) -> "KrausChannel":
@@ -82,9 +79,7 @@ class KrausChannel:
         u = np.asarray(u, dtype=complex)
         if in_dims.total != out_dims.total:
             raise ValueError(f"unitary channel needs equal dimensions, got {in_dims} -> {out_dims}")
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(in_dims.total))))
-        if dev > UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary: max deviation {dev:.3e} > {UNITARY_TOL}")
+        _check_unitary(u)
         return cls(in_dims, out_dims, [u])
 
     @classmethod
@@ -97,17 +92,16 @@ class KrausChannel:
         return np.stack(self.kraus)
 
     def __repr__(self) -> str:
-        return (f"KrausChannel({self.in_dims} -> {self.out_dims}, "
-                f"{len(self.kraus)} Kraus, tp={self.trace_preserving})")
+        return f"KrausChannel({self.in_dims} -> {self.out_dims}, {len(self.kraus)} Kraus)"
 
 
 class ChoiOperator:
     """Choi operator of a channel, on the labels ``in_dims + out_dims``."""
 
-    __slots__ = ("op", "in_labels", "out_labels", "trace_preserving")
+    __slots__ = ("op", "in_labels", "out_labels")
 
     def __init__(self, op: LabeledOperator, in_labels: tuple[str, ...],
-                 out_labels: tuple[str, ...], trace_preserving: bool = True):
+                 out_labels: tuple[str, ...]):
         if set(in_labels) | set(out_labels) != set(op.labels):
             raise ValueError(
                 f"in {in_labels} + out {out_labels} must cover the operator labels {op.labels}"
@@ -117,7 +111,6 @@ class ChoiOperator:
         self.op = op
         self.in_labels = tuple(in_labels)
         self.out_labels = tuple(out_labels)
-        self.trace_preserving = trace_preserving
 
     @property
     def matrix(self) -> np.ndarray:
@@ -147,18 +140,7 @@ def choi_from_kraus(c: KrausChannel) -> ChoiOperator:
     vecs = np.stack([cj_vector(k) for k in c.kraus])
     j = np.einsum("ti,tj->ij", vecs, vecs.conj())
     dims = LabeledDims(list(c.in_dims) + list(c.out_dims))
-    op = LabeledOperator(j, dims)
-    marg = partial_trace(op, c.in_dims.labels).matrix
-    eye = np.eye(c.in_dims.total)
-    if c.trace_preserving:
-        dev = float(np.max(np.abs(marg - eye)))
-        if dev > TRACE_TOL:
-            raise ValueError(f"Choi marginal deviates from identity by {dev:.3e} > {TRACE_TOL}")
-    else:
-        top = float(np.linalg.eigvalsh(marg - eye)[-1])
-        if top > PSD_TOL:
-            raise ValueError(f"Choi marginal exceeds the identity by {top:.3e} > {PSD_TOL}")
-    return ChoiOperator(op, c.in_dims.labels, c.out_dims.labels, c.trace_preserving)
+    return ChoiOperator(LabeledOperator(j, dims), c.in_dims.labels, c.out_dims.labels)
 
 
 def apply_channel(c: KrausChannel,
@@ -170,8 +152,6 @@ def apply_channel(c: KrausChannel,
     position of the first consumed label, so an identity channel returns the
     state unchanged.
     """
-    if not c.trace_preserving:
-        raise ValueError("apply_channel requires a trace-preserving channel")
     wrap = isinstance(rho, DensityOperator)
     op = rho.op if wrap else rho
     consumed = list(c.in_dims.labels)
@@ -275,9 +255,7 @@ def completely_factorizable(u2: np.ndarray, dim_noise: int, dim_in: int,
         raise ValueError(
             f"traced dimension {dim_traced} does not divide {dim_noise} x {dim_in}"
         )
-    dev = float(np.max(np.abs(u2.conj().T @ u2 - np.eye(d))))
-    if dev > UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary: max deviation {dev:.3e} > {UNITARY_TOL}")
+    _check_unitary(u2)
     dim_out = d // dim_traced
     blocks = u2.reshape(dim_traced, dim_out, dim_noise, dim_in)
     scale = 1.0 / np.sqrt(dim_noise)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -169,6 +170,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # a campaign takes seconds, so refuse an unwritable --out before it runs
+    if args.out is not None:
+        parent = Path(args.out).parent
+        if not (parent.is_dir() and os.access(parent, os.W_OK)):
+            return _cannot_write(args.out, OSError(f"{parent} is not a writable directory"))
     trials = args.trials
     if trials is None:
         trials = campaigns.DEFAULT_TRIALS[args.campaign]

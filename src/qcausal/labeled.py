@@ -133,6 +133,14 @@ class LabeledOperator:
         return f"LabeledOperator({self.dims})"
 
 
+def _hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """``(m + m†) / 2``, after checking that ``m`` is Hermitian within ``HERM_TOL``."""
+    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if dev > HERM_TOL:
+        raise ValueError(f"{what} is not Hermitian: max deviation {dev:.3e} > {HERM_TOL}")
+    return 0.5 * (m + m.conj().T)
+
+
 class DensityOperator:
     """Unit-trace positive semidefinite :class:`LabeledOperator`.
 
@@ -155,11 +163,7 @@ class DensityOperator:
             op = matrix
         else:
             op = LabeledOperator(matrix, dims)
-        m = op.matrix
-        herm_dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if herm_dev > HERM_TOL:
-            raise ValueError(f"matrix is not Hermitian: max deviation {herm_dev:.3e} > {HERM_TOL}")
-        m = 0.5 * (m + m.conj().T)
+        m = _hermitian(op.matrix)
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within {TRACE_TOL}")
@@ -290,11 +294,7 @@ def herm_eig(a: LabeledOperator | DensityOperator | np.ndarray) -> tuple[np.ndar
     the solve so the decomposition is exactly real.
     """
     m = a if isinstance(a, np.ndarray) else _op(a).matrix
-    m = np.asarray(m, dtype=complex)
-    herm_dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if herm_dev > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian: max deviation {herm_dev:.3e} > {HERM_TOL}")
-    lam, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    lam, v = np.linalg.eigh(_hermitian(np.asarray(m, dtype=complex)))
     return lam[::-1].copy(), v[:, ::-1].copy()
 
 

@@ -22,22 +22,18 @@ from __future__ import annotations
 import numpy as np
 
 from .labeled import (
-    HERM_TOL,
     RECON_TOL,
     TRACE_TOL,
     DensityOperator,
     LabeledDims,
     LabeledOperator,
     PureState,
+    _hermitian,
     partial_trace,
     permute,
     purify,
 )
-from .channels import (
-    UNITARY_TOL,
-    ChoiOperator,
-    KrausChannel,
-)
+from .channels import ChoiOperator, KrausChannel, _check_unitary
 
 ORDERS = ("AB", "BA")
 TAU_LABELS = ("A0", "A1", "B0", "B1", "F")
@@ -55,11 +51,11 @@ class FixedOrderComb:
 
     For ``order="AB"`` the pieces are a density operator on ``(A0, E0)``, a
     channel ``(A1, E0) -> (B0, E1)`` and a channel ``(B1, E1) -> (F, E2)``;
-    for ``order="BA"`` the roles of the two parties swap.  Channels must be
-    trace preserving.
+    for ``order="BA"`` the roles of the two parties swap.  ``dims`` maps
+    each of ``A0 A1 B0 B1 F E0 E1 E2`` to its dimension.
     """
 
-    __slots__ = ("order", "rho", "lambda1", "lambda2")
+    __slots__ = ("order", "rho", "lambda1", "lambda2", "dims")
 
     def __init__(self, order: str, rho: DensityOperator,
                  lambda1: KrausChannel, lambda2: KrausChannel):
@@ -85,23 +81,12 @@ class FixedOrderComb:
             raise ValueError("E0 dimension differs between the comb state and the link channel")
         if lambda1.out_dims.dim("E1") != lambda2.in_dims.dim("E1"):
             raise ValueError("E1 dimension differs between the two channels")
-        if not (lambda1.trace_preserving and lambda2.trace_preserving):
-            raise ValueError("comb channels must be trace preserving")
         self.order = order
         self.rho = rho
         self.lambda1 = lambda1
         self.lambda2 = lambda2
-
-    def slot_dim(self, label: str) -> int:
-        first, second = _check_order(self.order)
-        table = {
-            f"{first}0": self.rho.dims.dim(f"{first}0"),
-            f"{first}1": self.lambda1.in_dims.dim(f"{first}1"),
-            f"{second}0": self.lambda1.out_dims.dim(f"{second}0"),
-            f"{second}1": self.lambda2.in_dims.dim(f"{second}1"),
-            "F": self.lambda2.out_dims.dim("F"),
-        }
-        return table[label]
+        self.dims = {**dict(rho.dims), **dict(lambda1.in_dims), **dict(lambda1.out_dims),
+                     **dict(lambda2.in_dims), **dict(lambda2.out_dims)}
 
     def __repr__(self) -> str:
         return f"FixedOrderComb(order={self.order})"
@@ -140,9 +125,7 @@ class PurifiedComb:
         for name, u, d in (("u1", u1, d1), ("u2", u2, d3)):
             if u.shape != (d, d):
                 raise ValueError(f"{name} has shape {u.shape}, expected {(d, d)}")
-            dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-            if dev > UNITARY_TOL:
-                raise ValueError(f"{name} is not unitary: max deviation {dev:.3e}")
+            _check_unitary(u, name)
         self.order = order
         self.psi = psi
         self.u1 = u1
@@ -204,11 +187,7 @@ class ProcessMatrix:
         if set(op.labels) != set(self.LABELS):
             raise ValueError(f"process matrix needs labels {self.LABELS}, got {op.labels}")
         op = permute(op, self.LABELS)
-        m = op.matrix
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > HERM_TOL:
-            raise ValueError(f"process matrix is not Hermitian: deviation {herm_dev:.3e}")
-        m = 0.5 * (m + m.conj().T)
+        m = _hermitian(op.matrix, "process matrix")
         target = op.dims.dim("A1") * op.dims.dim("B1") * op.dims.dim("P")
         tr = float(np.trace(m).real)
         if abs(tr - target) > TRACE_TOL * target:
@@ -308,8 +287,6 @@ def link(x: LabeledOperator | DensityOperator,
 
 def _slot_channel_stacks(a: KrausChannel, b: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     for chan, labels in ((a, ("A0", "A1")), (b, ("B0", "B1"))):
-        if not chan.trace_preserving:
-            raise ValueError("slot channels must be trace preserving")
         if chan.in_dims.labels != (labels[0],) or chan.out_dims.labels != (labels[1],):
             raise ValueError(
                 f"slot channel must map ({labels[0]},) -> ({labels[1]},), got "
@@ -327,18 +304,10 @@ def _comb_pair_out(c: FixedOrderComb, ka: np.ndarray, la: np.ndarray,
     batch axes.  Returns the future-space result with the batch axes leading.
     """
     first, second = _check_order(c.order)
-    if c.order == "AB":
-        k1, l1, k2, l2 = ka, la, kb, lb
-    else:
-        k1, l1, k2, l2 = kb, lb, ka, la
-    d10 = c.rho.dims.dim(f"{first}0")
-    de0 = c.rho.dims.dim("E0")
-    d11 = c.lambda1.in_dims.dim(f"{first}1")
-    d20 = c.lambda1.out_dims.dim(f"{second}0")
-    de1 = c.lambda1.out_dims.dim("E1")
-    d21 = c.lambda2.in_dims.dim(f"{second}1")
-    df = c.lambda2.out_dims.dim("F")
-    de2 = c.lambda2.out_dims.dim("E2")
+    k1, l1, k2, l2 = (ka, la, kb, lb) if c.order == "AB" else (kb, lb, ka, la)
+    d = c.dims
+    d10, d11, d20, d21 = d[f"{first}0"], d[f"{first}1"], d[f"{second}0"], d[f"{second}1"]
+    de0, de1, de2, df = d["E0"], d["E1"], d["E2"], d["F"]
 
     rho4 = c.rho.matrix.reshape(d10, de0, d10, de0)
     x = np.einsum("...rxa,aebf,...ryb->...xeyf", k1, rho4, l1.conj(), optimize=True)
@@ -384,12 +353,12 @@ def _switch_pair_out(s: SwitchSpec, ka: np.ndarray, la: np.ndarray,
 def comb_apply(c: FixedOrderComb, a: KrausChannel, b: KrausChannel) -> DensityOperator:
     """Feed CPTP channels ``a: A0 -> A1`` and ``b: B0 -> B1`` through the comb."""
     ka, kb = _slot_channel_stacks(a, b)
-    if a.in_dims.dim("A0") != c.slot_dim("A0") or a.out_dims.dim("A1") != c.slot_dim("A1"):
+    if a.in_dims.dim("A0") != c.dims["A0"] or a.out_dims.dim("A1") != c.dims["A1"]:
         raise ValueError("channel a does not match the comb's A-slot dimensions")
-    if b.in_dims.dim("B0") != c.slot_dim("B0") or b.out_dims.dim("B1") != c.slot_dim("B1"):
+    if b.in_dims.dim("B0") != c.dims["B0"] or b.out_dims.dim("B1") != c.dims["B1"]:
         raise ValueError("channel b does not match the comb's B-slot dimensions")
     out = _comb_pair_out(c, ka, ka, kb, kb)
-    return DensityOperator(out, [("F", c.slot_dim("F"))])
+    return DensityOperator(out, [("F", c.dims["F"])])
 
 
 def switch_apply(s: SwitchSpec, a: KrausChannel, b: KrausChannel) -> DensityOperator:
@@ -409,13 +378,12 @@ def switch_apply(s: SwitchSpec, a: KrausChannel, b: KrausChannel) -> DensityOper
 # ---------------------------------------------------------------------------
 # purification of a fixed-order comb
 
-def _axis_permutation_matrix(dims: list[int], perm: list[int]) -> np.ndarray:
-    """Unitary reordering a composite basis: position ``k`` of the output
-    multi-index holds component ``perm[k]`` of the input multi-index."""
-    n = len(dims)
-    total = int(np.prod(dims))
-    e = np.eye(total).reshape(dims + dims)
-    return e.transpose(perm + list(range(n, 2 * n))).reshape(total, total)
+def _axis_gather(dims: list[int], perm: list[int]) -> np.ndarray:
+    """Column indices ``g`` with ``m[:, g] = m @ P``, where the permutation
+    matrix ``P`` reorders a composite basis so that position ``k`` of the
+    output multi-index holds component ``perm[k]`` of the input multi-index."""
+    index = np.arange(int(np.prod(dims))).reshape([dims[p] for p in perm])
+    return index.transpose(np.argsort(perm)).reshape(-1)
 
 
 def _dilation_unitary(chan: KrausChannel) -> tuple[np.ndarray, int, int]:
@@ -454,14 +422,9 @@ def purify_comb(c: FixedOrderComb) -> PurifiedComb:
     ``Q1 = E1 G1 F0 anc2`` and ``Q2 = E2 G2 G1 F0``.
     """
     first, second = _check_order(c.order)
-    d10 = c.rho.dims.dim(f"{first}0")
-    de0 = c.rho.dims.dim("E0")
-    d11 = c.lambda1.in_dims.dim(f"{first}1")
-    d20 = c.lambda1.out_dims.dim(f"{second}0")
-    de1 = c.lambda1.out_dims.dim("E1")
-    d21 = c.lambda2.in_dims.dim(f"{second}1")
-    df = c.lambda2.out_dims.dim("F")
-    de2 = c.lambda2.out_dims.dim("E2")
+    d = c.dims
+    d10, d11, d21 = d[f"{first}0"], d[f"{first}1"], d[f"{second}1"]
+    de0, de1, de2 = d["E0"], d["E1"], d["E2"]
 
     phi0 = purify(c.rho, "F0")
     df0 = phi0.dims.dim("F0")
@@ -473,24 +436,18 @@ def purify_comb(c: FixedOrderComb) -> PurifiedComb:
     dq2 = de2 * denv2 * denv1 * df0
 
     # u1 acts on (first1, E0, anc1); F0 and anc2 ride along.
-    big1 = np.kron(u1d, np.eye(df0 * danc2))
-    perm1 = _axis_permutation_matrix([d11, de0, df0, danc1, danc2], [0, 1, 3, 2, 4])
-    u1 = big1 @ perm1
+    g1 = _axis_gather([d11, de0, df0, danc1, danc2], [0, 1, 3, 2, 4])
+    u1 = np.kron(u1d, np.eye(df0 * danc2))[:, g1]
     # u2 acts on (second1, E1, anc2); G1 and F0 ride along.
-    big2 = np.kron(u2d, np.eye(denv1 * df0))
-    perm2 = _axis_permutation_matrix([d21, de1, denv1, df0, danc2], [0, 1, 4, 2, 3])
-    u2 = big2 @ perm2
+    g2 = _axis_gather([d21, de1, denv1, df0, danc2], [0, 1, 4, 2, 3])
+    u2 = np.kron(u2d, np.eye(denv1 * df0))[:, g2]
 
     amp = np.zeros((d10, de0, df0, danc1, danc2), dtype=complex)
     amp[:, :, :, 0, 0] = phi0.amplitudes.reshape(d10, de0, df0)
     psi = PureState(amp.reshape(-1), [(f"{first}0", d10), ("Q0", dq0)])
 
-    dims = {
-        f"{first}0": d10, f"{first}1": d11,
-        f"{second}0": d20, f"{second}1": d21,
-        "F": df, "Q0": dq0, "Q1": dq1, "Q2": dq2,
-    }
-    return PurifiedComb(c.order, psi, u1, u2, dims)
+    dims = {l: d[l] for l in (f"{first}0", f"{first}1", f"{second}0", f"{second}1", "F")}
+    return PurifiedComb(c.order, psi, u1, u2, {**dims, "Q0": dq0, "Q1": dq1, "Q2": dq2})
 
 
 def as_fixed_order(pc: PurifiedComb) -> FixedOrderComb:
@@ -523,9 +480,7 @@ def process_matrix_of(source) -> ProcessMatrix:
     if isinstance(source, PurifiedComb):
         source = as_fixed_order(source)
     if isinstance(source, FixedOrderComb):
-        da0, da1 = source.slot_dim("A0"), source.slot_dim("A1")
-        db0, db1 = source.slot_dim("B0"), source.slot_dim("B1")
-        df = source.slot_dim("F")
+        da0, da1, db0, db1, df = (source.dims[l] for l in ("A0", "A1", "B0", "B1", "F"))
         evaluate = lambda *stacks: _comb_pair_out(source, *stacks)
     elif isinstance(source, SwitchSpec):
         da0 = da1 = db0 = db1 = 2
@@ -568,13 +523,11 @@ def apply_process(w: ProcessMatrix, ja: ChoiOperator, jb: ChoiOperator) -> ChoiO
         if jb.op.dims.dim(label) != w.dim(label):
             raise ValueError(f"Choi dimension mismatch on {label!r}")
     out = permute(link(link(w.op, ja.op), jb.op), ["P", "F"])
-    tp = ja.trace_preserving and jb.trace_preserving
-    if tp:
-        tr = float(np.trace(out.matrix).real)
-        dp = w.dim("P")
-        if abs(tr - dp) > TRACE_TOL * max(1.0, dp):
-            raise ValueError(f"trace of the contracted process is {tr!r}, expected {dp}")
-    return ChoiOperator(out, ("P",), ("F",), tp)
+    tr = float(np.trace(out.matrix).real)
+    dp = w.dim("P")
+    if abs(tr - dp) > TRACE_TOL * max(1.0, dp):
+        raise ValueError(f"trace of the contracted process is {tr!r}, expected {dp}")
+    return ChoiOperator(out, ("P",), ("F",))
 
 
 # ---------------------------------------------------------------------------

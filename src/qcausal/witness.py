@@ -40,6 +40,12 @@ from .process import TAU_LABELS, InterventionalState
 VIOLATION_TOL = 1e-7
 
 VERDICT_BEYOND = "BeyondFixedOrder"
+"""Both orders violated: no fixed order, A before B or B before A, fits.
+
+This does not rule out a convex mixture of fixed orders (a causally
+separable process), so it is no certificate of indefinite causal order.
+``upsilon1`` is such a mixture, ``W(λ) = λ W(1) + (1 - λ) W(0)``, and still
+gets this verdict at every interior grid point."""
 VERDICT_NOT_AB = "ExcludesOnlyAB"
 VERDICT_NOT_BA = "ExcludesOnlyBA"
 VERDICT_NONE = "Inconclusive"

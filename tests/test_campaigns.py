@@ -18,6 +18,7 @@ from qcausal import (
     CAMPAIGNS,
     DEFAULT_TRIALS,
     RUNNERS,
+    TRACE_TOL,
     PurifiedComb,
     run_crosscheck,
     run_lemma1,
@@ -84,9 +85,11 @@ class TestSamplers:
         for seed in range(6):
             comb = sample_fixed_order_comb(seed)
             assert comb.order in ("AB", "BA")
-            assert comb.lambda1.trace_preserving
-            assert comb.lambda2.trace_preserving
+            for chan in (comb.lambda1, comb.lambda2):
+                gram = sum(k.conj().T @ k for k in chan.kraus)
+                assert np.abs(gram - np.eye(chan.in_dims.total)).max() <= TRACE_TOL
             assert comb.rho.dims.dim("E0") in (1, 2, 3)
+            assert set(comb.dims) == {"A0", "A1", "B0", "B1", "F", "E0", "E1", "E2"}
 
     @pytest.mark.parametrize("seed", [0, 11, 23])
     def test_samplers_match_rng_choice_reference(self, monkeypatch, seed):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qcausal import (
+    TRACE_TOL,
     ChoiOperator,
     DensityOperator,
     KrausChannel,
@@ -28,14 +29,21 @@ def damp_kraus(g):
     return [k0, k1]
 
 
+def is_tp(c):
+    """``sum_t K_t† K_t`` is the identity within ``TRACE_TOL``."""
+    gram = sum(k.conj().T @ k for k in c.kraus)
+    return np.abs(gram - np.eye(c.in_dims.total)).max() <= TRACE_TOL
+
+
 class TestKrausChannel:
     def test_tp_detection(self):
         c = KrausChannel([("A", 2)], [("A", 2)], damp_kraus(0.3))
-        assert c.trace_preserving
+        assert is_tp(c) and len(c.kraus) == 2
 
     def test_tni_flagged(self):
-        c = KrausChannel([("A", 2)], [("A", 2)], [damp_kraus(0.3)[0]])
-        assert not c.trace_preserving
+        # every channel is CPTP: a trace-decreasing Kraus list is refused
+        with pytest.raises(ValueError, match="not trace preserving"):
+            KrausChannel([("A", 2)], [("A", 2)], [damp_kraus(0.3)[0]])
 
     def test_overcomplete_rejected(self):
         with pytest.raises(ValueError):
@@ -51,7 +59,7 @@ class TestKrausChannel:
 
     def test_identity(self):
         c = KrausChannel.identity([("A", 3)])
-        assert c.trace_preserving and len(c.kraus) == 1
+        assert len(c.kraus) == 1 and np.array_equal(c.kraus[0], np.eye(3))
 
 
 class TestChoi:
@@ -86,6 +94,14 @@ class TestChoi:
         with pytest.raises(ValueError):
             ChoiOperator(op, ("A", "B"), ("B",))
 
+    @pytest.mark.parametrize("seed, din, dout, rank", [
+        (0, 2, 2, 1), (1, 2, 3, 2), (2, 3, 2, 3), (3, 3, 3, 4), (4, 6, 2, 3)])
+    def test_input_marginal_is_identity(self, seed, din, dout, rank):
+        # trace preservation, checked once when the Kraus list is built
+        c = random_channel([("I", din)], [("O", dout)], kraus_rank=rank, seed=seed)
+        marg = partial_trace(choi_from_kraus(c).op, ["I"]).matrix
+        assert np.abs(marg - np.eye(din)).max() <= TRACE_TOL
+
 
 class TestApply:
     def test_subsystem_splice(self):
@@ -107,10 +123,10 @@ class TestApply:
         assert np.allclose(out.matrix, rho.matrix)
 
     def test_tni_refused(self):
-        c = KrausChannel([("A", 2)], [("A", 2)], [damp_kraus(0.3)[0]])
-        rho = random_density(2, 2, 0, dims=[("A", 2)])
-        with pytest.raises(ValueError):
-            apply_channel(c, rho)
+        # a truncated Kraus list never reaches apply_channel: it is no channel
+        c = random_channel([("A", 2)], [("A", 2)], kraus_rank=2, seed=6)
+        with pytest.raises(ValueError, match="not trace preserving"):
+            KrausChannel(c.in_dims, c.out_dims, c.kraus[:1])
 
 
 class TestRandomEnsembles:
@@ -136,7 +152,7 @@ class TestRandomEnsembles:
 
     def test_random_channel_tp(self):
         c = random_channel([("I", 2)], [("O", 3)], kraus_rank=2, seed=3)
-        assert c.trace_preserving
+        assert is_tp(c)
         rho = random_density(2, 2, 4, dims=[("I", 2)])
         assert np.isclose(apply_channel(c, rho).matrix.trace(), 1.0)
 
@@ -153,7 +169,7 @@ class TestCompletelyFactorizable:
         dout = dn * din // dtr
         u = haar_unitary(dn * din, 13)
         c = completely_factorizable(u, dim_noise=dn, dim_in=din, dim_traced=dtr)
-        assert c.trace_preserving
+        assert is_tp(c)
         omega = DensityOperator(np.eye(din) / din, [("Q1", din)])
         out = apply_channel(c, omega)
         assert out.dims.total == dout

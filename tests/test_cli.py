@@ -166,10 +166,17 @@ class TestVerify:
         assert rc == 1
         assert "failures" in capsys.readouterr().err
 
-    def test_unwritable_out_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "s.json"
-        assert main(["verify", "ssa", "--trials", "1", "--out", str(out)]) == 2
-        assert f"cannot write {out}" in capsys.readouterr().err
+    def test_unwritable_out_exits_2(self, monkeypatch, tmp_path, capsys):
+        # the path is checked before the campaign, so the runner never starts
+        import qcausal.campaigns as camp
+
+        def never(trials, seed):
+            raise AssertionError("campaign ran before --out was checked")
+        monkeypatch.setattr(camp, "RUNNERS", {**camp.RUNNERS, "ssa": never})
+        (tmp_path / "file").write_text("")
+        for out in (tmp_path / "missing" / "s.json", tmp_path / "file" / "s.json"):
+            assert main(["verify", "ssa", "--trials", "1", "--out", str(out)]) == 2
+            assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_trials_floor(self):
         assert main(["verify", "ssa", "--trials", "0"]) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qcausal import (
+    FUTURE_MODES,
     TAU_LABELS,
     DensityOperator,
     FixedOrderComb,
@@ -27,6 +28,7 @@ from qcausal import (
     partial_trace,
     permute,
     process_matrix_of,
+    purify,
     purify_comb,
     random_channel,
     random_density,
@@ -35,6 +37,8 @@ from qcausal import (
     switch_apply,
     trace_distance,
 )
+from qcausal.cli import BACKEND_AGREE_TOL
+from qcausal.process import _dilation_unitary
 
 KET0 = DensityOperator(np.diag([1.0, 0.0]), [("T0", 2)])
 
@@ -45,9 +49,9 @@ def qubit_unitary_channel(seed, labels):
 
 
 def slot_channels_for(comb, seed):
-    a = random_channel([("A0", comb.slot_dim("A0"))], [("A1", comb.slot_dim("A1"))],
+    a = random_channel([("A0", comb.dims["A0"])], [("A1", comb.dims["A1"])],
                        kraus_rank=2, seed=seed)
-    b = random_channel([("B0", comb.slot_dim("B0"))], [("B1", comb.slot_dim("B1"))],
+    b = random_channel([("B0", comb.dims["B0"])], [("B1", comb.dims["B1"])],
                        kraus_rank=2, seed=seed + 1)
     return a, b
 
@@ -79,6 +83,38 @@ def link_contraction(w):
     t = partial_trace(link(link(w.op, ja), jb), ["F", "A0m", "A1m", "B0m", "B1m"])
     t = t.relabel({"A0m": "A0", "A1m": "A1", "B0m": "B0", "B1m": "B1"})
     return InterventionalState(DensityOperator(permute(t, TAU_LABELS)))
+
+
+def dense_purified_unitaries(comb):
+    """``u1`` and ``u2`` of :func:`purify_comb`, with the wire reordering done
+    by multiplying with dense permutation matrices."""
+    first, second = comb.order
+    d = comb.dims
+    df0 = purify(comb.rho, "F0").dims.dim("F0")
+    u1d, danc1, denv1 = _dilation_unitary(comb.lambda1)
+    u2d, danc2, _ = _dilation_unitary(comb.lambda2)
+
+    def permutation(dims, perm):
+        n, total = len(dims), math.prod(dims)
+        e = np.eye(total).reshape(dims + dims)
+        return e.transpose(perm + list(range(n, 2 * n))).reshape(total, total)
+
+    u1 = np.kron(u1d, np.eye(df0 * danc2)) @ permutation(
+        [d[f"{first}1"], d["E0"], df0, danc1, danc2], [0, 1, 3, 2, 4])
+    u2 = np.kron(u2d, np.eye(denv1 * df0)) @ permutation(
+        [d[f"{second}1"], d["E1"], denv1, df0, danc2], [0, 1, 4, 2, 3])
+    return u1, u2
+
+
+EDGE_LAMS = (0.0, 1e-15, 1e-9, 1.0 - 1e-9, 1.0)
+# (future mode, control weight, seed of a mixed target or None); the plain
+# per-mode cases at 0.3 carry the bare mode name as their id
+SWITCH_CASES = (
+    [pytest.param(m, 0.3, None, id=m) for m in FUTURE_MODES]
+    + [pytest.param(m, lam, None, id=f"{m}-{lam!r}") for m in FUTURE_MODES for lam in EDGE_LAMS]
+    + [pytest.param(m, lam, seed, id=f"{m}-mixed{seed}-{lam!r}")
+       for m in FUTURE_MODES for seed in range(3) for lam in (0.0, 0.3, 0.7, 1.0)]
+)
 
 
 class TestLink:
@@ -129,9 +165,15 @@ class TestFixedOrderComb:
         assert np.allclose(fast.matrix, slow.matrix, atol=1e-10)
 
     def test_slot_dim_table(self):
-        comb = sample_fixed_order_comb(2, order="AB")
-        assert comb.slot_dim("A0") == comb.rho.dims.dim("A0")
-        assert comb.slot_dim("F") == comb.lambda2.out_dims.dim("F")
+        # one dims table per comb, read by the evaluators and the purification
+        for order in ("AB", "BA"):
+            comb = sample_fixed_order_comb(2, order=order)
+            pieces = (comb.rho.dims, comb.lambda1.in_dims, comb.lambda1.out_dims,
+                      comb.lambda2.in_dims, comb.lambda2.out_dims)
+            for dims in pieces:
+                for label, d in dims:
+                    assert comb.dims[label] == d
+            assert set(comb.dims) == {"A0", "A1", "B0", "B1", "F", "E0", "E1", "E2"}
 
 
 class TestPurifiedComb:
@@ -151,6 +193,14 @@ class TestPurifiedComb:
                 assert dims[label] in (2, 3)
             tau_dim = int(np.prod([dims[l] for l in ("A0", "A1", "B0", "B1", "F")]))
             assert tau_dim <= 64
+
+    def test_unitaries_match_dense_permutation(self):
+        # the index gather equals right-multiplying by the permutation matrix
+        for seed in range(50):
+            comb = sample_fixed_order_comb(seed)
+            pc = purify_comb(comb)
+            u1, u2 = dense_purified_unitaries(comb)
+            assert np.array_equal(pc.u1, u1) and np.array_equal(pc.u2, u2)
 
 
 class TestSwitch:
@@ -196,7 +246,7 @@ class TestProcessMatrix:
     def test_trace_and_hermiticity(self):
         comb = sample_fixed_order_comb(50, order="AB")
         w = process_matrix_of(comb)
-        d_expected = comb.slot_dim("A1") * comb.slot_dim("B1")  # trivial P
+        d_expected = comb.dims["A1"] * comb.dims["B1"]  # trivial P
         assert np.isclose(w.matrix.trace().real, d_expected, atol=1e-8)
         assert np.allclose(w.matrix, w.matrix.conj().T)
 
@@ -234,12 +284,17 @@ class TestProcessMatrix:
 
 
 class TestInterventionalState:
-    @pytest.mark.parametrize("mode", ["full", "trace_control", "trace_target"])
-    def test_switch_backends_agree(self, mode):
-        s = SwitchSpec(0.3, future_mode=mode)
+    @pytest.mark.parametrize("mode, lam, target_seed", SWITCH_CASES)
+    def test_switch_backends_agree(self, mode, lam, target_seed):
+        # control weights at and next to 0 and 1, and mixed targets, which
+        # no sweep varies and for which no closed form is pinned
+        target = None
+        if target_seed is not None:
+            target = random_density(2, 2, target_seed, dims=[("T0", 2)])
+        s = SwitchSpec(lam, target=target, future_mode=mode)
         sv = interventional_state(s, "statevector")
         ct = interventional_state(s, "contraction")
-        assert trace_distance(sv.tau, ct.tau) < 1e-9
+        assert trace_distance(sv.tau, ct.tau) < BACKEND_AGREE_TOL
 
     def test_comb_backends_agree(self):
         pc = sample_purified_comb(60)
@@ -304,3 +359,37 @@ class TestContractionConvention:
                                            [("P", 2)] + list(w.dims)[1:]))
         with pytest.raises(ValueError, match="trace 2.0 is not 1"):
             interventional_state(w2, "contraction")
+
+
+class TestCausalSeparability:
+    """``upsilon1`` (control traced) is the mixture ``λ W(1) + (1-λ) W(0)`` of
+    two fixed-order processes, so it is causally separable; ``upsilon2`` and
+    ``switch_full`` keep the control coherence and are no such mixture."""
+
+    LAMS = (0.1, 0.3, 0.5, 0.77)
+
+    @staticmethod
+    def w(lam, mode):
+        return process_matrix_of(SwitchSpec(lam, future_mode=mode)).matrix
+
+    def test_upsilon1_process_matrix_is_a_mixture(self):
+        w0, w1 = self.w(0.0, "trace_control"), self.w(1.0, "trace_control")
+        for lam in self.LAMS:
+            mix = lam * w1 + (1.0 - lam) * w0
+            assert np.abs(self.w(lam, "trace_control") - mix).max() <= 1e-15
+
+    @pytest.mark.parametrize("backend", ["statevector", "contraction"])
+    def test_upsilon1_state_is_the_same_mixture(self, backend):
+        # the five-part state is W / (d_A1 d_B1), linear in W
+        w0, w1 = self.w(0.0, "trace_control"), self.w(1.0, "trace_control")
+        for lam in self.LAMS:
+            mix = (lam * w1 + (1.0 - lam) * w0) / 4.0
+            tau = interventional_state(SwitchSpec(lam, future_mode="trace_control"), backend)
+            assert np.abs(tau.tau.matrix - mix).max() <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["full", "trace_target"])
+    def test_coherent_control_is_no_mixture(self, mode):
+        w0, w1 = self.w(0.0, mode), self.w(1.0, mode)
+        for lam in self.LAMS:
+            gap = np.abs(self.w(lam, mode) - (lam * w1 + (1.0 - lam) * w0)).max()
+            assert gap > 0.25
