@@ -7,11 +7,12 @@ the observed distance.  All randomness derives from per-trial seeds
 ``seed + t`` so trials are order-independent and reproducible.
 
 Each campaign is a module-level trial function ``trial(seed, t)`` returning
-that trial's ``(worst slack, failures)``, run by one driver, ``_run``.  It
-spreads the trials over worker processes, as many as the CPUs this process
-may use divided by the BLAS threads per process, and folds the results in
-trial order, so a summary is the same bit for bit whatever the number of
-workers; only ``elapsed_s``, the wall time, differs.
+that trial's ``(worst slack, failures)``, run by ``_run``.  It maps the
+trials with the package's one worker driver, ``_map``, over ``_workers``
+processes (as many as the CPUs this process may use divided by the BLAS
+threads per process), and folds the results in trial order, so a summary is
+the same bit for bit whatever the number of workers; only ``elapsed_s``, the
+wall time, differs.  The CLI maps sweep grid points with the same driver.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import sys
 import threading
 import time
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -91,13 +91,13 @@ def _blas_threads(cpus: int) -> int:
     return cpus
 
 
-def _workers(trials: int) -> int:
-    """Worker processes for a campaign of ``trials`` trials.
+def _workers(n: int) -> int:
+    """Worker processes for ``n`` independent work items.
 
     Workers and their BLAS threads share the CPUs this process may use.  With
     BLAS on one thread per CPU (its default) extra processes only make the
     threads compete: on 2 CPUs, two concurrent lemma3 runs took 19 s at two
-    BLAS threads and 6 s at one.  So then the trials run in this process.
+    BLAS threads and 6 s at one.  So then the items run in this process.
     They do too where workers cannot be forked safely.  Forked workers
     inherit the imported package, but fork is unsafe while this process runs
     other threads, and on macOS, whose system libraries start threads.
@@ -108,19 +108,21 @@ def _workers(trials: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus // _blas_threads(cpus), trials))
+    return max(1, min(cpus // _blas_threads(cpus), n))
 
 
-def _map_trials(trial, seed: int, n: int, workers: int) -> list[tuple[float, int]]:
-    """``trial(seed, t)`` for ``t`` in ``range(n)``, in trial order."""
+def _map(fn, items, workers: int) -> list:
+    """``fn(item)`` for each of ``items``, in order: in this process when
+    ``workers <= 1``, else on ``workers`` forked processes.  ``fn`` must be
+    picklable, a module-level function or a ``partial`` of one."""
     if workers <= 1:
-        return list(map(trial, repeat(seed, n), range(n)))
+        return list(map(fn, items))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, n // (workers * CHUNKS_PER_WORKER))
+    chunk = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(trial, repeat(seed, n), range(n), chunksize=chunk))
+        return list(pool.map(fn, items, chunksize=chunk))
 
 
 def _run(campaign: str, trial, trials: int, seed: int, n: int | None = None) -> dict:
@@ -128,7 +130,7 @@ def _run(campaign: str, trial, trials: int, seed: int, n: int | None = None) -> 
     ``trials``), on ``_workers(trials)`` processes."""
     t0 = time.perf_counter()
     n = trials if n is None else n
-    worst, failures = _fold(_map_trials(trial, seed, n, _workers(trials)))
+    worst, failures = _fold(_map(partial(trial, seed), range(n), _workers(trials)))
     return {
         "campaign": campaign,
         "trials": n,

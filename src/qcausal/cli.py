@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -69,45 +70,47 @@ def parse_entropy(text: str) -> EntropySpec:
     )
 
 
-def sweep_states(process: str, lams, backend: str = "statevector"):
-    """Yield ``(lambda, interventional state)`` at each control weight of one
-    case study.
+def _grid_point(process: str, specs, backend: str, lam: float) -> list:
+    """Witness reports of one case study at control weight ``lam``: one per
+    entropy family in ``specs``, all evaluated on the same state.
 
-    A generator, so only one state is alive at a time.  ``backend="both"``
-    builds the state with both backends, checks that they agree and yields
-    the statevector one.
+    ``backend="both"`` builds the state with both backends, checks that they
+    agree and evaluates the statevector one.  A module-level function, so
+    the worker driver can send it to forked processes.
     """
-    if process not in PROCESS_TAGS:
-        raise ValueError(f"process must be one of {PROCESS_TAGS}, got {process!r}")
-    mode = _FUTURE_OF[process]
-    for lam in lams:
-        lam = float(lam)
-        s = SwitchSpec(lam, future_mode=mode)
-        if backend == "both":
-            tau = interventional_state(s, "statevector")
-            other = interventional_state(s, "contraction")
-            dist = trace_distance(tau.tau, other.tau)
-            if dist > BACKEND_AGREE_TOL:
-                raise BackendMismatch(
-                    f"backends disagree at {process} lambda={lam:.6g}: "
-                    f"trace distance {dist:.3e} > {BACKEND_AGREE_TOL}"
-                )
-        else:
-            tau = interventional_state(s, backend)
-        yield lam, tau
-
-
-def _point_report(process: str, lam: float, state, spec: EntropySpec):
+    s = SwitchSpec(lam, future_mode=_FUTURE_OF[process])
+    if backend == "both":
+        tau = interventional_state(s, "statevector")
+        other = interventional_state(s, "contraction")
+        dist = trace_distance(tau.tau, other.tau)
+        if dist > BACKEND_AGREE_TOL:
+            raise BackendMismatch(
+                f"backends disagree at {process} lambda={lam:.6g}: "
+                f"trace distance {dist:.3e} > {BACKEND_AGREE_TOL}"
+            )
+    else:
+        tau = interventional_state(s, backend)
     # marginal witnesses are always included (von Neumann) so the CSV schema
     # does not depend on the entropy family chosen for the DP columns
-    return evaluate(state, spec=spec, tag=f"{process}@{lam:.6g}", marginals=True)
+    return [evaluate(tau, spec=spec, tag=f"{process}@{lam:.6g}", marginals=True)
+            for spec in specs]
+
+
+def _grid_reports(process: str, lams, specs, backend: str = "statevector"):
+    """``(lambda, [report per family of specs])`` at each control weight, in
+    grid order.  Grid points are independent, so they run on the campaigns'
+    worker driver."""
+    lams = [float(lam) for lam in lams]
+    point = partial(_grid_point, process, tuple(specs), backend)
+    return list(zip(lams, campaigns._map(point, lams, campaigns._workers(len(lams)))))
 
 
 def sweep_reports(process: str, lams, spec: EntropySpec,
                   backend: str = "statevector") -> list[tuple[float, object]]:
     """Evaluate the witness report at each control weight of one case study."""
-    return [(lam, _point_report(process, lam, state, spec))
-            for lam, state in sweep_states(process, lams, backend)]
+    if process not in PROCESS_TAGS:
+        raise ValueError(f"process must be one of {PROCESS_TAGS}, got {process!r}")
+    return [(lam, report) for lam, (report,) in _grid_reports(process, lams, [spec], backend)]
 
 
 def _fmt(value) -> str:
@@ -217,13 +220,10 @@ def cmd_reproduce(args) -> int:
     lams = np.linspace(0.0, 1.0, 101)
     process, files = _FIGURE_PLAN[args.figure]
     # each grid state is built once and evaluated in every file's family
-    rows = {name: [] for name, _ in files}
-    for lam, state in sweep_states(process, lams):
-        for name, spec in files:
-            rows[name].append((lam, _point_report(process, lam, state, spec)))
-    for name, _ in files:
+    grid = _grid_reports(process, lams, [spec for _, spec in files])
+    for k, (name, _) in enumerate(files):
         path = outdir / name
-        status = _write(csv_text(rows[name]), path)
+        status = _write(csv_text((lam, reports[k]) for lam, reports in grid), path)
         if status:
             return status
         print(f"wrote {path}", file=sys.stderr)

@@ -15,6 +15,20 @@ anchors (-2, 0) and (0, -2), both witnesses equal to this closed form at
 every grid point, and a both-violated set of exactly the grid points in
 ``(lam*, 1 - lam*)``.  For the control-traced ``upsilon1`` it asserts the
 same anchors and a both-order violation at every interior grid point.
+
+Criterion 6 reduces the target-traced ``upsilon2`` to the same closed form.
+In both branches of the switch the target output ``T1`` holds half of a
+maximally entangled pair.  With the control traced out the cross terms
+between the branches vanish, so ``rho_T1 = lam I/2 + (1 - lam) I/2 = I/2``.
+The six-part state with target and control is pure, so the five-part state
+of ``upsilon2`` (control kept, target traced) has the spectrum of ``rho_T1``
+and ``H_alpha(all five) = 1`` in every entropy family, where it is 0 for
+``switch_full``.  The past marginal ``A0 A1 B0`` (or ``B0 B1 A0``) is the
+same for both, so ``dp(upsilon2) = dp(switch_full) + 1`` in both orders,
+while the bound rises from ``log2(2/4) = -1`` to ``log2(2/2) = 0``.  The
+slack ``dp - bound`` is therefore that of ``switch_full``, and criterion 6
+asserts the certified set of exactly the grid points in
+``(lam*, 1 - lam*)``.
 """
 import math
 import time
@@ -45,7 +59,6 @@ from qcausal.cli import sweep_reports
 SLACK_TOL = 1e-9
 ANCHOR_TOL = 1e-6
 CLOSED_FORM_TOL = 1e-9
-EDGE_TOL = 0.05
 RUNTIME_BUDGET_S = 120.0
 GRID = np.linspace(0.0, 1.0, 101)
 
@@ -158,16 +171,17 @@ def test_criterion_05_interior_violation_switch_full_and_upsilon1():
 
 def test_criterion_06_upsilon2_certified_interval_edges():
     rows = sweep("upsilon2")
-    by_lam = {round(lam, 2): r for lam, r in rows}
-    assert by_lam[0.5].verdict == "BeyondFixedOrder"
-    assert by_lam[0.05].verdict != "BeyondFixedOrder"
-    assert by_lam[0.95].verdict != "BeyondFixedOrder"
-    cert = sorted(certified_indices(rows))
-    assert cert, "no certified grid points at all"
-    assert cert == list(range(cert[0], cert[-1] + 1)), "region is not an interval"
-    lo, hi = GRID[cert[0]], GRID[cert[-1]]
-    assert abs(lo - 0.2) <= EDGE_TOL, f"lower edge {lo}"
-    assert abs(hi - 0.8) <= EDGE_TOL, f"upper edge {hi}"
+    lam_star = switch_full_lambda_star()
+    expected = {i for i, lam in enumerate(GRID) if lam_star < lam < 1.0 - lam_star}
+    got = certified_indices(rows)
+    assert got == expected, (
+        f"upsilon2 both-violated set vs closed form interval "
+        f"({lam_star:.7f}, {1 - lam_star:.7f}): missing lambda "
+        f"{[f'{GRID[i]:.2f}' for i in sorted(expected - got)]}, extra "
+        f"{[f'{GRID[i]:.2f}' for i in sorted(got - expected)]}")
+    for i, (_, r) in enumerate(rows):
+        assert r.bound_ab == r.bound_ba == 0.0
+        assert (r.verdict == "BeyondFixedOrder") == (i in expected)
 
 
 def test_criterion_07_marginal_witnesses_dip_and_containment():

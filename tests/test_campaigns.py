@@ -19,7 +19,12 @@ from qcausal import (
     DEFAULT_TRIALS,
     RUNNERS,
     TRACE_TOL,
+    PureState,
     PurifiedComb,
+    dp_witness,
+    haar_unitary,
+    interventional_state,
+    random_pure,
     run_crosscheck,
     run_lemma1,
     run_lemma3,
@@ -28,7 +33,9 @@ from qcausal import (
     run_thm1,
     sample_fixed_order_comb,
     sample_purified_comb,
+    trace_distance,
 )
+from qcausal.cli import BACKEND_AGREE_TOL
 
 SUMMARY_KEYS = {"campaign", "trials", "failures", "worst_slack", "tolerance",
                 "seed", "elapsed_s"}
@@ -108,6 +115,48 @@ class TestSamplers:
             assert chan.out_dims.labels == chan_ref.out_dims.labels
             assert len(chan.kraus) == len(chan_ref.kraus)
             assert all(np.array_equal(k, k_ref) for k, k_ref in zip(chan.kraus, chan_ref.kraus))
+
+
+def comb_at_dims(order, dims, dq0, seed):
+    """Random purified comb of ``order`` on the given five-part ``dims``,
+    built the way ``sample_purified_comb`` builds one."""
+    rng = np.random.default_rng(seed)
+    first, second = order
+    dims = dict(dims, Q0=dq0)
+    dims["Q1"] = dims[f"{first}1"] * dq0 // dims[f"{second}0"]
+    dims["Q2"] = dims[f"{second}1"] * dims["Q1"] // dims["F"]
+    psi = PureState(random_pure(dims[f"{first}0"] * dq0, rng),
+                    [(f"{first}0", dims[f"{first}0"]), ("Q0", dq0)])
+    u1 = haar_unitary(dims[f"{first}1"] * dq0, rng)
+    u2 = haar_unitary(dims[f"{second}1"] * dims["Q1"], rng)
+    return PurifiedComb(order, psi, u1, u2, dims)
+
+
+class TestDimensionCap:
+    def test_sampled_dims_never_exceed_cap(self):
+        totals = set()
+        for seed in range(2000):
+            dims = camp._sample_dims(np.random.default_rng(seed))
+            assert set(dims) == {"A0", "A1", "B0", "B1", "F"}
+            assert set(dims.values()) <= set(camp.SLOT_DIMS)
+            totals.add(math.prod(dims.values()))
+        # 2 x 2 x 2 x 2 x 3 is the largest product of slot dims under the cap
+        assert max(totals) == 48 <= camp.TAU_DIM_CAP
+
+    @pytest.mark.parametrize("dq0", [2, 4])
+    @pytest.mark.parametrize("order", ["AB", "BA"])
+    def test_comb_at_cap(self, order, dq0):
+        dims = {"A0": 2, "A1": 2, "B0": 2, "B1": 2, "F": 4}
+        comb = comb_at_dims(order, dims, dq0, seed=64 + dq0)
+        sv = interventional_state(comb, "statevector")
+        ct = interventional_state(comb, "contraction")
+        assert sv.tau.dims.total == camp.TAU_DIM_CAP
+        assert trace_distance(sv.tau, ct.tau) < BACKEND_AGREE_TOL
+        for tau in (sv, ct):
+            for spec in camp.DP_FAMILIES:
+                value, bound = dp_witness(tau, order, spec)
+                assert bound == -1.0
+                assert value >= bound - camp.TOL, spec.label
 
 
 class TestFold:

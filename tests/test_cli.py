@@ -1,5 +1,7 @@
-"""Command-line contract: CSV schema, determinism, exit codes, figure files."""
+"""Command-line contract: CSV schema, determinism, exit codes, figure files,
+and grid points on the worker driver."""
 import argparse
+import concurrent.futures
 import json
 import os
 import shutil
@@ -10,9 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qcausal.campaigns as camp
+import qcausal.cli as cli
 from qcausal import MAX_ENTROPY, MIN_ENTROPY, VON_NEUMANN, WitnessReport
 from qcausal.cli import (
     CSV_COLUMNS,
+    FIGURES,
+    PROCESS_TAGS,
     csv_text,
     main,
     parse_entropy,
@@ -228,6 +234,74 @@ class TestReproduce:
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "9z"])
         assert exc.value.code == 2
+
+
+def _run_in_pool(monkeypatch, workers, argv):
+    """``main(argv)`` with ``workers`` capped per run of the driver."""
+    monkeypatch.setattr(camp, "_workers", lambda n: min(workers, n))
+    return main(argv)
+
+
+class TestGridPool:
+    """Grid points on the campaigns' worker driver give the in-process bytes."""
+
+    def test_reproduce_files_equal_in_process_run(self, monkeypatch, tmp_path):
+        for workers in (1, 2):
+            for figure in FIGURES:
+                out = tmp_path / str(workers)
+                assert _run_in_pool(monkeypatch, workers, ["reproduce", figure,
+                                                           "--out", str(out)]) == 0
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert len(names) == 13
+        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+        for name in names:
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+    @pytest.mark.parametrize("process", PROCESS_TAGS)
+    def test_sweep_both_backends_equal_in_process_run(self, monkeypatch, capsys, process):
+        text = {}
+        for workers in (1, 2):
+            assert _run_in_pool(monkeypatch, workers, ["sweep", "--process", process,
+                                                       "--backend", "both"]) == 0
+            text[workers] = capsys.readouterr().out
+        assert len(text[1].splitlines()) == 102
+        assert text[2] == text[1]
+
+    def test_one_point_builds_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-point sweep built a process pool")
+
+        monkeypatch.setattr(camp.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert camp._workers(2) == 2
+        [(lam, report)] = sweep_reports("switch_full", [0.3], VON_NEUMANN)
+        assert lam == 0.3 and report.tag == "switch_full@0.3"
+
+    def test_one_point_imports_no_pool_modules(self):
+        code = ("import sys\n"
+                "from qcausal import VON_NEUMANN\n"
+                "from qcausal.cli import sweep_reports\n"
+                "sweep_reports('switch_full', [0.3], VON_NEUMANN)\n"
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_backend_mismatch_in_a_worker_exits_1(self, monkeypatch, capsys):
+        # the backends disagree only in processes other than this one
+        parent = os.getpid()
+        monkeypatch.setattr(cli, "trace_distance",
+                            lambda a, b: 0.0 if os.getpid() == parent else 1.0)
+        rc = _run_in_pool(monkeypatch, 2, ["sweep", "--process", "upsilon1",
+                                           "--lambda-steps", "5", "--backend", "both"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: backends disagree at upsilon1 lambda=")
 
 
 class TestConsoleScript:

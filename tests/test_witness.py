@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcausal import (
+    MAX_ENTROPY,
     MIN_ENTROPY,
     VERDICT_BEYOND,
     VERDICT_NONE,
@@ -15,6 +16,7 @@ from qcausal import (
     DensityOperator,
     SwitchSpec,
     dp_witness,
+    entropy_from_spectrum,
     evaluate,
     interventional_state,
     is_violated,
@@ -94,6 +96,53 @@ class TestCaseStudyAnchors:
         for spec in (VON_NEUMANN, renyi(0.5), renyi(2.0), MIN_ENTROPY):
             value, bound = dp_witness(tau, "AB", spec)
             assert value >= bound - 1e-9
+
+
+GRID = np.linspace(0.0, 1.0, 101)
+
+
+def switch_state(lam, mode):
+    return interventional_state(SwitchSpec(float(lam), future_mode=mode))
+
+
+class TestSwitchClosedForms:
+    """With a pure target the whole switch (target and control kept) is pure,
+    and tracing the target leaves ``H_alpha(all five) = H_alpha(T1) = 1``
+    while the past marginal is unchanged; see criterion 6."""
+
+    def test_upsilon2_is_switch_full_shifted_by_one(self):
+        specs = (VON_NEUMANN, renyi(0.5), renyi(2.0), MIN_ENTROPY)
+        for lam in GRID:
+            full = switch_state(lam, "full")
+            traced = switch_state(lam, "trace_target")
+            for order in ("AB", "BA"):
+                for spec in specs:
+                    value_full, bound_full = dp_witness(full, order, spec)
+                    value, bound = dp_witness(traced, order, spec)
+                    assert abs(value - value_full - 1.0) <= 1e-12, (lam, order, spec.label)
+                    assert (bound_full, bound) == (-1.0, 0.0)
+
+    def test_switch_full_every_family_from_five_eigenvalues(self):
+        # dp_ba(lam) = dp_ab(1 - lam) = -H_alpha(A1 F), whose spectrum is lam/4
+        # three times plus the roots of mu**2 - (1 - 3 lam/4) mu + lam (1 - lam)/8
+        def closed(lam, spec):
+            s, p = 1.0 - 0.75 * lam, lam * (1.0 - lam) / 8.0
+            root = math.sqrt(s * s - 4.0 * p)
+            spectrum = [lam / 4.0] * 3 + [(s + root) / 2.0, (s - root) / 2.0]
+            return -entropy_from_spectrum(np.array(spectrum), spec)
+
+        for lam in GRID:
+            tau = switch_state(lam, "full")
+            for spec in (VON_NEUMANN, renyi(0.5), renyi(2.0), MIN_ENTROPY):
+                assert abs(dp_witness(tau, "BA", spec)[0] - closed(lam, spec)) <= 1e-9
+                assert abs(dp_witness(tau, "AB", spec)[0] - closed(1.0 - lam, spec)) <= 1e-9
+
+    def test_switch_full_max_entropy_is_minus_log2_5_inside(self):
+        # rho_{A1 F} has rank 5 on all of (0, 1): lam/4 three times plus two roots
+        for lam in GRID[1:-1]:
+            tau = switch_state(lam, "full")
+            for order in ("AB", "BA"):
+                assert dp_witness(tau, order, MAX_ENTROPY)[0] == -math.log2(5), (lam, order)
 
 
 class TestVerdictLogic:
