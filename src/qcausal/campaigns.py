@@ -38,6 +38,7 @@ from .channels import (
 from .entropy import MIN_ENTROPY, VON_NEUMANN, entropy_from_spectrum, renyi, ssa_gap
 from .process import (
     FUTURE_MODES,
+    ORDERS,
     PureState,
     PurifiedComb,
     SwitchSpec,
@@ -58,7 +59,16 @@ DP_FAMILIES = (VON_NEUMANN, renyi(0.5), renyi(0.8), renyi(2.0), MIN_ENTROPY)
 # stay small enough for idle workers to take over the rest
 CHUNKS_PER_WORKER = 16
 
-CAMPAIGNS = ("thm1", "lemma1", "lemma3", "ssa", "crosscheck", "marginal_bounds")
+# default trial count of each campaign, read by its runner and by the CLI
+DEFAULT_TRIALS = {
+    "thm1": 500,
+    "lemma1": 500,
+    "lemma3": 100,
+    "ssa": 1000,
+    "crosscheck": 50,
+    "marginal_bounds": 500,
+}
+CAMPAIGNS = tuple(DEFAULT_TRIALS)
 
 
 def _check(slack) -> tuple[float, int]:
@@ -159,7 +169,7 @@ def sample_purified_comb(seed, order: str | None = None) -> PurifiedComb:
     """Random purified comb under the campaign dimension policy."""
     rng = ensure_rng(seed)
     if order is None:
-        order = "AB" if int(rng.integers(2)) == 0 else "BA"
+        order = ORDERS[int(rng.integers(2))]
     first, second = order[0], order[1]
     while True:
         dims = _sample_dims(rng)
@@ -183,7 +193,7 @@ def sample_fixed_order_comb(seed, order: str | None = None) -> FixedOrderComb:
     """Random comb with mixed state, noisy channels, env dims from {1,2,3}."""
     rng = ensure_rng(seed)
     if order is None:
-        order = "AB" if int(rng.integers(2)) == 0 else "BA"
+        order = ORDERS[int(rng.integers(2))]
     first, second = order[0], order[1]
     dims = _sample_dims(rng)
     de0, de1, de2 = (_pick(rng, (1, 2, 3)) for _ in range(3))
@@ -205,13 +215,13 @@ def sample_fixed_order_comb(seed, order: str | None = None) -> FixedOrderComb:
 
 
 def _thm1_trial(seed: int, t: int) -> tuple[float, int]:
-    order = "AB" if t % 2 == 0 else "BA"
+    order = ORDERS[t % 2]
     tau = interventional_state(sample_purified_comb(seed + t, order=order), "statevector")
     return _fold(_check(value - bound)
                  for value, bound in (dp_witness(tau, order, spec) for spec in DP_FAMILIES))
 
 
-def run_thm1(trials: int = 500, seed: int = 0) -> dict:
+def run_thm1(trials: int = DEFAULT_TRIALS["thm1"], seed: int = 0) -> dict:
     """Matching-order DP witness >= its dimension bound on random purified
     combs, across all validated entropy families (shared spectra)."""
     return _run("thm1", _thm1_trial, trials, seed)
@@ -239,7 +249,7 @@ def _lemma1_trial(seed: int, t: int) -> tuple[float, int]:
                  for spec in DP_FAMILIES)
 
 
-def run_lemma1(trials: int = 500, seed: int = 0) -> dict:
+def run_lemma1(trials: int = DEFAULT_TRIALS["lemma1"], seed: int = 0) -> dict:
     """Entropy gain of completely factorizable channels >= log2 dim ratio."""
     return _run("lemma1", _lemma1_trial, trials, seed)
 
@@ -259,7 +269,7 @@ def _lemma3_trial(seed: int, t: int) -> tuple[float, int]:
     return _check(-float(np.max(np.abs(diff))))
 
 
-def run_lemma3(trials: int = 100, seed: int = 0) -> dict:
+def run_lemma3(trials: int = DEFAULT_TRIALS["lemma3"], seed: int = 0) -> dict:
     """comb_apply agrees with the purified form on random channel pairs."""
     return _run("lemma3", _lemma3_trial, trials, seed)
 
@@ -271,7 +281,7 @@ def _ssa_trial(seed: int, t: int) -> tuple[float, int]:
     return _check(ssa_gap(rho, ["X"], ["Y"], ["Z"]))
 
 
-def run_ssa(trials: int = 1000, seed: int = 0) -> dict:
+def run_ssa(trials: int = DEFAULT_TRIALS["ssa"], seed: int = 0) -> dict:
     """Strong subadditivity gap >= 0 on random three-qubit states."""
     return _run("ssa", _ssa_trial, trials, seed)
 
@@ -292,7 +302,7 @@ def _crosscheck_trial(seed: int, t: int) -> tuple[float, int]:
     return _check(-trace_distance(sv, ct))
 
 
-def run_crosscheck(trials: int = 50, seed: int = 0) -> dict:
+def run_crosscheck(trials: int = DEFAULT_TRIALS["crosscheck"], seed: int = 0) -> dict:
     """Statevector and contraction backends agree in trace distance: the
     switch over all future modes and a grid of control weights, plus random
     purified combs."""
@@ -308,20 +318,20 @@ def _marginal_bounds_trial(trials: int, seed: int, t: int) -> tuple[float, int]:
         rho = random_density(total, rank=int(rng.integers(1, total + 1)), seed=rng,
                              dims=list(dims.items()))
         checks = []
-        for order in ("AB", "BA"):
+        for order in ORDERS:
             dp, _ = dp_witness(rho, order)
             i1, i2, _ = marginal_witnesses(rho, order)
             checks.append(_check(min(i1 - dp, i2 - dp)))
         return _fold(checks)
     t -= trials
-    order = "AB" if t % 2 == 0 else "BA"
+    order = ORDERS[t % 2]
     pc = sample_purified_comb(seed + 500_000 + t, order=order)
     tau = interventional_state(pc, "statevector")
     i1, i2, bound = marginal_witnesses(tau, order)
     return _check(min(i1 - bound, i2 - bound))
 
 
-def run_marginal_bounds(trials: int = 500, seed: int = 0) -> dict:
+def run_marginal_bounds(trials: int = DEFAULT_TRIALS["marginal_bounds"], seed: int = 0) -> dict:
     """Two-part soundness of the marginal witnesses: I1 and I2 upper-bound
     the DP witness on arbitrary five-system states (trials ``0 .. trials-1``),
     and meet the dimension bound of the matching order on random fixed-order
@@ -337,13 +347,4 @@ RUNNERS = {
     "ssa": run_ssa,
     "crosscheck": run_crosscheck,
     "marginal_bounds": run_marginal_bounds,
-}
-
-DEFAULT_TRIALS = {
-    "thm1": 500,
-    "lemma1": 500,
-    "lemma3": 100,
-    "ssa": 1000,
-    "crosscheck": 50,
-    "marginal_bounds": 500,
 }

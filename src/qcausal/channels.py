@@ -42,6 +42,7 @@ class KrausChannel:
 
     ``sum_t K_t† K_t`` must equal the identity within ``TRACE_TOL``; every
     channel is trace preserving, so nothing downstream checks it again.
+    ``kraus`` holds the operators as one ``(r, d_out, d_in)`` array.
     """
 
     __slots__ = ("in_dims", "out_dims", "kraus")
@@ -49,7 +50,7 @@ class KrausChannel:
     def __init__(self, in_dims, out_dims, kraus: Sequence[np.ndarray]):
         in_dims = as_dims(in_dims)
         out_dims = as_dims(out_dims)
-        if not kraus:
+        if len(kraus) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         ops = []
         for k in kraus:
@@ -60,7 +61,8 @@ class KrausChannel:
                     f"{out_dims.total} x {in_dims.total} for {in_dims} -> {out_dims}"
                 )
             ops.append(k)
-        flat = np.stack(ops).reshape(-1, in_dims.total)
+        ks = np.stack(ops)
+        flat = ks.reshape(-1, in_dims.total)
         gram = flat.conj().T @ flat
         dev = float(np.max(np.abs(gram - np.eye(in_dims.total))))
         if dev > TRACE_TOL:
@@ -70,7 +72,7 @@ class KrausChannel:
             )
         self.in_dims = in_dims
         self.out_dims = out_dims
-        self.kraus = tuple(ops)
+        self.kraus = ks
 
     @classmethod
     def from_unitary(cls, u: np.ndarray, in_dims, out_dims) -> "KrausChannel":
@@ -87,18 +89,14 @@ class KrausChannel:
         dims = as_dims(dims)
         return cls(dims, dims, [np.eye(dims.total, dtype=complex)])
 
-    @property
-    def kraus_stack(self) -> np.ndarray:
-        return np.stack(self.kraus)
-
     def __repr__(self) -> str:
         return f"KrausChannel({self.in_dims} -> {self.out_dims}, {len(self.kraus)} Kraus)"
 
 
-class ChoiOperator:
+class ChoiOperator(LabeledOperator):
     """Choi operator of a channel, on the labels ``in_dims + out_dims``."""
 
-    __slots__ = ("op", "in_labels", "out_labels")
+    __slots__ = ("in_labels", "out_labels")
 
     def __init__(self, op: LabeledOperator, in_labels: tuple[str, ...],
                  out_labels: tuple[str, ...]):
@@ -108,13 +106,9 @@ class ChoiOperator:
             )
         if set(in_labels) & set(out_labels):
             raise ValueError("input and output labels overlap")
-        self.op = op
+        super().__init__(op.matrix, op.dims)
         self.in_labels = tuple(in_labels)
         self.out_labels = tuple(out_labels)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
 
     def __repr__(self) -> str:
         return f"ChoiOperator(in={self.in_labels}, out={self.out_labels})"
@@ -143,46 +137,44 @@ def choi_from_kraus(c: KrausChannel) -> ChoiOperator:
     return ChoiOperator(LabeledOperator(j, dims), c.in_dims.labels, c.out_dims.labels)
 
 
-def apply_channel(c: KrausChannel,
-                  rho: DensityOperator | LabeledOperator) -> DensityOperator | LabeledOperator:
+def apply_channel(c: KrausChannel, rho: LabeledOperator) -> LabeledOperator:
     """Apply a CPTP channel to a state, possibly on a subsystem of it.
 
     The channel's input labels must all appear in ``rho``; untouched labels
     ride along unchanged.  The output labels replace the input labels at the
     position of the first consumed label, so an identity channel returns the
-    state unchanged.
+    state unchanged.  A :class:`DensityOperator` maps to a
+    :class:`DensityOperator`.
     """
-    wrap = isinstance(rho, DensityOperator)
-    op = rho.op if wrap else rho
     consumed = list(c.in_dims.labels)
     for l in consumed:
-        if l not in op.labels:
-            raise KeyError(f"channel input label {l!r} not present in state labels {op.labels}")
-        if op.dims.dim(l) != c.in_dims.dim(l):
+        if l not in rho.labels:
+            raise KeyError(f"channel input label {l!r} not present in state labels {rho.labels}")
+        if rho.dim(l) != c.in_dims.dim(l):
             raise ValueError(
-                f"dimension mismatch on {l!r}: state has {op.dims.dim(l)}, "
+                f"dimension mismatch on {l!r}: state has {rho.dim(l)}, "
                 f"channel expects {c.in_dims.dim(l)}"
             )
-    rest = [l for l in op.labels if l not in set(consumed)]
+    rest = [l for l in rho.labels if l not in set(consumed)]
     collide = set(c.out_dims.labels) & set(rest)
     if collide:
         raise ValueError(f"channel output labels {sorted(collide)} collide with untouched labels")
-    front = permute(op, consumed + rest)
+    front = permute(rho, consumed + rest)
     din = c.in_dims.total
     drest = front.dims.total // din
     t4 = front.matrix.reshape(din, drest, din, drest)
-    ks = c.kraus_stack
-    out4 = np.einsum("tax,xrys,tby->arbs", ks, t4, ks.conj())
+    out4 = np.einsum("tax,xrys,tby->arbs", c.kraus, t4, c.kraus.conj())
     dout = c.out_dims.total
-    out_dims = LabeledDims(list(c.out_dims) + [(l, op.dims.dim(l)) for l in rest])
+    out_dims = LabeledDims(list(c.out_dims) + [(l, rho.dim(l)) for l in rest])
     out_op = LabeledOperator(out4.reshape(dout * drest, dout * drest), out_dims)
     # splice the output labels where the consumed block began
-    pos = min(op.dims.index(l) for l in consumed)
-    before = [l for l in op.labels[:pos] if l not in set(consumed)]
-    after = [l for l in op.labels[pos:] if l not in set(consumed)]
-    final = before + list(c.out_dims.labels) + after
-    out_op = permute(out_op, final)
-    return DensityOperator(out_op) if wrap else out_op
+    pos = min(rho.dims.index(l) for l in consumed)
+    before = [l for l in rho.labels[:pos] if l not in set(consumed)]
+    after = [l for l in rho.labels[pos:] if l not in set(consumed)]
+    out_op = permute(out_op, before + list(c.out_dims.labels) + after)
+    if isinstance(rho, DensityOperator):
+        return DensityOperator(out_op.matrix, out_op.dims)
+    return out_op
 
 
 def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:

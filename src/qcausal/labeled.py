@@ -116,6 +116,9 @@ class LabeledOperator:
     def labels(self) -> tuple[str, ...]:
         return self.dims.labels
 
+    def dim(self, label: str) -> int:
+        return self.dims.dim(label)
+
     def tensor(self) -> np.ndarray:
         """Reshape to one row axis and one column axis per subsystem."""
         shape = self.dims.dims
@@ -130,7 +133,7 @@ class LabeledOperator:
         return LabeledOperator(self.matrix, new)
 
     def __repr__(self) -> str:
-        return f"LabeledOperator({self.dims})"
+        return f"{type(self).__name__}({self.dims})"
 
 
 def _hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -141,7 +144,7 @@ def _hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-class DensityOperator:
+class DensityOperator(LabeledOperator):
     """Unit-trace positive semidefinite :class:`LabeledOperator`.
 
     Construction enforces Hermiticity (within ``HERM_TOL``, then symmetrizes),
@@ -153,17 +156,11 @@ class DensityOperator:
     :meth:`spectrum` memoizes can never go stale.
     """
 
-    __slots__ = ("op", "_spectra")
+    __slots__ = ("_spectra",)
 
-    def __init__(self, matrix: np.ndarray | LabeledOperator,
-                 dims: LabeledDims | Iterable[tuple[str, int]] | None = None):
-        if isinstance(matrix, LabeledOperator):
-            if dims is not None:
-                raise ValueError("pass dims only with a raw matrix")
-            op = matrix
-        else:
-            op = LabeledOperator(matrix, dims)
-        m = _hermitian(op.matrix)
+    def __init__(self, matrix: np.ndarray, dims: LabeledDims | Iterable[tuple[str, int]]):
+        super().__init__(matrix, dims)
+        m = _hermitian(self.matrix)
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within {TRACE_TOL}")
@@ -176,7 +173,7 @@ class DensityOperator:
             lam /= lam.sum()
             m = (v * lam) @ v.conj().T
         m.flags.writeable = False
-        self.op = LabeledOperator(m, op.dims)
+        self.matrix = m
         self._spectra: dict[frozenset[str], np.ndarray] = {}
 
     def spectrum(self, keep: Sequence[str] | None = None) -> np.ndarray:
@@ -188,25 +185,10 @@ class DensityOperator:
         key = frozenset(self.labels if keep is None else keep)
         lam = self._spectra.get(key)
         if lam is None:
-            lam = herm_eig(partial_trace(self.op, key))[0]
+            lam = herm_eig(partial_trace(self, key))[0]
             lam.flags.writeable = False
             self._spectra[key] = lam
         return lam
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dims(self) -> LabeledDims:
-        return self.op.dims
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.op.labels
-
-    def __repr__(self) -> str:
-        return f"DensityOperator({self.dims})"
 
 
 class PureState:
@@ -239,14 +221,8 @@ class PureState:
         return f"PureState({self.dims})"
 
 
-def _op(a: LabeledOperator | DensityOperator) -> LabeledOperator:
-    return a.op if isinstance(a, DensityOperator) else a
-
-
-def kron(a: LabeledOperator | DensityOperator,
-         b: LabeledOperator | DensityOperator) -> LabeledOperator:
+def kron(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     """Tensor product; label sets must be disjoint."""
-    a, b = _op(a), _op(b)
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise ValueError(f"kron operands share labels {sorted(overlap)}")
@@ -254,9 +230,8 @@ def kron(a: LabeledOperator | DensityOperator,
     return LabeledOperator(np.kron(a.matrix, b.matrix), dims)
 
 
-def permute(a: LabeledOperator | DensityOperator, order: Sequence[str]) -> LabeledOperator:
+def permute(a: LabeledOperator, order: Sequence[str]) -> LabeledOperator:
     """Reorder subsystems; ``order`` must be a permutation of the labels."""
-    a = _op(a)
     if sorted(order) != sorted(a.labels):
         raise ValueError(f"{list(order)} is not a permutation of {a.labels}")
     if tuple(order) == a.labels:
@@ -264,13 +239,12 @@ def permute(a: LabeledOperator | DensityOperator, order: Sequence[str]) -> Label
     n = len(a.dims)
     perm = [a.dims.index(l) for l in order]
     axes = perm + [p + n for p in perm]
-    dims = LabeledDims((l, a.dims.dim(l)) for l in order)
+    dims = LabeledDims((l, a.dim(l)) for l in order)
     return LabeledOperator(a.tensor().transpose(axes).reshape(dims.total, dims.total), dims)
 
 
-def partial_trace(a: LabeledOperator | DensityOperator, keep: Sequence[str]) -> LabeledOperator:
+def partial_trace(a: LabeledOperator, keep: Sequence[str]) -> LabeledOperator:
     """Trace out everything except ``keep`` (result keeps a's original label order)."""
-    a = _op(a)
     kept = set(keep)
     missing = kept - set(a.labels)
     if missing:
@@ -287,13 +261,13 @@ def partial_trace(a: LabeledOperator | DensityOperator, keep: Sequence[str]) -> 
     return LabeledOperator(reduced.reshape(dims.total, dims.total), dims)
 
 
-def herm_eig(a: LabeledOperator | DensityOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(a: LabeledOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvectors.
 
     The input must be Hermitian within ``HERM_TOL``; it is symmetrized before
     the solve so the decomposition is exactly real.
     """
-    m = a if isinstance(a, np.ndarray) else _op(a).matrix
+    m = a if isinstance(a, np.ndarray) else a.matrix
     lam, v = np.linalg.eigh(_hermitian(np.asarray(m, dtype=complex)))
     return lam[::-1].copy(), v[:, ::-1].copy()
 
@@ -306,7 +280,7 @@ def purify(rho: DensityOperator, purifier_label: str = "REF") -> PureState:
     """
     if purifier_label in rho.labels:
         raise ValueError(f"purifier label {purifier_label!r} collides with {rho.labels}")
-    lam, v = herm_eig(rho.op)
+    lam, v = herm_eig(rho)
     cut = RANK_REL_TOL * float(lam[0]) if lam.size else 0.0
     support = lam > cut
     lam = np.clip(lam[support], 0.0, None)
@@ -324,10 +298,8 @@ def identity(dims: LabeledDims | Iterable[tuple[str, int]]) -> LabeledOperator:
     return LabeledOperator(np.eye(dims.total, dtype=complex), dims)
 
 
-def trace_distance(a: LabeledOperator | DensityOperator,
-                   b: LabeledOperator | DensityOperator) -> float:
+def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float:
     """Half the trace norm of ``a - b`` after aligning label order."""
-    a, b = _op(a), _op(b)
     if set(a.labels) != set(b.labels):
         raise ValueError(f"label sets differ: {a.labels} vs {b.labels}")
     diff = a.matrix - permute(b, a.labels).matrix

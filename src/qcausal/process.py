@@ -77,7 +77,7 @@ class FixedOrderComb:
                 f"closing channel must map {want_in2} -> {want_out2}, got "
                 f"{lambda2.in_dims.labels} -> {lambda2.out_dims.labels}"
             )
-        if rho.dims.dim("E0") != lambda1.in_dims.dim("E0"):
+        if rho.dim("E0") != lambda1.in_dims.dim("E0"):
             raise ValueError("E0 dimension differs between the comb state and the link channel")
         if lambda1.out_dims.dim("E1") != lambda2.in_dims.dim("E1"):
             raise ValueError("E1 dimension differs between the two channels")
@@ -158,7 +158,7 @@ class SwitchSpec:
             m = np.zeros((2, 2), dtype=complex)
             m[0, 0] = 1.0
             target = DensityOperator(m, [("T0", 2)])
-        if target.labels != ("T0",) or target.dims.dim("T0") != 2:
+        if target.labels != ("T0",) or target.dim("T0") != 2:
             raise ValueError(f"target must be a qubit state on ('T0',), got {target.labels}")
         self.lam = float(lam)
         self.target = target
@@ -172,14 +172,14 @@ class SwitchSpec:
         return f"SwitchSpec(lam={self.lam}, future_mode={self.future_mode!r})"
 
 
-class ProcessMatrix:
+class ProcessMatrix(LabeledOperator):
     """Two-slot process matrix on ``(P, A0, A1, B0, B1, F)``.
 
     Hermitian within ``HERM_TOL`` (then symmetrized) with
     ``Tr W = dim(A1) * dim(B1) * dim(P)``.
     """
 
-    __slots__ = ("op",)
+    __slots__ = ()
 
     LABELS = ("P", "A0", "A1", "B0", "B1", "F")
 
@@ -188,25 +188,11 @@ class ProcessMatrix:
             raise ValueError(f"process matrix needs labels {self.LABELS}, got {op.labels}")
         op = permute(op, self.LABELS)
         m = _hermitian(op.matrix, "process matrix")
-        target = op.dims.dim("A1") * op.dims.dim("B1") * op.dims.dim("P")
+        target = op.dim("A1") * op.dim("B1") * op.dim("P")
         tr = float(np.trace(m).real)
         if abs(tr - target) > TRACE_TOL * target:
             raise ValueError(f"process matrix trace {tr!r} differs from {target}")
-        self.op = LabeledOperator(m, op.dims)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dims(self) -> LabeledDims:
-        return self.op.dims
-
-    def dim(self, label: str) -> int:
-        return self.op.dims.dim(label)
-
-    def __repr__(self) -> str:
-        return f"ProcessMatrix({self.op.dims})"
+        super().__init__(m, op.dims)
 
 
 class InterventionalState:
@@ -222,8 +208,9 @@ class InterventionalState:
     def __init__(self, tau: DensityOperator):
         if set(tau.labels) != set(TAU_LABELS):
             raise ValueError(f"expected labels {TAU_LABELS}, got {tau.labels}")
-        tau = DensityOperator(permute(tau, TAU_LABELS))
-        marg = partial_trace(tau.op, ["A1", "B1"]).matrix
+        tau = permute(tau, TAU_LABELS)
+        tau = DensityOperator(tau.matrix, tau.dims)
+        marg = partial_trace(tau, ["A1", "B1"]).matrix
         d = marg.shape[0]
         dev = float(np.max(np.abs(marg - np.eye(d) / d)))
         if dev > RECON_TOL:
@@ -238,7 +225,7 @@ class InterventionalState:
         return self.tau.labels
 
     def dim(self, label: str) -> int:
-        return self.tau.dims.dim(label)
+        return self.tau.dim(label)
 
     def __repr__(self) -> str:
         return f"InterventionalState({self.tau.dims})"
@@ -248,8 +235,7 @@ class InterventionalState:
 # link product
 
 
-def link(x: LabeledOperator | DensityOperator,
-         y: LabeledOperator | DensityOperator) -> LabeledOperator:
+def link(x: LabeledOperator, y: LabeledOperator) -> LabeledOperator:
     """Link product: contract the shared labels of two labeled operators.
 
     Shared row indices are matched with shared row indices and columns with
@@ -257,14 +243,10 @@ def link(x: LabeledOperator | DensityOperator,
     leaving all other labels free.  ``link(rho, J)`` therefore evaluates a
     channel from its Choi operator, and chaining links evaluates a process.
     """
-    x = x.op if isinstance(x, DensityOperator) else x
-    y = y.op if isinstance(y, DensityOperator) else y
     shared = [l for l in x.labels if l in set(y.labels)]
     for l in shared:
-        if x.dims.dim(l) != y.dims.dim(l):
-            raise ValueError(
-                f"shared label {l!r} has dimension {x.dims.dim(l)} vs {y.dims.dim(l)}"
-            )
+        if x.dim(l) != y.dim(l):
+            raise ValueError(f"shared label {l!r} has dimension {x.dim(l)} vs {y.dim(l)}")
     x_only = [l for l in x.labels if l not in set(shared)]
     y_only = [l for l in y.labels if l not in set(shared)]
     counter = iter(range(4 * (len(x.labels) + len(y.labels))))
@@ -277,8 +259,7 @@ def link(x: LabeledOperator | DensityOperator,
     subs_x = [x_row[l] for l in x.labels] + [x_col[l] for l in x.labels]
     subs_y = [y_row[l] for l in y.labels] + [y_col[l] for l in y.labels]
     res = np.einsum(x.tensor(), subs_x, y.tensor(), subs_y, out, optimize=True)
-    dims = LabeledDims([(l, x.dims.dim(l)) for l in x_only]
-                       + [(l, y.dims.dim(l)) for l in y_only])
+    dims = LabeledDims([(l, x.dim(l)) for l in x_only] + [(l, y.dim(l)) for l in y_only])
     return LabeledOperator(res.reshape(dims.total, dims.total), dims)
 
 
@@ -292,7 +273,7 @@ def _slot_channel_stacks(a: KrausChannel, b: KrausChannel) -> tuple[np.ndarray, 
                 f"slot channel must map ({labels[0]},) -> ({labels[1]},), got "
                 f"{chan.in_dims.labels} -> {chan.out_dims.labels}"
             )
-    return a.kraus_stack, b.kraus_stack
+    return a.kraus, b.kraus
 
 
 def _comb_pair_out(c: FixedOrderComb, ka: np.ndarray, la: np.ndarray,
@@ -311,12 +292,12 @@ def _comb_pair_out(c: FixedOrderComb, ka: np.ndarray, la: np.ndarray,
 
     rho4 = c.rho.matrix.reshape(d10, de0, d10, de0)
     x = np.einsum("...rxa,aebf,...ryb->...xeyf", k1, rho4, l1.conj(), optimize=True)
-    m1 = c.lambda1.kraus_stack
+    m1 = c.lambda1.kraus
     x = x.reshape(x.shape[:-4] + (d11 * de0, d11 * de0))
     x = np.einsum("tpq,...qs,tus->...pu", m1, x, m1.conj(), optimize=True)
     x = x.reshape(x.shape[:-2] + (d20, de1, d20, de1))
     x = np.einsum("...rxa,...aebf,...ryb->...xeyf", k2, x, l2.conj(), optimize=True)
-    m2 = c.lambda2.kraus_stack
+    m2 = c.lambda2.kraus
     x = x.reshape(x.shape[:-4] + (d21 * de1, d21 * de1))
     x = np.einsum("tpq,...qs,tus->...pu", m2, x, m2.conj(), optimize=True)
     x = x.reshape(x.shape[:-2] + (df, de2, df, de2))
@@ -400,7 +381,7 @@ def _dilation_unitary(chan: KrausChannel) -> tuple[np.ndarray, int, int]:
         env += 1
     danc = (dout * env) // din
     ks = np.zeros((env, dout, din), dtype=complex)
-    ks[: len(chan.kraus)] = chan.kraus_stack
+    ks[: len(chan.kraus)] = chan.kraus
     v = ks.transpose(1, 0, 2).reshape(dout * env, din)
     total = dout * env
     u = np.zeros((total, total), dtype=complex)
@@ -517,12 +498,12 @@ def apply_process(w: ProcessMatrix, ja: ChoiOperator, jb: ChoiOperator) -> ChoiO
     if jb.in_labels != ("B0",) or jb.out_labels != ("B1",):
         raise ValueError(f"Choi for slot B must map ('B0',) -> ('B1',), got {jb}")
     for label in ("A0", "A1"):
-        if ja.op.dims.dim(label) != w.dim(label):
+        if ja.dim(label) != w.dim(label):
             raise ValueError(f"Choi dimension mismatch on {label!r}")
     for label in ("B0", "B1"):
-        if jb.op.dims.dim(label) != w.dim(label):
+        if jb.dim(label) != w.dim(label):
             raise ValueError(f"Choi dimension mismatch on {label!r}")
-    out = permute(link(link(w.op, ja.op), jb.op), ["P", "F"])
+    out = permute(link(link(w, ja), jb), ["P", "F"])
     tr = float(np.trace(out.matrix).real)
     dp = w.dim("P")
     if abs(tr - dp) > TRACE_TOL * max(1.0, dp):
@@ -621,9 +602,8 @@ def _tau_contraction(w: ProcessMatrix) -> InterventionalState:
     algebra, Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009).
     Tracing out a nontrivial ``P`` leaves trace ``d_P``, which validation rejects.
     """
-    t = partial_trace(w.op, TAU_LABELS)
-    t = LabeledOperator(t.matrix / (w.dim("A1") * w.dim("B1")), t.dims)
-    return InterventionalState(DensityOperator(t))
+    t = partial_trace(w, TAU_LABELS)
+    return InterventionalState(DensityOperator(t.matrix / (w.dim("A1") * w.dim("B1")), t.dims))
 
 
 def interventional_state(source, backend: str = "statevector") -> InterventionalState:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .labeled import DensityOperator
 from .entropy import VON_NEUMANN, EntropySpec, entropy
-from .process import TAU_LABELS, InterventionalState
+from .process import TAU_LABELS, InterventionalState, _check_order
 
 # A witness counts as violated only when it undercuts its bound by more than
 # this; keeps the exact endpoint equalities classified as satisfied.
@@ -61,9 +61,9 @@ def _as_tau(state: InterventionalState | DensityOperator) -> DensityOperator:
     raise TypeError(f"expected an interventional or five-system state, got {type(state).__name__}")
 
 
-def _bound(tau: DensityOperator, order: str) -> float:
-    retained = "B1" if order == "AB" else "A1"
-    return math.log2(tau.dims.dim(retained) / tau.dims.dim("F"))
+def _bound(tau: DensityOperator, second: str) -> float:
+    """``log2(dim of the second party's retained partner / dim F)``."""
+    return math.log2(tau.dim(f"{second}1") / tau.dim("F"))
 
 
 def dp_witness(state: InterventionalState | DensityOperator, order: str,
@@ -75,15 +75,11 @@ def dp_witness(state: InterventionalState | DensityOperator, order: str,
     second party's retained partner / dim F)``.  Every process with the given
     fixed order satisfies ``value >= bound``; ``value < bound`` excludes it.
     """
+    first, second = _check_order(order)
     tau = _as_tau(state)
-    if order == "AB":
-        past = ["A0", "A1", "B0"]
-    elif order == "BA":
-        past = ["B0", "B1", "A0"]
-    else:
-        raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
+    past = [f"{first}0", f"{first}1", f"{second}0"]
     value = entropy(tau, spec=spec) - entropy(tau, past, spec=spec)
-    return value, _bound(tau, order)
+    return value, _bound(tau, second)
 
 
 def marginal_witnesses(state: InterventionalState | DensityOperator, order: str,
@@ -97,20 +93,15 @@ def marginal_witnesses(state: InterventionalState | DensityOperator, order: str,
     """
     if spec.kind != "von_neumann":
         raise ValueError(f"marginal witnesses are defined for von Neumann entropy, got {spec.label}")
+    first, second = _check_order(order)
     tau = _as_tau(state)
     h = lambda labels: entropy(tau, labels, spec=spec)
     h_pair = h(["A1", "B1"])
-    if order == "AB":
-        h_past = h(["A0", "A1", "B0"])
-        i1 = h(["A0", "A1", "B0", "B1"]) - h_past + h(["A1", "B1", "F"]) - h_pair
-        i2 = h(["A0", "A1", "B1", "F"]) + h(["A1", "B1", "B0"]) - h_pair - h_past
-    elif order == "BA":
-        h_past = h(["B0", "B1", "A0"])
-        i1 = h(["A0", "A1", "B0", "B1"]) - h_past + h(["A1", "B1", "F"]) - h_pair
-        i2 = h(["B0", "B1", "A1", "F"]) + h(["A1", "B1", "A0"]) - h_pair - h_past
-    else:
-        raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
-    return i1, i2, _bound(tau, order)
+    h_past = h([f"{first}0", f"{first}1", f"{second}0"])
+    i1 = h(["A0", "A1", "B0", "B1"]) - h_past + h(["A1", "B1", "F"]) - h_pair
+    i2 = (h([f"{first}0", f"{first}1", f"{second}1", "F"]) + h(["A1", "B1", f"{second}0"])
+          - h_pair - h_past)
+    return i1, i2, _bound(tau, second)
 
 
 def is_violated(value: float, bound: float) -> bool:

@@ -57,6 +57,19 @@ class TestKrausChannel:
         with pytest.raises(ValueError):
             KrausChannel.from_unitary(np.ones((2, 2)), [("A", 2)], [("B", 2)])
 
+    def test_kraus_is_one_array(self):
+        c = KrausChannel([("A", 2)], [("A", 2)], damp_kraus(0.3))
+        assert isinstance(c.kraus, np.ndarray) and c.kraus.shape == (2, 2, 2)
+        assert np.array_equal(c.kraus, np.stack(damp_kraus(0.3)))
+        # a stacked array is accepted as the Kraus list
+        again = KrausChannel([("A", 2)], [("A", 2)], c.kraus)
+        assert np.array_equal(again.kraus, c.kraus)
+
+    @pytest.mark.parametrize("empty", [[], (), np.zeros((0, 2, 2))])
+    def test_empty_kraus_list_rejected(self, empty):
+        with pytest.raises(ValueError, match="needs at least one Kraus operator"):
+            KrausChannel([("A", 2)], [("A", 2)], empty)
+
     def test_identity(self):
         c = KrausChannel.identity([("A", 3)])
         assert len(c.kraus) == 1 and np.array_equal(c.kraus[0], np.eye(3))
@@ -99,7 +112,7 @@ class TestChoi:
     def test_input_marginal_is_identity(self, seed, din, dout, rank):
         # trace preservation, checked once when the Kraus list is built
         c = random_channel([("I", din)], [("O", dout)], kraus_rank=rank, seed=seed)
-        marg = partial_trace(choi_from_kraus(c).op, ["I"]).matrix
+        marg = partial_trace(choi_from_kraus(c), ["I"]).matrix
         assert np.abs(marg - np.eye(din)).max() <= TRACE_TOL
 
 

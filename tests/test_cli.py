@@ -159,6 +159,21 @@ class TestVerify:
         assert summary["campaign"] == "lemma3"
         assert summary["failures"] == 0
 
+    @pytest.mark.parametrize("campaign", camp.CAMPAIGNS)
+    def test_default_trials_match_runner(self, campaign, monkeypatch, capsys):
+        # record the trial count each path hands to the driver instead of running it
+        seen = []
+
+        def fake_run(name, trial, trials, seed, n=None):
+            seen.append(trials)
+            return {"campaign": name, "trials": trials, "failures": 0}
+
+        monkeypatch.setattr(camp, "_run", fake_run)
+        camp.RUNNERS[campaign]()
+        assert main(["verify", campaign]) == 0
+        assert seen == [camp.DEFAULT_TRIALS[campaign]] * 2
+        assert json.loads(capsys.readouterr().out)["trials"] == seen[0]
+
     def test_failure_exit_1(self, monkeypatch, capsys, tmp_path):
         import qcausal.campaigns as camp
         fake = dict(camp.RUNNERS)

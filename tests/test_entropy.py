@@ -10,6 +10,7 @@ from qcausal import (
     VON_NEUMANN,
     DensityOperator,
     EntropySpec,
+    LabeledOperator,
     entropy,
     entropy_from_spectrum,
     purify,
@@ -17,6 +18,7 @@ from qcausal import (
     renyi,
     ssa_gap,
 )
+from qcausal.labeled import RANK_REL_TOL
 
 RNG = np.random.default_rng(17)
 ALL_SPECS = (VON_NEUMANN, renyi(0.5), renyi(0.8), renyi(2.0), renyi(3.0),
@@ -89,6 +91,14 @@ class TestSpectrumFormulas:
         assert np.isclose(entropy_from_spectrum([0.7, 0.3, 0.0], MAX_ENTROPY),
                           1.0)
 
+    def test_max_entropy_rank_cutoff(self):
+        # an eigenvalue counts toward the rank only above RANK_REL_TOL * lambda_max
+        top = 0.5
+        above = [top, top - 2e-9, 1.001 * RANK_REL_TOL * top]
+        below = [top, top - 2e-9, 0.999 * RANK_REL_TOL * top]
+        assert entropy_from_spectrum(above, MAX_ENTROPY) == math.log2(3)
+        assert entropy_from_spectrum(below, MAX_ENTROPY) == 1.0
+
     def test_negative_spectrum_rejected(self):
         with pytest.raises(ValueError):
             entropy_from_spectrum([1.1, -0.1])
@@ -127,6 +137,16 @@ class TestStateEntropy:
         psi = purify(rho, "B").density()
         assert np.isclose(entropy(psi, ["A"], spec), entropy(psi, ["B"], spec),
                           atol=1e-9)
+
+    def test_bare_labeled_operator_rejected(self):
+        rho = random_density(4, 2, 7, dims=[("A", 2), ("B", 2)])
+        bare = LabeledOperator(rho.matrix, rho.dims)
+        with pytest.raises(TypeError, match="DensityOperator"):
+            entropy(bare)
+        with pytest.raises(TypeError, match="DensityOperator"):
+            entropy(bare, ["A"])
+        with pytest.raises(TypeError, match="DensityOperator"):
+            ssa_gap(bare, ["A"], [], ["B"])
 
 
 class TestSSA:

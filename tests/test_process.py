@@ -80,9 +80,9 @@ def link_contraction(w):
               phi_tilde(w.dim("A1"), "A1", "A1m", 1.0 / w.dim("A1")))
     jb = kron(phi_tilde(w.dim("B0"), "B0", "B0m"),
               phi_tilde(w.dim("B1"), "B1", "B1m", 1.0 / w.dim("B1")))
-    t = partial_trace(link(link(w.op, ja), jb), ["F", "A0m", "A1m", "B0m", "B1m"])
-    t = t.relabel({"A0m": "A0", "A1m": "A1", "B0m": "B0", "B1m": "B1"})
-    return InterventionalState(DensityOperator(permute(t, TAU_LABELS)))
+    t = partial_trace(link(link(w, ja), jb), ["F", "A0m", "A1m", "B0m", "B1m"])
+    t = permute(t.relabel({"A0m": "A0", "A1m": "A1", "B0m": "B0", "B1m": "B1"}), TAU_LABELS)
+    return InterventionalState(DensityOperator(t.matrix, t.dims))
 
 
 def dense_purified_unitaries(comb):
@@ -122,26 +122,62 @@ class TestLink:
         x = random_density(2, 2, 1, dims=[("A", 2)])
         y = random_density(3, 3, 2, dims=[("B", 3)])
         out = link(x, y)
-        assert np.allclose(out.matrix, kron(x.op, y.op).matrix)
+        assert np.allclose(out.matrix, kron(x, y).matrix)
 
     def test_state_through_choi(self):
         c = random_channel([("I", 2)], [("O", 3)], kraus_rank=2, seed=3)
         j = choi_from_kraus(c)
         rho = random_density(2, 2, 4, dims=[("I", 2)])
-        out = link(rho, j.op)
+        out = link(rho, j)
         assert out.labels == ("O",)
         assert np.allclose(out.matrix, apply_channel(c, rho).matrix)
 
     def test_choi_composition(self):
         c1 = random_channel([("I", 2)], [("M", 3)], kraus_rank=2, seed=5)
         c2 = random_channel([("M", 3)], [("O", 2)], kraus_rank=2, seed=6)
-        j12 = link(choi_from_kraus(c1).op, choi_from_kraus(c2).op)
+        j12 = link(choi_from_kraus(c1), choi_from_kraus(c2))
         composed = KrausChannel([("I", 2)], [("O", 2)],
                                 [k2 @ k1 for k1 in c1.kraus for k2 in c2.kraus])
         jc = choi_from_kraus(composed)
         assert set(j12.labels) == {"I", "O"}
         from qcausal import permute
-        assert np.allclose(permute(j12, jc.op.labels).matrix, jc.matrix)
+        assert np.allclose(permute(j12, jc.labels).matrix, jc.matrix)
+
+
+class TestValidatedOperatorsAreLabeled:
+    """States, process matrices and Choi operators are LabeledOperators, so
+    the label algebra takes them as they are."""
+
+    def operators(self):
+        rho = random_density(6, 3, 8, dims=[("X", 2), ("Y", 3)])
+        w = process_matrix_of(SwitchSpec(0.4))
+        j = choi_from_kraus(random_channel([("I", 2)], [("O", 3)], kraus_rank=2, seed=9))
+        return rho, w, j
+
+    def test_subclasses(self):
+        for op in self.operators():
+            assert isinstance(op, LabeledOperator)
+            assert op.dim(op.labels[-1]) == op.dims.dims[-1]
+
+    def test_permute_and_partial_trace(self):
+        for op in self.operators():
+            rev = permute(op, op.labels[::-1])
+            assert np.allclose(permute(rev, op.labels).matrix, op.matrix)
+            keep = op.labels[:1]
+            plain = LabeledOperator(op.matrix, op.dims)
+            assert np.array_equal(partial_trace(op, keep).matrix,
+                                  partial_trace(plain, keep).matrix)
+
+    def test_kron_and_link(self):
+        rho, w, j = self.operators()
+        anc = random_density(2, 2, 10, dims=[("Z", 2)])
+        for op in (rho, w, j):
+            plain = LabeledOperator(op.matrix, op.dims)
+            assert np.array_equal(kron(op, anc).matrix, kron(plain, anc).matrix)
+            assert np.array_equal(link(op, anc).matrix, link(plain, anc).matrix)
+        state = random_density(2, 2, 11, dims=[("I", 2)])
+        assert np.allclose(link(state, j).matrix,
+                           link(LabeledOperator(state.matrix, state.dims), j).matrix)
 
 
 class TestFixedOrderComb:
@@ -252,7 +288,7 @@ class TestProcessMatrix:
 
     def test_switch_matrix_is_rank_one(self):
         w = process_matrix_of(SwitchSpec(0.37))
-        lam, _ = herm_eig(w.op)
+        lam, _ = herm_eig(w)
         assert lam[0] > 1e-6
         assert abs(lam[1:]).max() < 1e-9
 
