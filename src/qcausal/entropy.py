@@ -93,7 +93,15 @@ def entropy_from_spectrum(lam: Sequence[float] | np.ndarray,
         return float(-np.sum(support * np.log2(support)))
     if spec.kind == "renyi":
         a = spec.alpha
-        return float(np.log2(np.sum(support ** a)) / (1.0 - a))
+        with np.errstate(over="ignore"):
+            power_sum = np.sum(support ** a)
+        if np.finfo(float).tiny <= power_sum < math.inf:
+            return float(np.log2(power_sum) / (1.0 - a))
+        # at large alpha the direct sum under- or overflows; factor out
+        # lam_max so that the remaining sum lies in [1, rank]
+        top = support.max()
+        return float(a / (1.0 - a) * np.log2(top)
+                     + np.log2(np.sum((support / top) ** a)) / (1.0 - a))
     if spec.kind == "min":
         return float(-np.log2(support.max()))
     # max-entropy: log2 of the rank

@@ -38,6 +38,14 @@ from .channels import ChoiOperator, KrausChannel, _check_unitary
 ORDERS = ("AB", "BA")
 TAU_LABELS = ("A0", "A1", "B0", "B1", "F")
 FUTURE_MODES = ("full", "trace_control", "trace_target")
+# Byte budget for the largest intermediate of one tomography block.  One
+# batch of all na² nb² slot-map pairs peaks at 256 MB at five-part dimension
+# 512; above this budget process_matrix_of splits the first batch axis into
+# blocks.  Every switch and every comb of the campaign dimension policy fits
+# in one block, so its W is the one-shot evaluation bit for bit; splitting
+# every batch would slow small combs and move the last bit of some
+# multi-Kraus ones.
+TOMOGRAPHY_BLOCK_BYTES = 8 * 2**20
 
 
 def _check_order(order: str) -> tuple[str, str]:
@@ -454,23 +462,36 @@ def process_matrix_of(source) -> ProcessMatrix:
 
     The source is evaluated on the matrix-unit basis of generalized slot maps;
     one code path serves combs, purified combs, and the switch.  ``P`` is
-    one-dimensional.
+    one-dimensional.  The basis maps are evaluated in blocks along the A-slot
+    Kraus index so that no intermediate exceeds ``TOMOGRAPHY_BLOCK_BYTES``.
+    The switch and every comb whose full batch fits that budget, which
+    includes all combs of the campaign dimension policy, run as one block and
+    give exactly the one-shot matrix.
     """
     if isinstance(source, ProcessMatrix):
         return source
     if isinstance(source, PurifiedComb):
         source = as_fixed_order(source)
     if isinstance(source, FixedOrderComb):
-        da0, da1, db0, db1, df = (source.dims[l] for l in ("A0", "A1", "B0", "B1", "F"))
+        d = source.dims
+        da0, da1, db0, db1, df = (d[l] for l in ("A0", "A1", "B0", "B1", "F"))
+        na, nb = da0 * da1, db0 * db1
         evaluate = lambda *stacks: _comb_pair_out(source, *stacks)
+        # per row of the first batch axis, the largest intermediates of
+        # _comb_pair_out are na·nb² operators on (second, E1) or (F, E2)
+        second = source.order[1]
+        side = max(d[f"{second}0"] * d["E1"], d[f"{second}1"] * d["E1"], df * d["E2"])
+        row_bytes = na * nb * nb * side * side * np.dtype(complex).itemsize
+        rows = max(1, TOMOGRAPHY_BLOCK_BYTES // row_bytes)
     elif isinstance(source, SwitchSpec):
         da0 = da1 = db0 = db1 = 2
         df = source.future_dim
+        na = nb = 4
         evaluate = lambda *stacks: _switch_pair_out(source, *stacks)
+        rows = na
     else:
         raise TypeError(f"cannot reconstruct a process matrix from {type(source).__name__}")
 
-    na, nb = da0 * da1, db0 * db1
     ka_base = np.zeros((na, da1, da0), dtype=complex)
     idx = np.arange(na)
     ka_base[idx, idx % da1, idx // da1] = 1.0
@@ -482,7 +503,7 @@ def process_matrix_of(source) -> ProcessMatrix:
     la = ka_base.reshape(1, na, 1, 1, 1, da1, da0)
     kb = kb_base.reshape(1, 1, nb, 1, 1, db1, db0)
     lb = kb_base.reshape(1, 1, 1, nb, 1, db1, db0)
-    out = evaluate(ka, la, kb, lb)
+    out = np.concatenate([evaluate(ka[i:i + rows], la, kb, lb) for i in range(0, na, rows)])
     w = out.transpose(0, 2, 4, 1, 3, 5).reshape(na * nb * df, na * nb * df)
     dims = [("P", 1), ("A0", da0), ("A1", da1), ("B0", db0), ("B1", db1), ("F", df)]
     return ProcessMatrix(LabeledOperator(w, dims))

@@ -132,6 +132,15 @@ class TestSweep:
             main(["sweep", "--process", "upsilon1", "--entropy", "shannon"])
         assert exc.value.code == 2
 
+    def test_large_alpha_prints_finite_cells(self, capsys):
+        # the direct Renyi power sum underflows at alpha = 2000
+        assert main(["sweep", "--process", "upsilon2", "--entropy", "renyi:2000"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 101
+        for row in rows:
+            for cell in row.split(",")[:-1]:
+                assert cell == "" or np.isfinite(float(cell)), row
+
     @pytest.mark.parametrize("family", ["renyi:nan", "renyi:-inf"])
     def test_nan_and_negative_infinity_alpha_usage_error(self, family):
         with pytest.raises(SystemExit) as exc:

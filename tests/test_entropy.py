@@ -18,6 +18,7 @@ from qcausal import (
     renyi,
     ssa_gap,
 )
+from qcausal.entropy import RENYI_VN_EPS
 from qcausal.labeled import RANK_REL_TOL
 
 RNG = np.random.default_rng(17)
@@ -109,6 +110,41 @@ class TestSpectrumFormulas:
             h = entropy_from_spectrum(lam)
             assert abs(entropy_from_spectrum(lam, renyi(1 + 1e-4)) - h) < 1e-3
             assert abs(entropy_from_spectrum(lam, renyi(1 - 1e-4)) - h) < 1e-3
+
+    @pytest.mark.parametrize("alpha", [1100.0, 1e4, 1e300])
+    def test_large_alpha_closed_form(self, alpha):
+        # H_alpha([1/2, 1/4, 1/4]) = alpha/(alpha-1) + log2(1 + 2^(1-alpha))/(1-alpha);
+        # the direct sum 2^-alpha + 2^(1-2 alpha) underflows to 0 for these alpha
+        expect = alpha / (alpha - 1.0) + math.log2(1.0 + 2.0 ** (1.0 - alpha)) / (1.0 - alpha)
+        got = entropy_from_spectrum([0.5, 0.25, 0.25], renyi(alpha))
+        assert math.isfinite(got)
+        assert abs(got - expect) <= 1e-12
+
+    def test_large_alpha_eigenvalue_above_one(self):
+        # a pure state's eigenvalue may round to just above 1; its power
+        # sum overflows at large alpha, where the entropy is the min-entropy
+        lam = [1.0 + 4 * np.finfo(float).eps, 0.0]
+        hmin = entropy_from_spectrum(lam, MIN_ENTROPY)
+        assert abs(entropy_from_spectrum(lam, renyi(1e300)) - hmin) <= 1e-12
+
+    def test_large_alpha_monotone_toward_min_entropy(self):
+        for lam in ([0.5, 0.25, 0.25], rand_spectrum(6), [0.4, 0.4, 0.2]):
+            hmin = entropy_from_spectrum(lam, MIN_ENTROPY)
+            values = [entropy_from_spectrum(lam, renyi(a))
+                      for a in (2.0, 10.0, 100.0, 1000.0, 1100.0, 1e4, 1e6, 1e300)]
+            assert all(math.isfinite(h) for h in values)
+            assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+            assert all(h >= hmin for h in values)
+            assert abs(values[-1] - hmin) <= 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_renyi_dispatches_to_von_neumann_within_eps(self, sign):
+        lam = [0.5, 0.3, 0.2]
+        h = entropy_from_spectrum(lam, VON_NEUMANN)
+        assert entropy_from_spectrum(lam, renyi(1.0 + sign * 0.5 * RENYI_VN_EPS)) == h
+        near = entropy_from_spectrum(lam, renyi(1.0 + sign * 10 * RENYI_VN_EPS))
+        assert near != h
+        assert abs(near - h) <= 1e-4
 
     def test_min_renyi_max_ordering(self):
         for _ in range(20):

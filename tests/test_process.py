@@ -1,5 +1,6 @@
 """Process core: link product, combs, switch, process matrices, backends."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from qcausal import (
     KrausChannel,
     LabeledOperator,
     ProcessMatrix,
+    PureState,
+    PurifiedComb,
     SwitchSpec,
     apply_channel,
     apply_process,
@@ -32,12 +35,14 @@ from qcausal import (
     purify_comb,
     random_channel,
     random_density,
+    random_pure,
     sample_fixed_order_comb,
     sample_purified_comb,
     switch_apply,
     trace_distance,
 )
 from qcausal.cli import BACKEND_AGREE_TOL
+import qcausal.process as process
 from qcausal.process import _dilation_unitary
 
 KET0 = DensityOperator(np.diag([1.0, 0.0]), [("T0", 2)])
@@ -317,6 +322,99 @@ class TestProcessMatrix:
                                               kraus_rank=1, seed=57))
         with pytest.raises(ValueError):
             apply_process(w, wrong, good)
+
+
+def one_shot_process_matrix(source):
+    """Tomography with every basis-map pair in a single batch."""
+    if isinstance(source, PurifiedComb):
+        source = as_fixed_order(source)
+    if isinstance(source, SwitchSpec):
+        da0 = da1 = db0 = db1 = 2
+        df = source.future_dim
+        evaluate = process._switch_pair_out
+    else:
+        da0, da1, db0, db1, df = (source.dims[l] for l in ("A0", "A1", "B0", "B1", "F"))
+        evaluate = process._comb_pair_out
+    na, nb = da0 * da1, db0 * db1
+    ka = np.zeros((na, da1, da0), dtype=complex)
+    ka[np.arange(na), np.arange(na) % da1, np.arange(na) // da1] = 1.0
+    kb = np.zeros((nb, db1, db0), dtype=complex)
+    kb[np.arange(nb), np.arange(nb) % db1, np.arange(nb) // db1] = 1.0
+    out = evaluate(source, ka.reshape(na, 1, 1, 1, 1, da1, da0),
+                   ka.reshape(1, na, 1, 1, 1, da1, da0),
+                   kb.reshape(1, 1, nb, 1, 1, db1, db0),
+                   kb.reshape(1, 1, 1, nb, 1, db1, db0))
+    w = out.transpose(0, 2, 4, 1, 3, 5).reshape(na * nb * df, na * nb * df)
+    dims = [("P", 1), ("A0", da0), ("A1", da1), ("B0", db0), ("B1", db1), ("F", df)]
+    return ProcessMatrix(LabeledOperator(w, dims)).matrix
+
+
+def purified_comb_of_shape(order, shape, seed, q0=2):
+    """Random purified comb with slot dimensions ``(first0, first1, second0,
+    second1, F) = shape`` from the public samplers."""
+    first, second = order
+    rng = np.random.default_rng(seed)
+    d = dict(zip((f"{first}0", f"{first}1", f"{second}0", f"{second}1", "F"), shape))
+    d["Q0"] = q0
+    d["Q1"] = d[f"{first}1"] * q0 // d[f"{second}0"]
+    d["Q2"] = d[f"{second}1"] * d["Q1"] // d["F"]
+    psi = PureState(random_pure(d[f"{first}0"] * q0, rng),
+                    [(f"{first}0", d[f"{first}0"]), ("Q0", q0)])
+    u1 = haar_unitary(d[f"{first}1"] * q0, rng)
+    u2 = haar_unitary(d[f"{second}1"] * d["Q1"], rng)
+    return PurifiedComb(order, psi, u1, u2, d)
+
+
+class TestBlockedTomography:
+    @pytest.fixture
+    def comb_blocks(self, monkeypatch):
+        """Count the tomography blocks evaluated through ``_comb_pair_out``."""
+        calls = []
+        inner = process._comb_pair_out
+
+        def counting(*args):
+            calls.append(args[1].shape[0])
+            return inner(*args)
+
+        monkeypatch.setattr(process, "_comb_pair_out", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode, lam, target_seed", SWITCH_CASES)
+    def test_switch_equals_one_shot(self, mode, lam, target_seed):
+        target = None
+        if target_seed is not None:
+            target = random_density(2, 2, target_seed, dims=[("T0", 2)])
+        s = SwitchSpec(lam, target=target, future_mode=mode)
+        assert np.array_equal(process_matrix_of(s).matrix, one_shot_process_matrix(s))
+
+    def test_campaign_combs_are_one_block_and_equal_one_shot(self, comb_blocks):
+        sources = ([sample_purified_comb(seed, order=order)
+                    for seed in range(20) for order in ("AB", "BA")]
+                   + [sample_fixed_order_comb(seed) for seed in range(40)])
+        for source in sources:
+            del comb_blocks[:]
+            w = process_matrix_of(source).matrix
+            assert len(comb_blocks) == 1
+            assert np.array_equal(w, one_shot_process_matrix(source))
+
+    @pytest.mark.parametrize("order", ["AB", "BA"])
+    def test_comb_above_budget_is_blocked_and_equals_one_shot(self, order, comb_blocks):
+        pc = purified_comb_of_shape(order, (2, 4, 2, 4, 2), seed=7)
+        w = process_matrix_of(pc).matrix
+        assert len(comb_blocks) > 1
+        assert sum(comb_blocks) == pc.dims["A0"] * pc.dims["A1"]
+        assert np.array_equal(w, one_shot_process_matrix(pc))
+
+    def test_peak_memory_at_dimension_512(self):
+        # one batch of all slot-map pairs peaks at 256 MB here
+        pc = purified_comb_of_shape("AB", (4, 4, 4, 4, 2), seed=512)
+        tracemalloc.start()
+        try:
+            process_matrix_of(pc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestInterventionalState:
