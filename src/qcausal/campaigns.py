@@ -18,9 +18,14 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import select
+import signal
+import struct
 import sys
 import threading
 import time
+import traceback
 from functools import partial
 
 import numpy as np
@@ -122,17 +127,118 @@ def _workers(n: int) -> int:
 
 
 def _map(fn, items, workers: int) -> list:
-    """``fn(item)`` for each of ``items``, in order: in this process when
-    ``workers <= 1``, else on ``workers`` forked processes.  ``fn`` must be
-    picklable, a module-level function or a ``partial`` of one."""
+    """``fn(item)`` for each of the sequence ``items``, in order: in this
+    process when ``workers <= 1``, else on ``workers`` forked processes.
+
+    ``fn`` and ``items`` reach the workers by fork, so ``fn`` need not be
+    picklable; its results and exceptions must be.  The workers take
+    contiguous chunks of items one at a time from a shared task pipe and
+    send their pickled ``(index, ok, value)`` triples back on a pipe each.
+    The exception of the first failing item is re-raised here; a worker
+    that exits without reporting is a ``RuntimeError``.
+    """
     if workers <= 1:
         return list(map(fn, items))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     chunk = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+    tasks_r, tasks_w = os.pipe()
+    fds = {tasks_r, tasks_w}
+    pids = {}  # result pipe -> worker pid
+    # a forked worker must not write out this process's buffered output again
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for _ in range(workers):
+            out_r, out_w = os.pipe()
+            fds |= {out_r, out_w}
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, items, chunk, tasks_r, out_w, fds - {tasks_r, out_w})
+            os.close(out_w)
+            fds.discard(out_w)
+            pids[out_r] = pid
+        os.close(tasks_r)
+        fds.discard(tasks_r)
+        # every chunk number is 4 bytes and a write of at most PIPE_BUF
+        # bytes is atomic, so no worker's read of 4 bytes splits a number
+        chunks = -(-len(items) // chunk)
+        tasks = struct.pack(f"={chunks}I", *range(chunks))
+        try:
+            for at in range(0, len(tasks), select.PIPE_BUF):
+                os.write(tasks_w, tasks[at:at + select.PIPE_BUF])
+        except BrokenPipeError:  # every worker died; reported below
+            pass
+        os.close(tasks_w)
+        fds.discard(tasks_w)
+        reports = _read_all(list(pids))
+        results = []
+        for out_r, pid in list(pids.items()):
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pids[out_r]
+            if status != 0 or not reports[out_r]:
+                raise RuntimeError(f"worker {pid} exited with status {status} "
+                                   "before reporting its results")
+            results += pickle.loads(reports[out_r])
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids.values():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    results.sort(key=lambda r: r[0])
+    for _, ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, _, value in results]
+
+
+def _work(fn, items, chunk: int, tasks: int, out: int, inherited) -> None:
+    """Body of a forked worker of ``_map``; never returns.  Maps ``fn`` over
+    each chunk whose number it reads from ``tasks``, until that pipe is empty
+    and closed, then writes the pickled triples to ``out``."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        results = []
+        while task := os.read(tasks, 4):
+            (k,) = struct.unpack("=I", task)
+            for i in range(k * chunk, min((k + 1) * chunk, len(items))):
+                try:
+                    results.append((i, True, fn(items[i])))
+                except Exception as exc:
+                    results.append((i, False, exc))
+        with os.fdopen(out, "wb") as fh:
+            fh.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    except BaseException:  # ends the worker with status 1; say why first
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _read_all(fds: list[int]) -> dict[int, bytes]:
+    """Everything written to each of ``fds`` until its writer closes it."""
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    parts = {fd: [] for fd in fds}
+    left = len(fds)
+    while left:
+        for fd, _ in poller.poll():
+            data = os.read(fd, 1 << 16)
+            if data:
+                parts[fd].append(data)
+            else:
+                poller.unregister(fd)
+                left -= 1
+    return {fd: b"".join(p) for fd, p in parts.items()}
 
 
 def _run(campaign: str, trial, trials: int, seed: int, n: int | None = None) -> dict:

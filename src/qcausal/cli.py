@@ -18,6 +18,7 @@ with ``OPENBLAS_NUM_THREADS=1`` and -1.2212453270876722e-15 with it unset.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -142,6 +143,20 @@ def _cannot_write(path: str | Path, exc: OSError) -> int:
     return 2
 
 
+def _check_out(out: str | None) -> int:
+    """0 if the file ``out`` (None: stdout) looks writable, else 2 after an
+    error message: it is an existing directory, or its parent is not a
+    writable directory.  Called before the work, which can take seconds."""
+    if out is None:
+        return 0
+    if os.path.isdir(out):
+        return _cannot_write(out, IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))
+    parent = Path(out).parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK)):
+        return _cannot_write(out, OSError(f"{parent} is not a writable directory"))
+    return 0
+
+
 def _write(text: str, out: str | Path | None) -> int:
     """Write ``text`` to the file ``out``, or to stdout if ``out`` is None.
 
@@ -166,6 +181,9 @@ def cmd_sweep(args) -> int:
     if args.lambda_steps < 2:
         print("error: lambda-steps must be at least 2", file=sys.stderr)
         return 2
+    status = _check_out(args.out)
+    if status:
+        return status
     lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
     try:
         rows = sweep_reports(args.process, lams, args.entropy, args.backend)
@@ -176,11 +194,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # a campaign takes seconds, so refuse an unwritable --out before it runs
-    if args.out is not None:
-        parent = Path(args.out).parent
-        if not (parent.is_dir() and os.access(parent, os.W_OK)):
-            return _cannot_write(args.out, OSError(f"{parent} is not a writable directory"))
+    status = _check_out(args.out)
+    if status:
+        return status
     trials = args.trials
     if trials is None:
         trials = campaigns.DEFAULT_TRIALS[args.campaign]

@@ -113,12 +113,17 @@ def entropy(rho: DensityOperator, subsystem: Sequence[str] | None = None,
             spec: EntropySpec = VON_NEUMANN) -> float:
     """Entropy of the state ``rho``, or of its marginal on ``subsystem`` if given.
 
-    Each marginal is decomposed once; every later call, in any entropy
-    family, is served from the state's memo of spectra.
+    Each marginal is decomposed once and served from the state's memo of
+    spectra in every family; each entropy is computed once per label set and
+    family, and a repeat, in any label order, returns the same float.
     """
     if not isinstance(rho, DensityOperator):
         raise TypeError(f"entropy needs a DensityOperator, got {type(rho).__name__}")
-    return entropy_from_spectrum(rho.spectrum(subsystem), spec)
+    key = (frozenset(rho.labels if subsystem is None else subsystem), spec)
+    value = rho._entropies.get(key)
+    if value is None:
+        value = rho._entropies[key] = entropy_from_spectrum(rho.spectrum(subsystem), spec)
+    return value
 
 
 def ssa_gap(rho: DensityOperator,

@@ -153,10 +153,12 @@ class DensityOperator(LabeledOperator):
     anything more negative is a hard error.
 
     The stored matrix is read-only, so the marginal spectra that
-    :meth:`spectrum` memoizes can never go stale.
+    :meth:`spectrum` memoizes, and the entropies that
+    :func:`qcausal.entropy.entropy` memoizes in ``_entropies`` per label set
+    and entropy family, can never go stale.
     """
 
-    __slots__ = ("_spectra",)
+    __slots__ = ("_spectra", "_entropies")
 
     def __init__(self, matrix: np.ndarray, dims: LabeledDims | Iterable[tuple[str, int]]):
         super().__init__(matrix, dims)
@@ -175,6 +177,7 @@ class DensityOperator(LabeledOperator):
         m.flags.writeable = False
         self.matrix = m
         self._spectra: dict[frozenset[str], np.ndarray] = {}
+        self._entropies: dict[tuple, float] = {}
 
     def spectrum(self, keep: Sequence[str] | None = None) -> np.ndarray:
         """Descending spectrum of the marginal on ``keep`` (all labels if None).

@@ -1,8 +1,8 @@
 """Randomized verification campaigns: schema, determinism, small-scale runs,
 and the trial driver that spreads a campaign over worker processes."""
-import concurrent.futures
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -276,11 +276,11 @@ class TestDriver:
 
     @pytest.mark.parametrize("name", CAMPAIGNS)
     def test_one_trial_builds_no_pool(self, four_cpus, name):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-trial run built a process pool")
+        def no_fork():
+            raise AssertionError("a one-trial run forked a worker")
 
         four_cpus.setenv("OPENBLAS_NUM_THREADS", "1")
-        four_cpus.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        four_cpus.setattr(camp.os, "fork", no_fork)
         assert RUNNERS[name](trials=1, seed=0)["failures"] == 0
 
     def test_worker_exception_reaches_caller(self, two_workers):
@@ -294,14 +294,109 @@ class TestDriver:
         assert math.copysign(1.0, summary["worst_slack"]) == 1.0
 
     def test_one_trial_imports_no_pool_modules(self):
-        code = ("import os, sys\n"
-                "from qcausal.cli import main\n"
-                "assert main(['verify', 'thm1', '--trials', '1', '--out', os.devnull]) == 0\n"
-                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
+        done = _python("import os, sys\n"
+                       "from qcausal.cli import main\n"
+                       "assert main(['verify', 'thm1', '--trials', '1', '--out', os.devnull]) == 0\n"
+                       "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n",
+                       timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+def _python(code: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this source tree with BLAS on
+    one thread and buffered stdout.  A hung worker or pipe fails the test at
+    ``timeout``, and the interpreter's whole process group is killed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("PYTHONUNBUFFERED", None)
+    args = [sys.executable, "-c", code]
+    with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(args, proc.returncode, out, err)
+
+
+# run after each driver program: no worker of the map is left unreaped
+NO_CHILD_LEFT = """
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a worker was left unreaped")
+except ChildProcessError:
+    pass
+"""
+
+
+class TestForkDriver:
+    """``_map`` on two forked workers, each case in a fresh interpreter."""
+
+    def test_results_in_item_order_with_uneven_costs(self):
+        # the first items are slowest, so later chunks finish first
+        done = _python("import os, time\n"
+                       "from qcausal.campaigns import _map\n"
+                       "def cost(i):\n"
+                       "    time.sleep(0.1 if i < 3 else 0.001 * (i % 4))\n"
+                       "    return i * i, os.getpid()\n"
+                       "out = _map(cost, range(70), 2)\n"
+                       "assert [v for v, _ in out] == [i * i for i in range(70)]\n"
+                       "assert len({pid for _, pid in out} - {os.getpid()}) == 2\n"
+                       "assert _map(lambda x: -x, [3, 1, 2], 2) == [-3, -1, -2]\n"
+                       + NO_CHILD_LEFT)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ""
+
+    def test_first_failing_item_is_raised(self):
+        # item 3 fails late in one worker while the other takes the rest,
+        # item 40 among them, and fails first
+        done = _python("import os, time\n"
+                       "from qcausal.campaigns import _map\n"
+                       "def fail(i):\n"
+                       "    if i == 3:\n"
+                       "        time.sleep(0.3)\n"
+                       "        raise ValueError(f'item {i} failed in {os.getpid()}')\n"
+                       "    if i == 40:\n"
+                       "        raise KeyError(i)\n"
+                       "    return i\n"
+                       "try:\n"
+                       "    _map(fail, range(64), 2)\n"
+                       "except Exception as exc:\n"
+                       "    print(type(exc).__name__, exc)\n"
+                       + NO_CHILD_LEFT)
+        assert done.returncode == 0, done.stderr
+        kind, message = done.stdout.split(" ", 1)
+        assert kind == "ValueError"
+        assert message.startswith("item 3 failed in ")
+        assert int(message.split()[-1]) > 0
+
+    def test_dead_worker_is_a_runtime_error(self):
+        done = _python("import os\n"
+                       "from qcausal.campaigns import _map\n"
+                       "def die(i):\n"
+                       "    if i == 5:\n"
+                       "        os._exit(3)\n"
+                       "    return i\n"
+                       "try:\n"
+                       "    _map(die, range(64), 2)\n"
+                       "except RuntimeError as exc:\n"
+                       "    print(exc)\n"
+                       + NO_CHILD_LEFT)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("worker ")
+        assert "exited with status 3 before reporting" in done.stdout
+        assert done.stdout.count("\n") == 1
+
+    def test_unflushed_stdout_is_written_once(self):
+        # stdout is a pipe, so the parent's line stays in its buffer until
+        # the map; a worker must not write it out a second time
+        done = _python("import os, sys\n"
+                       "from qcausal.campaigns import _map\n"
+                       "sys.stdout.write('parent line\\n')\n"
+                       "assert _map(abs, range(-9, 0), 2) == list(range(9, 0, -1))\n"
+                       + NO_CHILD_LEFT)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "parent line\n"

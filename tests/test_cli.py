@@ -1,7 +1,6 @@
 """Command-line contract: CSV schema, determinism, exit codes, figure files,
 and grid points on the worker driver."""
 import argparse
-import concurrent.futures
 import json
 import os
 import shutil
@@ -147,10 +146,18 @@ class TestSweep:
             main(["sweep", "--process", "switch_full", "--entropy", family])
         assert exc.value.code == 2
 
-    def test_unwritable_out_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "x.csv"
-        assert main(SWEEP_ARGS + ["--out", str(out)]) == 2
-        assert f"cannot write {out}" in capsys.readouterr().err
+    def test_unwritable_out_exits_2(self, monkeypatch, tmp_path, capsys):
+        # the path is checked before the grid, so no grid point is evaluated
+        def never(*args, **kwargs):
+            raise AssertionError("the grid ran before --out was checked")
+        monkeypatch.setattr(cli, "_grid_reports", never)
+        (tmp_path / "file").write_text("")
+        for out in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv"):
+            assert main(SWEEP_ARGS + ["--out", str(out)]) == 2
+            assert f"cannot write {out}: " in capsys.readouterr().err
+        for out in (str(tmp_path), f"{tmp_path}{os.sep}"):
+            assert main(SWEEP_ARGS + ["--out", out]) == 2
+            assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
 
     def test_seed_is_not_a_sweep_option(self):
         # sweeps are deterministic, so they take no seed
@@ -207,6 +214,9 @@ class TestVerify:
         for out in (tmp_path / "missing" / "s.json", tmp_path / "file" / "s.json"):
             assert main(["verify", "ssa", "--trials", "1", "--out", str(out)]) == 2
             assert f"cannot write {out}" in capsys.readouterr().err
+        for out in (str(tmp_path), f"{tmp_path}{os.sep}"):
+            assert main(["verify", "ssa", "--trials", "1", "--out", out]) == 2
+            assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
 
     def test_trials_floor(self):
         assert main(["verify", "ssa", "--trials", "0"]) == 2
@@ -292,21 +302,26 @@ class TestGridPool:
         assert text[2] == text[1]
 
     def test_one_point_builds_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-point sweep built a process pool")
+        def no_fork():
+            raise AssertionError("a one-point sweep forked a worker")
 
         monkeypatch.setattr(camp.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(camp.os, "fork", no_fork)
         assert camp._workers(2) == 2
         [(lam, report)] = sweep_reports("switch_full", [0.3], VON_NEUMANN)
         assert lam == 0.3 and report.tag == "switch_full@0.3"
 
     def test_one_point_imports_no_pool_modules(self):
-        code = ("import sys\n"
+        # a two-worker map forks without the pool modules and starts no thread
+        code = ("import sys, threading\n"
                 "from qcausal import VON_NEUMANN\n"
+                "from qcausal.campaigns import _map\n"
                 "from qcausal.cli import sweep_reports\n"
                 "sweep_reports('switch_full', [0.3], VON_NEUMANN)\n"
+                "threads = threading.active_count()\n"
+                "assert _map(abs, [-1, -2, -3], 2) == [1, 2, 3]\n"
+                "assert threading.active_count() == threads\n"
                 "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
             p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}

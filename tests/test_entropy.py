@@ -1,5 +1,6 @@
 """Entropy families: formulas, ordering, duality, SSA."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from qcausal import (
     renyi,
     ssa_gap,
 )
+from qcausal import cli
 from qcausal.entropy import RENYI_VN_EPS
 from qcausal.labeled import RANK_REL_TOL
 
+# the package exports a function named entropy, which hides the module
+entropy_module = sys.modules["qcausal.entropy"]
 RNG = np.random.default_rng(17)
 ALL_SPECS = (VON_NEUMANN, renyi(0.5), renyi(0.8), renyi(2.0), renyi(3.0),
              MIN_ENTROPY, MAX_ENTROPY)
@@ -183,6 +187,55 @@ class TestStateEntropy:
             entropy(bare, ["A"])
         with pytest.raises(TypeError, match="DensityOperator"):
             ssa_gap(bare, ["A"], [], ["B"])
+
+
+def _count_entropy_calls(monkeypatch) -> list:
+    """Record the spectrum and family of each ``entropy_from_spectrum`` call
+    that ``entropy`` makes."""
+    calls = []
+
+    def counted(lam, spec=VON_NEUMANN):
+        calls.append(spec)
+        return entropy_from_spectrum(lam, spec)
+    monkeypatch.setattr(entropy_module, "entropy_from_spectrum", counted)
+    return calls
+
+
+class TestEntropyMemo:
+    """Each entropy of a state is computed once per label set and family."""
+
+    def test_served_again_in_any_label_order(self, monkeypatch):
+        rho = random_density(24, 6, 5, dims=[("A", 2), ("B", 3), ("C", 4)])
+        calls = _count_entropy_calls(monkeypatch)
+        for spec in ALL_SPECS:
+            first = entropy(rho, ["A", "C"], spec)
+            for labels in (["C", "A"], ("A", "C"), ["C", "A", "C"]):
+                assert entropy(rho, labels, spec) is first
+            assert entropy(rho, spec=spec) is entropy(rho, ["C", "B", "A"], spec)
+        assert len(calls) == 2 * len(ALL_SPECS)
+
+    def test_families_never_collide(self, monkeypatch):
+        rho = random_density(24, 6, 9, dims=[("A", 2), ("B", 3), ("C", 4)])
+        calls = _count_entropy_calls(monkeypatch)
+        specs = ALL_SPECS + (renyi(0.5000001), renyi(1.0), EntropySpec("renyi", math.inf))
+        for labels in (["A", "B"], ["B", "C"], None):
+            lam = rho.spectrum(labels)
+            for _ in range(2):
+                for spec in specs:
+                    assert entropy(rho, labels, spec) == entropy_from_spectrum(lam, spec)
+            values = [entropy(rho, labels, spec) for spec in ALL_SPECS]
+            assert len(set(values)) == len(ALL_SPECS)
+        assert len(calls) == 3 * len(specs)
+
+    def test_grid_point_computes_each_entropy_once(self, monkeypatch):
+        # 10 distinct von Neumann marginals (the DP terms and the marginal
+        # witnesses of both orders), plus the 3 DP terms of each Renyi family
+        calls = _count_entropy_calls(monkeypatch)
+        specs = (VON_NEUMANN, renyi(0.5), renyi(0.65), renyi(0.8))
+        reports = cli._grid_point("upsilon2", specs, "statevector", 0.3)
+        assert [r.family for r in reports] == list(specs)
+        assert len(calls) == 19
+        assert calls.count(VON_NEUMANN) == 10
 
 
 class TestSSA:
