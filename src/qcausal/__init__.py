@@ -15,19 +15,14 @@ from .labeled import (
     PureState,
     as_dims,
     herm_eig,
-    identity,
-    kron,
     partial_trace,
     permute,
     purify,
     trace_distance,
 )
 from .channels import (
-    ChoiOperator,
     KrausChannel,
     apply_channel,
-    choi_from_kraus,
-    cj_vector,
     completely_factorizable,
     ensure_rng,
     haar_unitary,
@@ -54,11 +49,9 @@ from .process import (
     ProcessMatrix,
     PurifiedComb,
     SwitchSpec,
-    apply_process,
     as_fixed_order,
     comb_apply,
     interventional_state,
-    link,
     process_matrix_of,
     purify_comb,
     switch_apply,

@@ -1,10 +1,7 @@
-"""Kraus channels, Choi-Jamiolkowski representations, and random sampling.
+"""Kraus channels, their action on labeled states, and random sampling.
 
-Conventions:
-  * the CJ vector of a linear map ``T`` is ``sum_i |i> ⊗ T|i>``;
-  * the Choi operator of a channel lives on ``in ⊗ out`` with the input first;
-  * random sampling uses numpy's seeded PCG64 generators, so every sampled
-    object is reproducible from an explicit integer seed.
+Random sampling uses numpy's seeded PCG64 generators, so every sampled object
+is reproducible from an explicit integer seed.
 """
 from __future__ import annotations
 
@@ -33,7 +30,7 @@ def ensure_rng(seed: int | np.random.Generator) -> np.random.Generator:
 def _check_unitary(u: np.ndarray, name: str = "matrix") -> None:
     """Raise unless ``u† u`` is the identity within ``UNITARY_TOL``."""
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:
         raise ValueError(f"{name} is not unitary: max deviation {dev:.3e} > {UNITARY_TOL}")
 
 
@@ -65,7 +62,7 @@ class KrausChannel:
         flat = ks.reshape(-1, in_dims.total)
         gram = flat.conj().T @ flat
         dev = float(np.max(np.abs(gram - np.eye(in_dims.total))))
-        if dev > TRACE_TOL:
+        if not dev <= TRACE_TOL:
             raise ValueError(
                 f"Kraus operators are not trace preserving: sum K†K deviates "
                 f"from the identity by {dev:.3e} > {TRACE_TOL}"
@@ -84,57 +81,8 @@ class KrausChannel:
         _check_unitary(u)
         return cls(in_dims, out_dims, [u])
 
-    @classmethod
-    def identity(cls, dims) -> "KrausChannel":
-        dims = as_dims(dims)
-        return cls(dims, dims, [np.eye(dims.total, dtype=complex)])
-
     def __repr__(self) -> str:
         return f"KrausChannel({self.in_dims} -> {self.out_dims}, {len(self.kraus)} Kraus)"
-
-
-class ChoiOperator(LabeledOperator):
-    """Choi operator of a channel, on the labels ``in_dims + out_dims``."""
-
-    __slots__ = ("in_labels", "out_labels")
-
-    def __init__(self, op: LabeledOperator, in_labels: tuple[str, ...],
-                 out_labels: tuple[str, ...]):
-        if set(in_labels) | set(out_labels) != set(op.labels):
-            raise ValueError(
-                f"in {in_labels} + out {out_labels} must cover the operator labels {op.labels}"
-            )
-        if set(in_labels) & set(out_labels):
-            raise ValueError("input and output labels overlap")
-        super().__init__(op.matrix, op.dims)
-        self.in_labels = tuple(in_labels)
-        self.out_labels = tuple(out_labels)
-
-    def __repr__(self) -> str:
-        return f"ChoiOperator(in={self.in_labels}, out={self.out_labels})"
-
-
-def cj_vector(t: np.ndarray) -> np.ndarray:
-    """CJ vector ``sum_i |i> ⊗ T|i>`` of a (dout x din) matrix, unnormalized.
-
-    The result is indexed row-major with the input copy most significant:
-    component ``(i, a)`` equals ``T[a, i]``.
-    """
-    t = np.asarray(t, dtype=complex)
-    if t.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {t.shape}")
-    return t.T.reshape(-1).copy()
-
-
-def choi_from_kraus(c: KrausChannel) -> ChoiOperator:
-    """Choi operator ``sum_t |K_t>><<K_t|`` on ``in ⊗ out`` labels."""
-    overlap = set(c.in_dims.labels) & set(c.out_dims.labels)
-    if overlap:
-        raise ValueError(f"input and output share labels {sorted(overlap)}; relabel first")
-    vecs = np.stack([cj_vector(k) for k in c.kraus])
-    j = np.einsum("ti,tj->ij", vecs, vecs.conj())
-    dims = LabeledDims(list(c.in_dims) + list(c.out_dims))
-    return ChoiOperator(LabeledOperator(j, dims), c.in_dims.labels, c.out_dims.labels)
 
 
 def apply_channel(c: KrausChannel, rho: LabeledOperator) -> LabeledOperator:

@@ -18,7 +18,7 @@ with ``OPENBLAS_NUM_THREADS=1`` and -1.2212453270876722e-15 with it unset.
 from __future__ import annotations
 
 import argparse
-import errno
+import contextlib
 import json
 import os
 import sys
@@ -143,20 +143,6 @@ def _cannot_write(path: str | Path, exc: OSError) -> int:
     return 2
 
 
-def _check_out(out: str | None) -> int:
-    """0 if the file ``out`` (None: stdout) looks writable, else 2 after an
-    error message: it is an existing directory, or its parent is not a
-    writable directory.  Called before the work, which can take seconds."""
-    if out is None:
-        return 0
-    if os.path.isdir(out):
-        return _cannot_write(out, IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))
-    parent = Path(out).parent
-    if not (parent.is_dir() and os.access(parent, os.W_OK)):
-        return _cannot_write(out, OSError(f"{parent} is not a writable directory"))
-    return 0
-
-
 def _write(text: str, out: str | Path | None) -> int:
     """Write ``text`` to the file ``out``, or to stdout if ``out`` is None.
 
@@ -174,6 +160,34 @@ def _write(text: str, out: str | Path | None) -> int:
     return 0
 
 
+def _write_after(out: str | None, work) -> int:
+    """Write the text returned by ``work()`` to the file ``out``, or to
+    stdout if ``out`` is None.
+
+    The file is created before the work, which can take seconds, so a path
+    that cannot be written exits 2 at once.  It is closed again before
+    ``work`` runs, since the work may fork, and an existing file is not
+    emptied until the text is ready.  A file created here is removed if the
+    command ends without writing it, also when ``work`` raises.  Returns the
+    exit status of :func:`_write`.
+    """
+    if out is None:
+        return _write(work(), None)
+    created = not os.path.lexists(out)
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        return _cannot_write(out, exc)
+    status = 2
+    try:
+        status = _write(work(), out)
+        return status
+    finally:
+        if status and created:
+            with contextlib.suppress(OSError):
+                os.remove(out)
+
+
 def cmd_sweep(args) -> int:
     if not 0.0 <= args.lambda_min <= args.lambda_max <= 1.0:
         print("error: need 0 <= lambda-min <= lambda-max <= 1", file=sys.stderr)
@@ -181,27 +195,26 @@ def cmd_sweep(args) -> int:
     if args.lambda_steps < 2:
         print("error: lambda-steps must be at least 2", file=sys.stderr)
         return 2
-    status = _check_out(args.out)
-    if status:
-        return status
     lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
     try:
-        rows = sweep_reports(args.process, lams, args.entropy, args.backend)
+        return _write_after(args.out, lambda: csv_text(
+            sweep_reports(args.process, lams, args.entropy, args.backend)))
     except BackendMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return _write(csv_text(rows), args.out)
 
 
 def cmd_verify(args) -> int:
-    status = _check_out(args.out)
-    if status:
-        return status
     trials = args.trials
     if trials is None:
         trials = campaigns.DEFAULT_TRIALS[args.campaign]
-    summary = campaigns.RUNNERS[args.campaign](trials=trials, seed=args.seed)
-    status = _write(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.out)
+    summary = {}
+
+    def run() -> str:
+        summary.update(campaigns.RUNNERS[args.campaign](trials=trials, seed=args.seed))
+        return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+    status = _write_after(args.out, run)
     if status:
         return status
     if summary["failures"]:

@@ -2,9 +2,9 @@
 
 Every operator in this package carries an ordered tuple of ``(label, dim)``
 pairs naming its subsystems.  Composite indices are row-major with the first
-label most significant, so ``kron(a, b)`` agrees with ``numpy.kron`` and a
-matrix on labels ``("X", "Y")`` reshapes to a 4-index tensor as
-``m.reshape(dx, dy, dx, dy)`` with row axes first.
+label most significant, as in ``numpy.kron``, so a matrix on labels
+``("X", "Y")`` reshapes to a 4-index tensor as ``m.reshape(dx, dy, dx, dy)``
+with row axes first.
 
 All structural operations (permutation, partial trace, purification) are
 label-driven; callers never handle raw axis arithmetic.
@@ -124,14 +124,6 @@ class LabeledOperator:
         shape = self.dims.dims
         return self.matrix.reshape(shape + shape)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def relabel(self, mapping: dict[str, str]) -> "LabeledOperator":
-        """Rename subsystems without touching the matrix."""
-        new = LabeledDims((mapping.get(l, l), d) for l, d in self.dims)
-        return LabeledOperator(self.matrix, new)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.dims})"
 
@@ -139,7 +131,7 @@ class LabeledOperator:
 def _hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """``(m + m†) / 2``, after checking that ``m`` is Hermitian within ``HERM_TOL``."""
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > HERM_TOL:
+    if not dev <= HERM_TOL:
         raise ValueError(f"{what} is not Hermitian: max deviation {dev:.3e} > {HERM_TOL}")
     return 0.5 * (m + m.conj().T)
 
@@ -164,10 +156,10 @@ class DensityOperator(LabeledOperator):
         super().__init__(matrix, dims)
         m = _hermitian(self.matrix)
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within {TRACE_TOL}")
         lam_min = float(np.linalg.eigvalsh(m)[0])
-        if lam_min < -PSD_TOL:
+        if not lam_min >= -PSD_TOL:
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam_min:.3e}")
         if lam_min < 0.0:
             lam, v = np.linalg.eigh(m)
@@ -208,7 +200,7 @@ class PureState:
                 f"amplitude vector of length {amplitudes.shape[0]} does not match {dims}"
             )
         nrm2 = float(np.vdot(amplitudes, amplitudes).real)
-        if abs(nrm2 - 1.0) > TRACE_TOL:
+        if not abs(nrm2 - 1.0) <= TRACE_TOL:
             raise ValueError(f"squared norm {nrm2!r} is not 1 within {TRACE_TOL}")
         self.amplitudes = amplitudes
         self.dims = dims
@@ -222,15 +214,6 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState({self.dims})"
-
-
-def kron(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
-    """Tensor product; label sets must be disjoint."""
-    overlap = set(a.labels) & set(b.labels)
-    if overlap:
-        raise ValueError(f"kron operands share labels {sorted(overlap)}")
-    dims = LabeledDims(list(a.dims) + list(b.dims))
-    return LabeledOperator(np.kron(a.matrix, b.matrix), dims)
 
 
 def permute(a: LabeledOperator, order: Sequence[str]) -> LabeledOperator:
@@ -294,11 +277,6 @@ def purify(rho: DensityOperator, purifier_label: str = "REF") -> PureState:
     amp = (vecs * np.sqrt(lam)).reshape(-1)
     dims = LabeledDims(list(rho.dims) + [(purifier_label, rank)])
     return PureState(amp, dims)
-
-
-def identity(dims: LabeledDims | Iterable[tuple[str, int]]) -> LabeledOperator:
-    dims = as_dims(dims)
-    return LabeledOperator(np.eye(dims.total, dtype=complex), dims)
 
 
 def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float:

@@ -1,21 +1,21 @@
 """Two-slot quantum processes and their entangled-intervention states.
 
 The slot wires are labeled ``A0 -> A1`` and ``B0 -> B1`` (input/output of the
-two local laboratories), ``F`` is the global future and ``P`` the global past
-(one-dimensional throughout this module).  A fixed-order comb threads an
-environment ``E0 -> E1 -> E2`` between the slots; its purified form carries
-``Q0 -> Q1 -> Q2`` instead, with pure global state and unitary links.
+two local laboratories) and ``F`` is the global future; no process here has
+a global past.  A fixed-order comb threads an environment ``E0 -> E1 -> E2``
+between the slots; its purified form carries ``Q0 -> Q1 -> Q2`` instead,
+with pure global state and unitary links.
 
 The entangled intervention keeps a copy of each slot input under its own name
 (``A0``, ``B0``) and feeds each slot output wire with half of a maximally
 entangled pair whose other half is retained under the slot-output name
 (``A1``, ``B1``).  The resulting five-system state on
 ``A0 ⊗ A1 ⊗ B0 ⊗ B1 ⊗ F`` is produced by two independent backends: exact
-statevector wiring, and the process matrix reconstructed by basis-channel
-tomography.  Linking that matrix with the interventions' Choi operators
-(Φ̃ on the inputs, Φ⁺ on the outputs) only divides it by ``d_A1 d_B1``, so
-the contraction backend is that rescale; the backends stay independent
-because tomography never touches the statevector wiring.
+statevector wiring, and the process matrix ``W`` reconstructed by
+basis-channel tomography.  The interventions (Φ̃ on the slot inputs, Φ⁺ on
+the slot outputs) turn ``W`` into ``W / (d_A1 d_B1)``, so the contraction
+backend is that rescale; the backends stay independent because tomography
+never touches the statevector wiring.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .labeled import (
     RECON_TOL,
     TRACE_TOL,
     DensityOperator,
-    LabeledDims,
     LabeledOperator,
     PureState,
     _hermitian,
@@ -33,7 +32,7 @@ from .labeled import (
     permute,
     purify,
 )
-from .channels import ChoiOperator, KrausChannel, _check_unitary
+from .channels import KrausChannel, _check_unitary
 
 ORDERS = ("AB", "BA")
 TAU_LABELS = ("A0", "A1", "B0", "B1", "F")
@@ -181,24 +180,22 @@ class SwitchSpec:
 
 
 class ProcessMatrix(LabeledOperator):
-    """Two-slot process matrix on ``(P, A0, A1, B0, B1, F)``.
+    """Two-slot process matrix on ``TAU_LABELS = (A0, A1, B0, B1, F)``.
 
     Hermitian within ``HERM_TOL`` (then symmetrized) with
-    ``Tr W = dim(A1) * dim(B1) * dim(P)``.
+    ``Tr W = dim(A1) * dim(B1)``.
     """
 
     __slots__ = ()
 
-    LABELS = ("P", "A0", "A1", "B0", "B1", "F")
-
     def __init__(self, op: LabeledOperator):
-        if set(op.labels) != set(self.LABELS):
-            raise ValueError(f"process matrix needs labels {self.LABELS}, got {op.labels}")
-        op = permute(op, self.LABELS)
+        if set(op.labels) != set(TAU_LABELS):
+            raise ValueError(f"process matrix needs labels {TAU_LABELS}, got {op.labels}")
+        op = permute(op, TAU_LABELS)
         m = _hermitian(op.matrix, "process matrix")
-        target = op.dim("A1") * op.dim("B1") * op.dim("P")
+        target = op.dim("A1") * op.dim("B1")
         tr = float(np.trace(m).real)
-        if abs(tr - target) > TRACE_TOL * target:
+        if not abs(tr - target) <= TRACE_TOL * target:
             raise ValueError(f"process matrix trace {tr!r} differs from {target}")
         super().__init__(m, op.dims)
 
@@ -221,7 +218,7 @@ class InterventionalState:
         marg = partial_trace(tau, ["A1", "B1"]).matrix
         d = marg.shape[0]
         dev = float(np.max(np.abs(marg - np.eye(d) / d)))
-        if dev > RECON_TOL:
+        if not dev <= RECON_TOL:
             raise ValueError(
                 f"marginal on the retained pair halves deviates from maximally "
                 f"mixed by {dev:.3e}"
@@ -237,38 +234,6 @@ class InterventionalState:
 
     def __repr__(self) -> str:
         return f"InterventionalState({self.tau.dims})"
-
-
-# ---------------------------------------------------------------------------
-# link product
-
-
-def link(x: LabeledOperator, y: LabeledOperator) -> LabeledOperator:
-    """Link product: contract the shared labels of two labeled operators.
-
-    Shared row indices are matched with shared row indices and columns with
-    columns, which realizes ``Tr_S[x^{T_S} y]`` on the common subsystems while
-    leaving all other labels free.  ``link(rho, J)`` therefore evaluates a
-    channel from its Choi operator, and chaining links evaluates a process.
-    """
-    shared = [l for l in x.labels if l in set(y.labels)]
-    for l in shared:
-        if x.dim(l) != y.dim(l):
-            raise ValueError(f"shared label {l!r} has dimension {x.dim(l)} vs {y.dim(l)}")
-    x_only = [l for l in x.labels if l not in set(shared)]
-    y_only = [l for l in y.labels if l not in set(shared)]
-    counter = iter(range(4 * (len(x.labels) + len(y.labels))))
-    x_row = {l: next(counter) for l in x.labels}
-    x_col = {l: next(counter) for l in x.labels}
-    y_row = {l: (x_row[l] if l in shared else next(counter)) for l in y.labels}
-    y_col = {l: (x_col[l] if l in shared else next(counter)) for l in y.labels}
-    out = ([x_row[l] for l in x_only] + [y_row[l] for l in y_only]
-           + [x_col[l] for l in x_only] + [y_col[l] for l in y_only])
-    subs_x = [x_row[l] for l in x.labels] + [x_col[l] for l in x.labels]
-    subs_y = [y_row[l] for l in y.labels] + [y_col[l] for l in y.labels]
-    res = np.einsum(x.tensor(), subs_x, y.tensor(), subs_y, out, optimize=True)
-    dims = LabeledDims([(l, x.dim(l)) for l in x_only] + [(l, y.dim(l)) for l in y_only])
-    return LabeledOperator(res.reshape(dims.total, dims.total), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +420,18 @@ def as_fixed_order(pc: PurifiedComb) -> FixedOrderComb:
 
 
 # ---------------------------------------------------------------------------
-# process-matrix tomography and the Born rule
+# process-matrix tomography
 
 def process_matrix_of(source) -> ProcessMatrix:
-    """Process matrix on ``(P, A0, A1, B0, B1, F)`` by basis-channel tomography.
+    """Process matrix on ``(A0, A1, B0, B1, F)`` by basis-channel tomography.
 
     The source is evaluated on the matrix-unit basis of generalized slot maps;
-    one code path serves combs, purified combs, and the switch.  ``P`` is
-    one-dimensional.  The basis maps are evaluated in blocks along the A-slot
-    Kraus index so that no intermediate exceeds ``TOMOGRAPHY_BLOCK_BYTES``.
-    The switch and every comb whose full batch fits that budget, which
-    includes all combs of the campaign dimension policy, run as one block and
-    give exactly the one-shot matrix.
+    one code path serves combs, purified combs, and the switch.  The basis
+    maps are evaluated in blocks along the A-slot Kraus index so that no
+    intermediate exceeds ``TOMOGRAPHY_BLOCK_BYTES``.  The switch and every
+    comb whose full batch fits that budget, which includes all combs of the
+    campaign dimension policy, run as one block and give exactly the
+    one-shot matrix.
     """
     if isinstance(source, ProcessMatrix):
         return source
@@ -505,31 +470,8 @@ def process_matrix_of(source) -> ProcessMatrix:
     lb = kb_base.reshape(1, 1, 1, nb, 1, db1, db0)
     out = np.concatenate([evaluate(ka[i:i + rows], la, kb, lb) for i in range(0, na, rows)])
     w = out.transpose(0, 2, 4, 1, 3, 5).reshape(na * nb * df, na * nb * df)
-    dims = [("P", 1), ("A0", da0), ("A1", da1), ("B0", db0), ("B1", db1), ("F", df)]
+    dims = list(zip(TAU_LABELS, (da0, da1, db0, db1, df)))
     return ProcessMatrix(LabeledOperator(w, dims))
-
-
-def apply_process(w: ProcessMatrix, ja: ChoiOperator, jb: ChoiOperator) -> ChoiOperator:
-    """Contract a process matrix with Choi operators of the slot channels.
-
-    Returns the Choi operator of the induced ``P -> F`` channel.
-    """
-    if ja.in_labels != ("A0",) or ja.out_labels != ("A1",):
-        raise ValueError(f"Choi for slot A must map ('A0',) -> ('A1',), got {ja}")
-    if jb.in_labels != ("B0",) or jb.out_labels != ("B1",):
-        raise ValueError(f"Choi for slot B must map ('B0',) -> ('B1',), got {jb}")
-    for label in ("A0", "A1"):
-        if ja.dim(label) != w.dim(label):
-            raise ValueError(f"Choi dimension mismatch on {label!r}")
-    for label in ("B0", "B1"):
-        if jb.dim(label) != w.dim(label):
-            raise ValueError(f"Choi dimension mismatch on {label!r}")
-    out = permute(link(link(w, ja), jb), ["P", "F"])
-    tr = float(np.trace(out.matrix).real)
-    dp = w.dim("P")
-    if abs(tr - dp) > TRACE_TOL * max(1.0, dp):
-        raise ValueError(f"trace of the contracted process is {tr!r}, expected {dp}")
-    return ChoiOperator(out, ("P",), ("F",))
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +563,8 @@ def _tau_contraction(w: ProcessMatrix) -> InterventionalState:
     Linking ``W`` with Φ̃ on each slot input and Φ⁺ on each slot output, then
     relabeling the retained halves, gives exactly this rescale (link-product
     algebra, Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009).
-    Tracing out a nontrivial ``P`` leaves trace ``d_P``, which validation rejects.
     """
-    t = partial_trace(w, TAU_LABELS)
-    return InterventionalState(DensityOperator(t.matrix / (w.dim("A1") * w.dim("B1")), t.dims))
+    return InterventionalState(DensityOperator(w.matrix / (w.dim("A1") * w.dim("B1")), w.dims))
 
 
 def interventional_state(source, backend: str = "statevector") -> InterventionalState:
@@ -632,8 +572,8 @@ def interventional_state(source, backend: str = "statevector") -> Interventional
 
     ``backend="statevector"`` wires the purified comb or switch directly;
     ``backend="contraction"`` reconstructs the process matrix by tomography
-    and divides it by ``d_A1 d_B1``, which is its link with the intervention
-    Choi operators.  The two routes are independent and must agree to
+    and divides it by ``d_A1 d_B1``, which is its link with the
+    interventions.  The two routes are independent and must agree to
     numerical precision.
     """
     if backend == "statevector":

@@ -1,20 +1,15 @@
-"""Channels: Kraus/Choi representations, application, random ensembles."""
+"""Channels: Kraus representation, application, random ensembles."""
 import numpy as np
 import pytest
 
 from qcausal import (
     TRACE_TOL,
-    ChoiOperator,
     DensityOperator,
     KrausChannel,
-    LabeledOperator,
     apply_channel,
-    choi_from_kraus,
-    cj_vector,
     completely_factorizable,
     ensure_rng,
     haar_unitary,
-    partial_trace,
     random_channel,
     random_density,
     random_pure,
@@ -41,9 +36,10 @@ class TestKrausChannel:
         assert is_tp(c) and len(c.kraus) == 2
 
     def test_tni_flagged(self):
-        # every channel is CPTP: a trace-decreasing Kraus list is refused
-        with pytest.raises(ValueError, match="not trace preserving"):
-            KrausChannel([("A", 2)], [("A", 2)], [damp_kraus(0.3)[0]])
+        # every channel is CPTP: a trace-decreasing or NaN Kraus list is refused
+        for kraus in ([damp_kraus(0.3)[0]], [np.full((2, 2), np.nan)]):
+            with pytest.raises(ValueError, match="not trace preserving"):
+                KrausChannel([("A", 2)], [("A", 2)], kraus)
 
     def test_overcomplete_rejected(self):
         with pytest.raises(ValueError):
@@ -54,8 +50,9 @@ class TestKrausChannel:
             KrausChannel([("A", 2)], [("A", 3)], [np.eye(2)])
 
     def test_from_unitary_validates(self):
-        with pytest.raises(ValueError):
-            KrausChannel.from_unitary(np.ones((2, 2)), [("A", 2)], [("B", 2)])
+        for u in (np.ones((2, 2)), np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError, match="not unitary"):
+                KrausChannel.from_unitary(u, [("A", 2)], [("B", 2)])
 
     def test_kraus_is_one_array(self):
         c = KrausChannel([("A", 2)], [("A", 2)], damp_kraus(0.3))
@@ -70,26 +67,20 @@ class TestKrausChannel:
         with pytest.raises(ValueError, match="needs at least one Kraus operator"):
             KrausChannel([("A", 2)], [("A", 2)], empty)
 
-    def test_identity(self):
-        c = KrausChannel.identity([("A", 3)])
-        assert len(c.kraus) == 1 and np.array_equal(c.kraus[0], np.eye(3))
-
 
 class TestChoi:
-    def test_cj_vector_convention(self):
-        t = np.arange(6.0).reshape(3, 2)  # out 3, in 2
-        v = cj_vector(t)
-        for i in range(2):
-            for a in range(3):
-                assert v[i * 3 + a] == t[a, i]
+    """The Choi operator ``J[i, a, j, b] = sum_t K_t[a, i] conj(K_t[b, j])``,
+    on ``in ⊗ out`` with the input first, built from the Kraus array."""
+
+    @staticmethod
+    def choi(c):
+        return np.einsum("tai,tbj->iajb", c.kraus, c.kraus.conj())
 
     def test_identity_choi_is_unnormalized_max_entangled(self):
         d = 3
         c = KrausChannel.from_unitary(np.eye(d), [("I", d)], [("O", d)])
-        j = choi_from_kraus(c)
         bell = np.eye(d).reshape(-1)  # sum_i |i>|i>
-        assert np.allclose(j.matrix, np.outer(bell, bell))
-        assert j.in_labels == ("I",) and j.out_labels == ("O",)
+        assert np.allclose(self.choi(c).reshape(d * d, d * d), np.outer(bell, bell))
 
     def test_gauge_invariance(self):
         # Kraus lists mixed by an isometry on the index describe the same map
@@ -97,22 +88,16 @@ class TestChoi:
         u = haar_unitary(3, 12)
         mixed = [sum(u[s, t] * c.kraus[t] for t in range(3)) for s in range(3)]
         c2 = KrausChannel([("I", 3)], [("O", 2)], mixed)
-        assert np.allclose(choi_from_kraus(c).matrix, choi_from_kraus(c2).matrix)
-
-    def test_label_overlap_rejected(self):
-        c = KrausChannel.identity([("A", 2)])
-        with pytest.raises(ValueError):
-            choi_from_kraus(c)
-        op = LabeledOperator(np.eye(4), [("A", 2), ("B", 2)])
-        with pytest.raises(ValueError):
-            ChoiOperator(op, ("A", "B"), ("B",))
+        assert np.allclose(self.choi(c), self.choi(c2))
+        rho = random_density(3, 3, 13, dims=[("I", 3)])
+        assert np.allclose(apply_channel(c, rho).matrix, apply_channel(c2, rho).matrix)
 
     @pytest.mark.parametrize("seed, din, dout, rank", [
         (0, 2, 2, 1), (1, 2, 3, 2), (2, 3, 2, 3), (3, 3, 3, 4), (4, 6, 2, 3)])
     def test_input_marginal_is_identity(self, seed, din, dout, rank):
         # trace preservation, checked once when the Kraus list is built
         c = random_channel([("I", din)], [("O", dout)], kraus_rank=rank, seed=seed)
-        marg = partial_trace(choi_from_kraus(c), ["I"]).matrix
+        marg = np.einsum("iaja->ij", self.choi(c))
         assert np.abs(marg - np.eye(din)).max() <= TRACE_TOL
 
 
@@ -131,7 +116,8 @@ class TestApply:
 
     def test_identity_is_noop(self):
         rho = random_density(6, 4, 5, dims=[("A", 2), ("B", 3)])
-        out = apply_channel(KrausChannel.identity([("B", 3)]), rho)
+        ident = KrausChannel.from_unitary(np.eye(3), [("B", 3)], [("B", 3)])
+        out = apply_channel(ident, rho)
         assert out.labels == rho.labels
         assert np.allclose(out.matrix, rho.matrix)
 

@@ -26,6 +26,9 @@ from qcausal.cli import (
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_ARGS = ["sweep", "--process", "upsilon1", "--lambda-steps", "3"]
+# a path whose directory os.access reports writable to root, where no file
+# can be created
+PROC_OUT = ["/proc/qcausal-x.csv"] if sys.platform.startswith("linux") else []
 VERDICTS = {"BeyondFixedOrder", "ExcludesOnlyAB", "ExcludesOnlyBA", "Inconclusive"}
 
 
@@ -152,12 +155,27 @@ class TestSweep:
             raise AssertionError("the grid ran before --out was checked")
         monkeypatch.setattr(cli, "_grid_reports", never)
         (tmp_path / "file").write_text("")
-        for out in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv"):
+        for out in [tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv"] + PROC_OUT:
             assert main(SWEEP_ARGS + ["--out", str(out)]) == 2
             assert f"cannot write {out}: " in capsys.readouterr().err
         for out in (str(tmp_path), f"{tmp_path}{os.sep}"):
             assert main(SWEEP_ARGS + ["--out", out]) == 2
             assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+
+    def test_out_created_before_and_removed_unless_written(self, monkeypatch, tmp_path):
+        seen = []
+
+        def mismatch(*args, **kwargs):
+            seen.append(out.exists())
+            raise cli.BackendMismatch("backends disagree")
+        monkeypatch.setattr(cli, "_grid_reports", mismatch)
+        out = tmp_path / "x.csv"
+        assert main(SWEEP_ARGS + ["--out", str(out)]) == 1
+        assert seen == [True] and not out.exists()
+        # a file that was there before is neither removed nor emptied
+        out.write_text("kept\n")
+        assert main(SWEEP_ARGS + ["--out", str(out)]) == 1
+        assert out.read_text() == "kept\n"
 
     def test_seed_is_not_a_sweep_option(self):
         # sweeps are deterministic, so they take no seed
@@ -211,12 +229,22 @@ class TestVerify:
             raise AssertionError("campaign ran before --out was checked")
         monkeypatch.setattr(camp, "RUNNERS", {**camp.RUNNERS, "ssa": never})
         (tmp_path / "file").write_text("")
-        for out in (tmp_path / "missing" / "s.json", tmp_path / "file" / "s.json"):
+        for out in [tmp_path / "missing" / "s.json", tmp_path / "file" / "s.json"] + PROC_OUT:
             assert main(["verify", "ssa", "--trials", "1", "--out", str(out)]) == 2
             assert f"cannot write {out}" in capsys.readouterr().err
         for out in (str(tmp_path), f"{tmp_path}{os.sep}"):
             assert main(["verify", "ssa", "--trials", "1", "--out", out]) == 2
             assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+
+    def test_out_removed_when_the_campaign_raises(self, monkeypatch, tmp_path):
+        def broken(trials, seed):
+            assert out.exists()
+            raise RuntimeError("campaign broke")
+        monkeypatch.setattr(camp, "RUNNERS", {**camp.RUNNERS, "ssa": broken})
+        out = tmp_path / "s.json"
+        with pytest.raises(RuntimeError, match="campaign broke"):
+            main(["verify", "ssa", "--trials", "1", "--out", str(out)])
+        assert not out.exists()
 
     def test_trials_floor(self):
         assert main(["verify", "ssa", "--trials", "0"]) == 2

@@ -1,4 +1,4 @@
-"""Process core: link product, combs, switch, process matrices, backends."""
+"""Process core: combs, switch, process matrices, Born rule, backends."""
 import math
 import tracemalloc
 
@@ -18,16 +18,12 @@ from qcausal import (
     PurifiedComb,
     SwitchSpec,
     apply_channel,
-    apply_process,
     as_fixed_order,
-    choi_from_kraus,
     comb_apply,
     entropy,
     haar_unitary,
     herm_eig,
     interventional_state,
-    kron,
-    link,
     partial_trace,
     permute,
     process_matrix_of,
@@ -72,22 +68,32 @@ def comb_apply_dense(comb, a, b):
     return partial_trace(s, ["F"])
 
 
-def phi_tilde(d, l0, l1, scale=1.0):
-    """``scale * sum_ij |ii><jj|`` on two fresh labels."""
-    e = np.eye(d, dtype=complex).reshape(-1)
-    return LabeledOperator(scale * np.outer(e, e), [(l0, d), (l1, d)])
+def choi(c):
+    """Choi operator of a channel as ``J[i, a, j, b]``: input then output
+    index, rows before columns."""
+    return np.einsum("tai,tbj->iajb", c.kraus, c.kraus.conj())
+
+
+def born_rule(w, a, b):
+    """``Tr_{A0 A1 B0 B1}[W (J_a ⊗ J_b)^T]``: the link product of the process
+    matrix with the slot channels' Choi operators, by one einsum."""
+    return np.einsum("ijklfpqrsg,ijpq,klrs->fg", w.tensor(), choi(a), choi(b))
+
+
+def phi_tilde(d):
+    """``sum_ij |ii><jj|`` on an original and a retained copy, as
+    ``[row, row copy, column, column copy]``."""
+    e = np.eye(d, dtype=complex)
+    return np.einsum("ij,kl->ijkl", e, e)
 
 
 def link_contraction(w):
     """Five-part state by linking ``w`` with Φ̃ on the slot inputs and Φ⁺ on
-    the slot outputs, tracing ``F`` and relabeling the retained copies."""
-    ja = kron(phi_tilde(w.dim("A0"), "A0", "A0m"),
-              phi_tilde(w.dim("A1"), "A1", "A1m", 1.0 / w.dim("A1")))
-    jb = kron(phi_tilde(w.dim("B0"), "B0", "B0m"),
-              phi_tilde(w.dim("B1"), "B1", "B1m", 1.0 / w.dim("B1")))
-    t = partial_trace(link(link(w, ja), jb), ["F", "A0m", "A1m", "B0m", "B1m"])
-    t = permute(t.relabel({"A0m": "A0", "A1m": "A1", "B0m": "B0", "B1m": "B1"}), TAU_LABELS)
-    return InterventionalState(DensityOperator(t.matrix, t.dims))
+    the slot outputs; the retained copies take the slot labels."""
+    da0, da1, db0, db1, _ = w.dims.dims
+    t = np.einsum("ijklfpqrsg,iIpP,jJqQ,kKrR,lLsS->IJKLfPQRSg", w.tensor(), phi_tilde(da0),
+                  phi_tilde(da1) / da1, phi_tilde(db0), phi_tilde(db1) / db1)
+    return InterventionalState(DensityOperator(t.reshape(w.matrix.shape), w.dims))
 
 
 def dense_purified_unitaries(comb):
@@ -123,41 +129,23 @@ SWITCH_CASES = (
 
 
 class TestLink:
-    def test_disjoint_is_tensor(self):
-        x = random_density(2, 2, 1, dims=[("A", 2)])
-        y = random_density(3, 3, 2, dims=[("B", 3)])
-        out = link(x, y)
-        assert np.allclose(out.matrix, kron(x, y).matrix)
+    """The link product with a channel's Choi operator, as an einsum."""
 
     def test_state_through_choi(self):
         c = random_channel([("I", 2)], [("O", 3)], kraus_rank=2, seed=3)
-        j = choi_from_kraus(c)
         rho = random_density(2, 2, 4, dims=[("I", 2)])
-        out = link(rho, j)
-        assert out.labels == ("O",)
-        assert np.allclose(out.matrix, apply_channel(c, rho).matrix)
-
-    def test_choi_composition(self):
-        c1 = random_channel([("I", 2)], [("M", 3)], kraus_rank=2, seed=5)
-        c2 = random_channel([("M", 3)], [("O", 2)], kraus_rank=2, seed=6)
-        j12 = link(choi_from_kraus(c1), choi_from_kraus(c2))
-        composed = KrausChannel([("I", 2)], [("O", 2)],
-                                [k2 @ k1 for k1 in c1.kraus for k2 in c2.kraus])
-        jc = choi_from_kraus(composed)
-        assert set(j12.labels) == {"I", "O"}
-        from qcausal import permute
-        assert np.allclose(permute(j12, jc.labels).matrix, jc.matrix)
+        out = np.einsum("ij,iajb->ab", rho.matrix, choi(c))
+        assert np.allclose(out, apply_channel(c, rho).matrix)
 
 
 class TestValidatedOperatorsAreLabeled:
-    """States, process matrices and Choi operators are LabeledOperators, so
-    the label algebra takes them as they are."""
+    """States and process matrices are LabeledOperators, so the label
+    algebra takes them as they are."""
 
     def operators(self):
         rho = random_density(6, 3, 8, dims=[("X", 2), ("Y", 3)])
         w = process_matrix_of(SwitchSpec(0.4))
-        j = choi_from_kraus(random_channel([("I", 2)], [("O", 3)], kraus_rank=2, seed=9))
-        return rho, w, j
+        return rho, w
 
     def test_subclasses(self):
         for op in self.operators():
@@ -172,17 +160,6 @@ class TestValidatedOperatorsAreLabeled:
             plain = LabeledOperator(op.matrix, op.dims)
             assert np.array_equal(partial_trace(op, keep).matrix,
                                   partial_trace(plain, keep).matrix)
-
-    def test_kron_and_link(self):
-        rho, w, j = self.operators()
-        anc = random_density(2, 2, 10, dims=[("Z", 2)])
-        for op in (rho, w, j):
-            plain = LabeledOperator(op.matrix, op.dims)
-            assert np.array_equal(kron(op, anc).matrix, kron(plain, anc).matrix)
-            assert np.array_equal(link(op, anc).matrix, link(plain, anc).matrix)
-        state = random_density(2, 2, 11, dims=[("I", 2)])
-        assert np.allclose(link(state, j).matrix,
-                           link(LabeledOperator(state.matrix, state.dims), j).matrix)
 
 
 class TestFixedOrderComb:
@@ -284,12 +261,19 @@ class TestSwitch:
 
 
 class TestProcessMatrix:
-    def test_trace_and_hermiticity(self):
+    def test_trace_and_hermiticity(self, monkeypatch):
         comb = sample_fixed_order_comb(50, order="AB")
         w = process_matrix_of(comb)
-        d_expected = comb.dims["A1"] * comb.dims["B1"]  # trivial P
+        d_expected = comb.dims["A1"] * comb.dims["B1"]
         assert np.isclose(w.matrix.trace().real, d_expected, atol=1e-8)
         assert np.allclose(w.matrix, w.matrix.conj().T)
+        nan = LabeledOperator(np.full(w.matrix.shape, np.nan), w.dims)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ProcessMatrix(nan)
+        # with the Hermiticity check bypassed, the trace check rejects NaN
+        monkeypatch.setattr(process, "_hermitian", lambda m, what="matrix": m)
+        with pytest.raises(ValueError, match="trace nan"):
+            ProcessMatrix(nan)
 
     def test_switch_matrix_is_rank_one(self):
         w = process_matrix_of(SwitchSpec(0.37))
@@ -300,28 +284,17 @@ class TestProcessMatrix:
     def test_born_rule_reproduces_comb(self):
         comb = sample_fixed_order_comb(51, order="BA")
         a, b = slot_channels_for(comb, 151)
-        w = process_matrix_of(comb)
-        ja, jb = choi_from_kraus(a), choi_from_kraus(b)
-        out = apply_process(w, ja, jb)
-        assert out.in_labels == ("P",) and out.out_labels == ("F",)
-        assert np.allclose(out.matrix, comb_apply(comb, a, b).matrix, atol=1e-9)
+        out = born_rule(process_matrix_of(comb), a, b)
+        assert np.isclose(np.trace(out).real, 1.0, atol=1e-9)
+        assert np.allclose(out, comb_apply(comb, a, b).matrix, atol=1e-9)
 
     def test_born_rule_reproduces_switch(self):
         s = SwitchSpec(0.42)
         a = random_channel([("A0", 2)], [("A1", 2)], kraus_rank=2, seed=52)
         b = random_channel([("B0", 2)], [("B1", 2)], kraus_rank=2, seed=53)
-        out = apply_process(process_matrix_of(s), choi_from_kraus(a), choi_from_kraus(b))
+        out = born_rule(process_matrix_of(s), a, b)
         direct = switch_apply(s, a, b)
-        assert np.allclose(out.matrix, direct.matrix, atol=1e-9)
-
-    def test_choi_label_contract(self):
-        w = process_matrix_of(SwitchSpec(0.5))
-        wrong = choi_from_kraus(random_channel([("X", 2)], [("Y", 2)],
-                                               kraus_rank=1, seed=56))
-        good = choi_from_kraus(random_channel([("B0", 2)], [("B1", 2)],
-                                              kraus_rank=1, seed=57))
-        with pytest.raises(ValueError):
-            apply_process(w, wrong, good)
+        assert np.allclose(out, direct.matrix, atol=1e-9)
 
 
 def one_shot_process_matrix(source):
@@ -345,7 +318,7 @@ def one_shot_process_matrix(source):
                    kb.reshape(1, 1, nb, 1, 1, db1, db0),
                    kb.reshape(1, 1, 1, nb, 1, db1, db0))
     w = out.transpose(0, 2, 4, 1, 3, 5).reshape(na * nb * df, na * nb * df)
-    dims = [("P", 1), ("A0", da0), ("A1", da1), ("B0", db0), ("B1", db1), ("F", df)]
+    dims = zip(TAU_LABELS, (da0, da1, db0, db1, df))
     return ProcessMatrix(LabeledOperator(w, dims)).matrix
 
 
@@ -452,12 +425,18 @@ class TestInterventionalState:
         st = interventional_state(SwitchSpec(0.2, future_mode="trace_target"))
         assert st.labels == ("A0", "A1", "B0", "B1", "F")
 
-    def test_invalid_marginal_rejected(self):
+    def test_invalid_marginal_rejected(self, monkeypatch):
         m = np.zeros((32, 32))
         m[0, 0] = 1.0
-        bad = DensityOperator(m, [("A0", 2), ("A1", 2), ("B0", 2), ("B1", 2), ("F", 2)])
-        with pytest.raises(ValueError):
+        five = [("A0", 2), ("A1", 2), ("B0", 2), ("B1", 2), ("F", 2)]
+        bad = DensityOperator(m, five)
+        with pytest.raises(ValueError, match="maximally mixed"):
             InterventionalState(bad)
+        # a NaN marginal fails the marginal check itself once the state's
+        # own validation, which rejects any NaN entry first, is bypassed
+        monkeypatch.setattr(process, "DensityOperator", LabeledOperator)
+        with pytest.raises(ValueError, match="maximally mixed"):
+            InterventionalState(LabeledOperator(np.full((32, 32), np.nan), five))
 
     def test_statevector_needs_wiring(self):
         w = process_matrix_of(SwitchSpec(0.5))
@@ -488,11 +467,11 @@ class TestContractionConvention:
             assert np.array_equal(interventional_state(pc, "contraction").tau.matrix, expect)
 
     def test_nontrivial_past_rejected(self):
+        # a process matrix lives on the five slot and future labels only
         w = process_matrix_of(SwitchSpec(0.4))
-        w2 = ProcessMatrix(LabeledOperator(np.kron(np.eye(2), w.matrix),
-                                           [("P", 2)] + list(w.dims)[1:]))
-        with pytest.raises(ValueError, match="trace 2.0 is not 1"):
-            interventional_state(w2, "contraction")
+        with_past = LabeledOperator(np.kron(np.eye(2), w.matrix), [("P", 2)] + list(w.dims))
+        with pytest.raises(ValueError, match="process matrix needs labels"):
+            ProcessMatrix(with_past)
 
 
 class TestCausalSeparability:

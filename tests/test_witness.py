@@ -16,6 +16,7 @@ from qcausal import (
     DensityOperator,
     SwitchSpec,
     dp_witness,
+    entropy,
     entropy_from_spectrum,
     evaluate,
     interventional_state,
@@ -136,6 +137,31 @@ class TestSwitchClosedForms:
             for spec in (VON_NEUMANN, renyi(0.5), renyi(2.0), MIN_ENTROPY):
                 assert abs(dp_witness(tau, "BA", spec)[0] - closed(lam, spec)) <= 1e-9
                 assert abs(dp_witness(tau, "AB", spec)[0] - closed(1.0 - lam, spec)) <= 1e-9
+
+    def test_upsilon1_full_state_closed_form(self):
+        # with the control traced the five-part state has rank 2 and
+        # eigenvalues (1 ± r) / 2, r = sqrt(1 - 15 lam (1 - lam) / 4); each
+        # family is evaluated here by hand, not by entropy_from_spectrum
+        def closed(p, spec):
+            p = [x for x in p if x > 0.0]
+            if spec.kind == "von_neumann":
+                return -sum(x * math.log2(x) for x in p)
+            if spec.kind == "min":
+                return -math.log2(max(p))
+            if spec.kind == "max":
+                return math.log2(len(p))
+            return math.log2(sum(x ** spec.alpha for x in p)) / (1.0 - spec.alpha)
+
+        specs = (VON_NEUMANN, renyi(0.5), renyi(0.8), renyi(2.0), renyi(3.0),
+                 MIN_ENTROPY, MAX_ENTROPY)
+        for lam in GRID:
+            tau = switch_state(lam, "trace_control").tau
+            r = math.sqrt(1.0 - 15.0 * lam * (1.0 - lam) / 4.0)
+            p = [(1.0 + r) / 2.0, (1.0 - r) / 2.0]
+            # measured at most 1.0e-15 from the eigensolver's spectrum
+            assert np.abs(tau.spectrum() - np.pad(p, (0, 30))).max() <= 1e-14, lam
+            for spec in specs:
+                assert abs(entropy(tau, None, spec) - closed(p, spec)) <= 1e-9, (lam, spec.label)
 
     def test_switch_full_max_entropy_is_minus_log2_5_inside(self):
         # rho_{A1 F} has rank 5 on all of (0, 1): lam/4 three times plus two roots
