@@ -12,7 +12,8 @@ trials with the package's one worker driver, ``_map``, over ``_workers``
 processes (as many as the CPUs this process may use divided by the BLAS
 threads per process), and folds the results in trial order, so a summary is
 the same bit for bit whatever the number of workers; only ``elapsed_s``, the
-wall time, differs.  The CLI maps sweep grid points with the same driver.
+wall time, differs.  The CLI maps the sub-grids of its sweeps with the same
+driver.
 """
 from __future__ import annotations
 

@@ -110,19 +110,28 @@ def entropy_from_spectrum(lam: Sequence[float] | np.ndarray,
 
 
 def entropy(rho: DensityOperator, subsystem: Sequence[str] | None = None,
-            spec: EntropySpec = VON_NEUMANN) -> float:
+            spec: EntropySpec = VON_NEUMANN):
     """Entropy of the state ``rho``, or of its marginal on ``subsystem`` if given.
 
+    A float for a single state; for a stack of states, a read-only array
+    with one entropy per slice, each from :func:`entropy_from_spectrum` of
+    that slice's spectrum, so the same float as for the slice on its own.
     Each marginal is decomposed once and served from the state's memo of
     spectra in every family; each entropy is computed once per label set and
-    family, and a repeat, in any label order, returns the same float.
+    family, and a repeat, in any label order, returns the same value.
     """
     if not isinstance(rho, DensityOperator):
         raise TypeError(f"entropy needs a DensityOperator, got {type(rho).__name__}")
     key = (frozenset(rho.labels if subsystem is None else subsystem), spec)
     value = rho._entropies.get(key)
     if value is None:
-        value = rho._entropies[key] = entropy_from_spectrum(rho.spectrum(subsystem), spec)
+        lam = rho.spectrum(subsystem)
+        if lam.ndim == 1:
+            value = entropy_from_spectrum(lam, spec)
+        else:
+            value = np.array([entropy_from_spectrum(row, spec) for row in lam])
+            value.flags.writeable = False
+        rho._entropies[key] = value
     return value
 
 

@@ -8,6 +8,13 @@ with row axes first.
 
 All structural operations (permutation, partial trace, purification) are
 label-driven; callers never handle raw axis arithmetic.
+
+An operator's matrix may carry one leading stack axis: ``(n, d, d)`` holds n
+operators on the same labels, for example the states of a grid of control
+weights.  Validation, permutation, partial traces, eigensolves and the trace
+distance act on each slice with the same numpy kernel as on a single
+matrix, so a stack gives bit for bit the results of its slices one by one.
+A validation error in a stack names the index of the first failing slice.
 """
 from __future__ import annotations
 
@@ -105,7 +112,7 @@ class LabeledOperator:
     def __init__(self, matrix: np.ndarray, dims: LabeledDims | Iterable[tuple[str, int]]):
         dims = as_dims(dims)
         matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (dims.total, dims.total):
+        if matrix.ndim not in (2, 3) or matrix.shape[-2:] != (dims.total, dims.total):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match total dimension {dims.total} of {dims}"
             )
@@ -120,29 +127,52 @@ class LabeledOperator:
         return self.dims.dim(label)
 
     def tensor(self) -> np.ndarray:
-        """Reshape to one row axis and one column axis per subsystem."""
+        """Reshape to one row axis and one column axis per subsystem, after
+        the stack axis if there is one."""
         shape = self.dims.dims
-        return self.matrix.reshape(shape + shape)
+        return self.matrix.reshape(self.matrix.shape[:-2] + shape + shape)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.dims})"
 
 
+def _require(ok: np.ndarray, values: np.ndarray, message) -> None:
+    """Raise ``ValueError(message(value))`` unless ``ok`` holds.
+
+    ``ok`` and ``values`` are numpy scalars for a single matrix and arrays
+    over the stack axis for a stack; then the message names the first
+    failing slice.  Checks are written so that NaN fails them.
+    """
+    if ok.ndim == 0:
+        if not ok:
+            raise ValueError(message(float(values)))
+    elif not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(f"slice {k}: {message(float(values[k]))}")
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each slice of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """``(m + m†) / 2``, after checking that ``m`` is Hermitian within ``HERM_TOL``."""
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if not dev <= HERM_TOL:
-        raise ValueError(f"{what} is not Hermitian: max deviation {dev:.3e} > {HERM_TOL}")
-    return 0.5 * (m + m.conj().T)
+    dev = np.max(np.abs(m - _adjoint(m)), axis=(-2, -1), initial=0.0)
+    _require(dev <= HERM_TOL, dev,
+             lambda d: f"{what} is not Hermitian: max deviation {d:.3e} > {HERM_TOL}")
+    return 0.5 * (m + _adjoint(m))
 
 
 class DensityOperator(LabeledOperator):
-    """Unit-trace positive semidefinite :class:`LabeledOperator`.
+    """Unit-trace positive semidefinite :class:`LabeledOperator`, or a stack
+    of them.
 
     Construction enforces Hermiticity (within ``HERM_TOL``, then symmetrizes),
     unit trace (within ``TRACE_TOL``) and positivity: eigenvalues in
     ``[-PSD_TOL, 0)`` are clipped to zero and the spectrum renormalized, while
-    anything more negative is a hard error.
+    anything more negative is a hard error.  In a stack each check holds per
+    slice, and only the slices with a negative eigenvalue are rebuilt.
 
     The stored matrix is read-only, so the marginal spectra that
     :meth:`spectrum` memoizes, and the entropies that
@@ -155,24 +185,26 @@ class DensityOperator(LabeledOperator):
     def __init__(self, matrix: np.ndarray, dims: LabeledDims | Iterable[tuple[str, int]]):
         super().__init__(matrix, dims)
         m = _hermitian(self.matrix)
-        tr = float(np.trace(m).real)
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"trace {tr!r} is not 1 within {TRACE_TOL}")
-        lam_min = float(np.linalg.eigvalsh(m)[0])
-        if not lam_min >= -PSD_TOL:
-            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam_min:.3e}")
-        if lam_min < 0.0:
-            lam, v = np.linalg.eigh(m)
-            lam = np.clip(lam, 0.0, None)
-            lam /= lam.sum()
-            m = (v * lam) @ v.conj().T
+        tr = np.trace(m, axis1=-2, axis2=-1).real
+        _require(abs(tr - 1.0) <= TRACE_TOL, tr,
+                 lambda t: f"trace {t!r} is not 1 within {TRACE_TOL}")
+        lam_min = np.linalg.eigvalsh(m)[..., 0]
+        _require(lam_min >= -PSD_TOL, lam_min,
+                 lambda low: f"matrix is not positive semidefinite: min eigenvalue {low:.3e}")
+        clip = lam_min < 0.0
+        if m.ndim == 2:
+            if clip:
+                m = _clip_rebuild(m)
+        elif clip.any():
+            m[clip] = _clip_rebuild(m[clip])
         m.flags.writeable = False
         self.matrix = m
         self._spectra: dict[frozenset[str], np.ndarray] = {}
-        self._entropies: dict[tuple, float] = {}
+        self._entropies: dict[tuple, float | np.ndarray] = {}
 
     def spectrum(self, keep: Sequence[str] | None = None) -> np.ndarray:
-        """Descending spectrum of the marginal on ``keep`` (all labels if None).
+        """Descending spectrum of the marginal on ``keep`` (all labels if None),
+        one row per slice of a stack.
 
         Each label set is decomposed once; later calls, in any label order,
         return the same read-only array.
@@ -184,6 +216,15 @@ class DensityOperator(LabeledOperator):
             lam.flags.writeable = False
             self._spectra[key] = lam
         return lam
+
+
+def _clip_rebuild(m: np.ndarray) -> np.ndarray:
+    """``m`` with its eigenvalues clipped at zero and renormalized to unit
+    trace, for a matrix or each slice of a stack."""
+    lam, v = np.linalg.eigh(m)
+    lam = np.clip(lam, 0.0, None)
+    lam /= lam.sum(axis=-1, keepdims=True)
+    return (v * lam[..., None, :]) @ _adjoint(v)
 
 
 class PureState:
@@ -223,10 +264,13 @@ def permute(a: LabeledOperator, order: Sequence[str]) -> LabeledOperator:
     if tuple(order) == a.labels:
         return LabeledOperator(a.matrix, a.dims)
     n = len(a.dims)
-    perm = [a.dims.index(l) for l in order]
-    axes = perm + [p + n for p in perm]
+    stack = a.matrix.shape[:-2]
+    b = len(stack)
+    perm = [b + a.dims.index(l) for l in order]
+    axes = list(range(b)) + perm + [p + n for p in perm]
     dims = LabeledDims((l, a.dim(l)) for l in order)
-    return LabeledOperator(a.tensor().transpose(axes).reshape(dims.total, dims.total), dims)
+    return LabeledOperator(
+        a.tensor().transpose(axes).reshape(stack + (dims.total, dims.total)), dims)
 
 
 def partial_trace(a: LabeledOperator, keep: Sequence[str]) -> LabeledOperator:
@@ -243,19 +287,20 @@ def partial_trace(a: LabeledOperator, keep: Sequence[str]) -> LabeledOperator:
     out = [i for i in range(n) if a.labels[i] in kept]
     out_axes = out + [n + i for i in out]
     dims = a.dims.restrict(keep)
-    reduced = np.einsum(a.tensor(), row + col, out_axes)
-    return LabeledOperator(reduced.reshape(dims.total, dims.total), dims)
+    reduced = np.einsum(a.tensor(), [...] + row + col, [...] + out_axes)
+    return LabeledOperator(reduced.reshape(a.matrix.shape[:-2] + (dims.total, dims.total)), dims)
 
 
 def herm_eig(a: LabeledOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvectors.
+    """Eigenvalues (descending) and matching orthonormal eigenvectors, of a
+    matrix or of each slice of a stack.
 
     The input must be Hermitian within ``HERM_TOL``; it is symmetrized before
     the solve so the decomposition is exactly real.
     """
     m = a if isinstance(a, np.ndarray) else a.matrix
     lam, v = np.linalg.eigh(_hermitian(np.asarray(m, dtype=complex)))
-    return lam[::-1].copy(), v[:, ::-1].copy()
+    return lam[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def purify(rho: DensityOperator, purifier_label: str = "REF") -> PureState:
@@ -279,10 +324,12 @@ def purify(rho: DensityOperator, purifier_label: str = "REF") -> PureState:
     return PureState(amp, dims)
 
 
-def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float:
-    """Half the trace norm of ``a - b`` after aligning label order."""
+def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float | np.ndarray:
+    """Half the trace norm of ``a - b`` after aligning label order: a float,
+    or an array over the stack axis for stacks."""
     if set(a.labels) != set(b.labels):
         raise ValueError(f"label sets differ: {a.labels} vs {b.labels}")
     diff = a.matrix - permute(b, a.labels).matrix
-    lam = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return 0.5 * float(np.sum(np.abs(lam)))
+    lam = np.linalg.eigvalsh(0.5 * (diff + _adjoint(diff)))
+    dist = 0.5 * np.sum(np.abs(lam), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist

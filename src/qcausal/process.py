@@ -27,7 +27,9 @@ from .labeled import (
     DensityOperator,
     LabeledOperator,
     PureState,
+    _adjoint,
     _hermitian,
+    _require,
     partial_trace,
     permute,
     purify,
@@ -151,13 +153,18 @@ class SwitchSpec:
     and control (``F`` of dimension 4, target most significant),
     ``"trace_control"`` keeps only the target, ``"trace_target"`` only the
     control.
+
+    ``lam`` may also be a one-dimensional array of control weights: the spec
+    then stands for one switch per weight, and
+    :func:`interventional_state` returns their states as a stack.
     """
 
     __slots__ = ("lam", "target", "future_mode")
 
-    def __init__(self, lam: float, target: DensityOperator | None = None,
+    def __init__(self, lam: float | np.ndarray, target: DensityOperator | None = None,
                  future_mode: str = "full"):
-        if not 0.0 <= lam <= 1.0:
+        lams = np.array(lam, dtype=float)
+        if lams.ndim > 1 or lams.size == 0 or not (np.all(0.0 <= lams) and np.all(lams <= 1.0)):
             raise ValueError(f"control weight must lie in [0, 1], got {lam!r}")
         if future_mode not in FUTURE_MODES:
             raise ValueError(f"future_mode must be one of {FUTURE_MODES}, got {future_mode!r}")
@@ -167,7 +174,9 @@ class SwitchSpec:
             target = DensityOperator(m, [("T0", 2)])
         if target.labels != ("T0",) or target.dim("T0") != 2:
             raise ValueError(f"target must be a qubit state on ('T0',), got {target.labels}")
-        self.lam = float(lam)
+        if lams.ndim:
+            lams.flags.writeable = False
+        self.lam = float(lams) if lams.ndim == 0 else lams
         self.target = target
         self.future_mode = future_mode
 
@@ -183,7 +192,7 @@ class ProcessMatrix(LabeledOperator):
     """Two-slot process matrix on ``TAU_LABELS = (A0, A1, B0, B1, F)``.
 
     Hermitian within ``HERM_TOL`` (then symmetrized) with
-    ``Tr W = dim(A1) * dim(B1)``.
+    ``Tr W = dim(A1) * dim(B1)``; in a stack, each slice.
     """
 
     __slots__ = ()
@@ -194,9 +203,9 @@ class ProcessMatrix(LabeledOperator):
         op = permute(op, TAU_LABELS)
         m = _hermitian(op.matrix, "process matrix")
         target = op.dim("A1") * op.dim("B1")
-        tr = float(np.trace(m).real)
-        if not abs(tr - target) <= TRACE_TOL * target:
-            raise ValueError(f"process matrix trace {tr!r} differs from {target}")
+        tr = np.trace(m, axis1=-2, axis2=-1).real
+        _require(abs(tr - target) <= TRACE_TOL * target, tr,
+                 lambda t: f"process matrix trace {t!r} differs from {target}")
         super().__init__(m, op.dims)
 
 
@@ -205,7 +214,8 @@ class InterventionalState:
 
     Labels are ``(A0, A1, B0, B1, F)`` where ``A0``/``B0`` are the stored slot
     inputs and ``A1``/``B1`` the retained halves of the entangled pairs fed to
-    the slot outputs; their marginal is exactly maximally mixed.
+    the slot outputs; their marginal is exactly maximally mixed.  ``tau``
+    may be a stack of such states.
     """
 
     __slots__ = ("tau",)
@@ -216,13 +226,11 @@ class InterventionalState:
         tau = permute(tau, TAU_LABELS)
         tau = DensityOperator(tau.matrix, tau.dims)
         marg = partial_trace(tau, ["A1", "B1"]).matrix
-        d = marg.shape[0]
-        dev = float(np.max(np.abs(marg - np.eye(d) / d)))
-        if not dev <= RECON_TOL:
-            raise ValueError(
-                f"marginal on the retained pair halves deviates from maximally "
-                f"mixed by {dev:.3e}"
-            )
+        d = marg.shape[-1]
+        dev = np.max(np.abs(marg - np.eye(d) / d), axis=(-2, -1))
+        _require(dev <= RECON_TOL, dev,
+                 lambda x: f"marginal on the retained pair halves deviates from "
+                           f"maximally mixed by {x:.3e}")
         self.tau = tau
 
     @property
@@ -318,6 +326,8 @@ def comb_apply(c: FixedOrderComb, a: KrausChannel, b: KrausChannel) -> DensityOp
 def switch_apply(s: SwitchSpec, a: KrausChannel, b: KrausChannel) -> DensityOperator:
     """Feed CPTP qubit channels through the switch; the output lives on the
     declared future (``(T1, C1)``, ``(T1,)`` or ``(C1,)``)."""
+    if np.ndim(s.lam):
+        raise ValueError("switch_apply needs a single control weight, got a stack")
     ka, kb = _slot_channel_stacks(a, b)
     for chan, name in ((a, "a"), (b, "b")):
         if chan.in_dims.total != 2 or chan.out_dims.total != 2:
@@ -431,10 +441,15 @@ def process_matrix_of(source) -> ProcessMatrix:
     intermediate exceeds ``TOMOGRAPHY_BLOCK_BYTES``.  The switch and every
     comb whose full batch fits that budget, which includes all combs of the
     campaign dimension policy, run as one block and give exactly the
-    one-shot matrix.
+    one-shot matrix.  A switch with a stack of control weights gets the
+    stack of its per-weight matrices.
     """
     if isinstance(source, ProcessMatrix):
         return source
+    if isinstance(source, SwitchSpec) and np.ndim(source.lam):
+        ws = [process_matrix_of(SwitchSpec(lam, source.target, source.future_mode))
+              for lam in source.lam]
+        return ProcessMatrix(LabeledOperator(np.stack([w.matrix for w in ws]), ws[0].dims))
     if isinstance(source, PurifiedComb):
         source = as_fixed_order(source)
     if isinstance(source, FixedOrderComb):
@@ -493,13 +508,15 @@ def _apply_iso(arr: np.ndarray, labels: list[str], dims: list[int], u: np.ndarra
 
 def _rdm(arr: np.ndarray, labels: list[str], dims: list[int],
          keep: list[str]) -> tuple[np.ndarray, list[int]]:
-    """Density matrix on ``keep`` (in that order), tracing the rest."""
+    """Density matrix on ``keep`` (in that order), tracing the rest; one per
+    slice when ``arr`` has a leading stack axis before the labeled ones."""
     traced = [l for l in labels if l not in set(keep)]
-    perm = [labels.index(l) for l in keep] + [labels.index(l) for l in traced]
+    b = arr.ndim - len(labels)
+    perm = list(range(b)) + [b + labels.index(l) for l in keep + traced]
     keep_dims = [dims[labels.index(l)] for l in keep]
     dkeep = int(np.prod(keep_dims)) if keep_dims else 1
-    v = arr.transpose(perm).reshape(dkeep, -1)
-    return v @ v.conj().T, keep_dims
+    v = arr.transpose(perm).reshape(arr.shape[:b] + (dkeep, -1))
+    return v @ _adjoint(v), keep_dims
 
 
 def _tau_statevector_purified(pc: PurifiedComb) -> InterventionalState:
@@ -527,6 +544,9 @@ def _tau_statevector_purified(pc: PurifiedComb) -> InterventionalState:
 
 
 def _tau_statevector_switch(s: SwitchSpec) -> InterventionalState:
+    """Wire the switch; a stack of control weights scales the two fixed
+    branch tensors per weight and takes every slice's marginal in one
+    batched product."""
     tpure = purify(s.target, "G")
     dg = tpure.dims.dim("G")
     t_arr = tpure.amplitudes.reshape(2, dg)
@@ -542,9 +562,11 @@ def _tau_statevector_switch(s: SwitchSpec) -> InterventionalState:
     b0 = branch("A0", "B0", "A1", "B1")
     # control |1>: B acts first, A stores B's pair half
     b1 = branch("B0", "A0", "B1", "A1")
-    v = np.zeros(b0.shape + (2,), dtype=complex)
-    v[..., 0] = np.sqrt(s.lam) * b0
-    v[..., 1] = np.sqrt(1.0 - s.lam) * b1
+    stack = np.shape(s.lam)
+    lam = np.reshape(s.lam, stack + (1,) * b0.ndim)
+    v = np.zeros(stack + b0.shape + (2,), dtype=complex)
+    v[..., 0] = np.sqrt(lam) * b0
+    v[..., 1] = np.sqrt(1.0 - lam) * b1
     labels = ["A0", "A1", "B0", "B1", "T1", "G", "C1"]
     dims = [2, 2, 2, 2, 2, dg, 2]
     if s.future_mode == "full":

@@ -71,8 +71,9 @@ def dp_witness(state: InterventionalState | DensityOperator, order: str,
     """Data-processing witness and its fixed-order bound for one order.
 
     Returns ``(value, bound)`` with ``value = H(all five) - H(first-party
-    past)`` in the requested entropy family and ``bound = log2(dim of the
-    second party's retained partner / dim F)``.  Every process with the given
+    past)`` in the requested entropy family (an array over the stack axis
+    for a stack of states) and ``bound = log2(dim of the second party's
+    retained partner / dim F)``.  Every process with the given
     fixed order satisfies ``value >= bound``; ``value < bound`` excludes it.
     """
     first, second = _check_order(order)
@@ -84,7 +85,8 @@ def dp_witness(state: InterventionalState | DensityOperator, order: str,
 
 def marginal_witnesses(state: InterventionalState | DensityOperator, order: str,
                        spec: EntropySpec = VON_NEUMANN) -> tuple[float, float, float]:
-    """Marginal witnesses ``(i1, i2, bound)`` for one order, von Neumann only.
+    """Marginal witnesses ``(i1, i2, bound)`` for one order, von Neumann only;
+    ``i1`` and ``i2`` are arrays over the stack axis for a stack of states.
 
     Both quantities upper-bound the DP witness of the same order for every
     five-system state (strong subadditivity with the retained partners as the
@@ -145,8 +147,11 @@ class WitnessReport:
 
 def evaluate(state: InterventionalState | DensityOperator,
              spec: EntropySpec = VON_NEUMANN, tag: str = "",
-             marginals: bool | None = None) -> WitnessReport:
+             marginals: bool | None = None) -> WitnessReport | list[WitnessReport]:
     """Full witness report for a state: both orders, verdict, marginals.
+
+    A stack of states gets a list with one report per slice, each equal to
+    the report of that slice on its own.
 
     ``marginals=None`` computes them exactly when the family is von Neumann;
     they are always evaluated with von Neumann entropy regardless of the DP
@@ -155,13 +160,8 @@ def evaluate(state: InterventionalState | DensityOperator,
     tau = _as_tau(state)
     dp_ab, bound_ab = dp_witness(tau, "AB", spec)
     dp_ba, bound_ba = dp_witness(tau, "BA", spec)
-    violated_ab = is_violated(dp_ab, bound_ab)
-    violated_ba = is_violated(dp_ba, bound_ba)
     warnings: list[str] = []
-    if spec.validated:
-        verdict = verdict_token(violated_ab, violated_ba)
-    else:
-        verdict = VERDICT_NONE
+    if not spec.validated:
         warnings.append(
             f"entropy family {spec.label} is outside the validated range "
             f"(Renyi alpha >= 1/2); verdict withheld"
@@ -173,14 +173,24 @@ def evaluate(state: InterventionalState | DensityOperator,
         )
     if marginals is None:
         marginals = spec.kind == "von_neumann"
-    i1_ab = i2_ab = i1_ba = i2_ba = None
+    columns = [dp_ab, dp_ba]
     if marginals:
         i1_ab, i2_ab, _ = marginal_witnesses(tau, "AB", VON_NEUMANN)
         i1_ba, i2_ba, _ = marginal_witnesses(tau, "BA", VON_NEUMANN)
-    return WitnessReport(
-        tag=tag, family=spec,
-        dp_ab=dp_ab, bound_ab=bound_ab, dp_ba=dp_ba, bound_ba=bound_ba,
-        violated_ab=violated_ab, violated_ba=violated_ba, verdict=verdict,
-        i1_ab=i1_ab, i2_ab=i2_ab, i1_ba=i1_ba, i2_ba=i2_ba,
-        warnings=tuple(warnings),
-    )
+        columns += [i1_ab, i2_ab, i1_ba, i2_ba]
+
+    def report(dp_ab, dp_ba, i1_ab=None, i2_ab=None, i1_ba=None, i2_ba=None):
+        violated_ab = is_violated(dp_ab, bound_ab)
+        violated_ba = is_violated(dp_ba, bound_ba)
+        verdict = verdict_token(violated_ab, violated_ba) if spec.validated else VERDICT_NONE
+        return WitnessReport(
+            tag=tag, family=spec,
+            dp_ab=dp_ab, bound_ab=bound_ab, dp_ba=dp_ba, bound_ba=bound_ba,
+            violated_ab=violated_ab, violated_ba=violated_ba, verdict=verdict,
+            i1_ab=i1_ab, i2_ab=i2_ab, i1_ba=i1_ba, i2_ba=i2_ba,
+            warnings=tuple(warnings),
+        )
+
+    if tau.matrix.ndim == 2:
+        return report(*columns)
+    return [report(*map(float, values)) for values in zip(*columns)]

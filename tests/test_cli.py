@@ -1,6 +1,7 @@
 """Command-line contract: CSV schema, determinism, exit codes, figure files,
-and grid points on the worker driver."""
+and sub-grids on the worker driver."""
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -297,41 +298,63 @@ class TestReproduce:
             main(["reproduce", "9z"])
         assert exc.value.code == 2
 
+    def test_csv_digests_match_bench_reference(self, tmp_path):
+        # the 13 figure CSVs are the output contract that bench/reference.json pins
+        reference = json.loads((ROOT / "bench" / "reference.json").read_text())["figures"]
+        assert sorted(reference) == sorted(FIGURES)
+        for figure, files in reference.items():
+            out = tmp_path / figure
+            assert main(["reproduce", figure, "--out", str(out)]) == 0
+            got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+            assert got == files, figure
 
-def _run_in_pool(monkeypatch, workers, argv):
-    """``main(argv)`` with ``workers`` capped per run of the driver."""
+
+def _run_in_pool(monkeypatch, workers, argv, points=cli.SUB_GRID_POINTS):
+    """``main(argv)`` with ``workers`` capped per run of the driver and at
+    most ``points`` control weights per sub-grid."""
     monkeypatch.setattr(camp, "_workers", lambda n: min(workers, n))
+    monkeypatch.setattr(cli, "SUB_GRID_POINTS", points)
     return main(argv)
 
 
+# (workers, points per sub-grid): one point per stack in this process, as
+# grids were evaluated before they were stacked; the default cut on two
+# workers; the whole grid as one stack
+GRID_CUTS = ((1, 1), (2, cli.SUB_GRID_POINTS), (1, 101))
+
+
 class TestGridPool:
-    """Grid points on the campaigns' worker driver give the in-process bytes."""
+    """Sub-grids on the campaigns' worker driver give the bytes of the
+    in-process run, however the grid is cut."""
 
     def test_reproduce_files_equal_in_process_run(self, monkeypatch, tmp_path):
-        for workers in (1, 2):
+        for workers, points in GRID_CUTS:
+            out = tmp_path / f"{workers}x{points}"
             for figure in FIGURES:
-                out = tmp_path / str(workers)
-                assert _run_in_pool(monkeypatch, workers, ["reproduce", figure,
-                                                           "--out", str(out)]) == 0
-        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+                assert _run_in_pool(monkeypatch, workers, ["reproduce", figure, "--out",
+                                                           str(out)], points) == 0
+        first, *others = (tmp_path / f"{w}x{p}" for w, p in GRID_CUTS)
+        names = sorted(p.name for p in first.iterdir())
         assert len(names) == 13
-        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
-        for name in names:
-            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+        for other in others:
+            assert names == sorted(p.name for p in other.iterdir())
+            for name in names:
+                assert (other / name).read_bytes() == (first / name).read_bytes(), name
 
     @pytest.mark.parametrize("process", PROCESS_TAGS)
     def test_sweep_both_backends_equal_in_process_run(self, monkeypatch, capsys, process):
         text = {}
-        for workers in (1, 2):
+        for workers, points in GRID_CUTS:
             assert _run_in_pool(monkeypatch, workers, ["sweep", "--process", process,
-                                                       "--backend", "both"]) == 0
-            text[workers] = capsys.readouterr().out
-        assert len(text[1].splitlines()) == 102
-        assert text[2] == text[1]
+                                                       "--backend", "both"], points) == 0
+            text[workers, points] = capsys.readouterr().out
+        assert len(text[GRID_CUTS[0]].splitlines()) == 102
+        assert len(set(text.values())) == 1
 
     def test_one_point_builds_no_pool(self, monkeypatch):
+        # a grid of at most SUB_GRID_POINTS weights is one sub-grid, run here
         def no_fork():
-            raise AssertionError("a one-point sweep forked a worker")
+            raise AssertionError("a sweep of one sub-grid forked a worker")
 
         monkeypatch.setattr(camp.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -339,14 +362,21 @@ class TestGridPool:
         assert camp._workers(2) == 2
         [(lam, report)] = sweep_reports("switch_full", [0.3], VON_NEUMANN)
         assert lam == 0.3 and report.tag == "switch_full@0.3"
+        n = cli.SUB_GRID_POINTS
+        rows = sweep_reports("switch_full", np.linspace(0.0, 1.0, n), VON_NEUMANN)
+        assert [r.tag for _, r in rows[::n - 1]] == ["switch_full@0", "switch_full@1"]
+        with pytest.raises(AssertionError, match="forked a worker"):
+            sweep_reports("switch_full", np.linspace(0.0, 1.0, n + 1), VON_NEUMANN)
 
     def test_one_point_imports_no_pool_modules(self):
-        # a two-worker map forks without the pool modules and starts no thread
+        # a two-worker map of sub-grids forks without the pool modules and
+        # starts no thread
         code = ("import sys, threading\n"
                 "from qcausal import VON_NEUMANN\n"
                 "from qcausal.campaigns import _map\n"
-                "from qcausal.cli import sweep_reports\n"
-                "sweep_reports('switch_full', [0.3], VON_NEUMANN)\n"
+                "from qcausal.cli import SUB_GRID_POINTS, sweep_reports\n"
+                "lams = [k / 40 for k in range(2 * SUB_GRID_POINTS + 1)]\n"
+                "assert len(sweep_reports('switch_full', lams, VON_NEUMANN)) == len(lams)\n"
                 "threads = threading.active_count()\n"
                 "assert _map(abs, [-1, -2, -3], 2) == [1, 2, 3]\n"
                 "assert threading.active_count() == threads\n"
@@ -361,14 +391,22 @@ class TestGridPool:
     def test_backend_mismatch_in_a_worker_exits_1(self, monkeypatch, capsys):
         # the backends disagree only in processes other than this one
         parent = os.getpid()
-        monkeypatch.setattr(cli, "trace_distance",
-                            lambda a, b: 0.0 if os.getpid() == parent else 1.0)
+        monkeypatch.setattr(cli, "trace_distance", lambda a, b: np.full(
+            a.matrix.shape[0], 0.0 if os.getpid() == parent else 1.0))
         rc = _run_in_pool(monkeypatch, 2, ["sweep", "--process", "upsilon1",
-                                           "--lambda-steps", "5", "--backend", "both"])
+                                           "--lambda-steps", "40", "--backend", "both"])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: backends disagree at upsilon1 lambda=")
+        assert captured.err.startswith("error: backends disagree at upsilon1 lambda=0: ")
+        # the error names the weight of the slice that disagrees
+        monkeypatch.setattr(cli, "trace_distance",
+                            lambda a, b: 1.0 * (np.arange(a.matrix.shape[0]) == 2))
+        rc = _run_in_pool(monkeypatch, 1, ["sweep", "--process", "upsilon1",
+                                           "--lambda-steps", "5", "--backend", "both"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: backends disagree at upsilon1 lambda=0.5: ")
 
 
 class TestConsoleScript:

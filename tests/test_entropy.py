@@ -228,14 +228,18 @@ class TestEntropyMemo:
         assert len(calls) == 3 * len(specs)
 
     def test_grid_point_computes_each_entropy_once(self, monkeypatch):
-        # 10 distinct von Neumann marginals (the DP terms and the marginal
-        # witnesses of both orders), plus the 3 DP terms of each Renyi family
+        # per point of a sub-grid: 10 distinct von Neumann marginals (the DP
+        # terms and the marginal witnesses of both orders), plus the 3 DP
+        # terms of each Renyi family
         calls = _count_entropy_calls(monkeypatch)
         specs = (VON_NEUMANN, renyi(0.5), renyi(0.65), renyi(0.8))
-        reports = cli._grid_point("upsilon2", specs, "statevector", 0.3)
-        assert [r.family for r in reports] == list(specs)
-        assert len(calls) == 19
-        assert calls.count(VON_NEUMANN) == 10
+        lams = [0.1, 0.3, 0.7]
+        points = cli._sub_grid("upsilon2", specs, "statevector", lams)
+        assert len(points) == len(lams)
+        for reports in points:
+            assert [r.family for r in reports] == list(specs)
+        assert len(calls) == 19 * len(lams)
+        assert calls.count(VON_NEUMANN) == 10 * len(lams)
 
 
 class TestSSA:
