@@ -157,11 +157,20 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def _hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """``(m + m†) / 2``, after checking that ``m`` is Hermitian within ``HERM_TOL``."""
-    dev = np.max(np.abs(m - _adjoint(m)), axis=(-2, -1), initial=0.0)
+    """``(m + m†) / 2``, after checking that ``m`` is Hermitian within ``HERM_TOL``.
+
+    One copy of ``m†`` and one result array serve both steps: every
+    full-size temporary of a stack is memory the allocator may hand back to
+    the system and fault in again on the next stack.
+    """
+    adj = _adjoint(m)
+    out = m - adj
+    dev = np.max(np.abs(out), axis=(-2, -1), initial=0.0)
     _require(dev <= HERM_TOL, dev,
              lambda d: f"{what} is not Hermitian: max deviation {d:.3e} > {HERM_TOL}")
-    return 0.5 * (m + _adjoint(m))
+    np.add(m, adj, out=out)
+    out *= 0.5
+    return out
 
 
 class DensityOperator(LabeledOperator):
@@ -195,8 +204,10 @@ class DensityOperator(LabeledOperator):
         if m.ndim == 2:
             if clip:
                 m = _clip_rebuild(m)
-        elif clip.any():
-            m[clip] = _clip_rebuild(m[clip])
+        else:
+            # slice by slice, so a stack allocates no stack-sized eigenvectors
+            for k in np.flatnonzero(clip):
+                m[k] = _clip_rebuild(m[k])
         m.flags.writeable = False
         self.matrix = m
         self._spectra: dict[frozenset[str], np.ndarray] = {}
@@ -220,11 +231,11 @@ class DensityOperator(LabeledOperator):
 
 def _clip_rebuild(m: np.ndarray) -> np.ndarray:
     """``m`` with its eigenvalues clipped at zero and renormalized to unit
-    trace, for a matrix or each slice of a stack."""
+    trace."""
     lam, v = np.linalg.eigh(m)
     lam = np.clip(lam, 0.0, None)
-    lam /= lam.sum(axis=-1, keepdims=True)
-    return (v * lam[..., None, :]) @ _adjoint(v)
+    lam /= lam.sum()
+    return (v * lam) @ v.conj().T
 
 
 class PureState:
