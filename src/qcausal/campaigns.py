@@ -6,14 +6,25 @@ campaigns the slack is ``value - bound``; for agreement campaigns it is minus
 the observed distance.  All randomness derives from per-trial seeds
 ``seed + t`` so trials are order-independent and reproducible.
 
-Each campaign is a module-level trial function ``trial(seed, t)`` returning
-that trial's ``(worst slack, failures)``, run by ``_run``.  It maps the
-trials with the package's one worker driver, ``_map``, over ``_workers``
-processes (as many as the CPUs this process may use divided by the BLAS
-threads per process), and folds the results in trial order, so a summary is
+Every trial gives a ``(worst slack, failures)`` pair, and ``_run`` folds
+the pairs in trial order.  It maps the work with the package's one worker
+driver, ``_map``, over ``_workers`` processes (as many as the CPUs this
+process may use divided by the BLAS threads per process), so a summary is
 the same bit for bit whatever the number of workers; only ``elapsed_s``, the
 wall time, differs.  The CLI maps the sub-grids of its sweeps with the same
 driver.
+
+``lemma1``, ``lemma3`` and ``crosscheck`` are a module-level trial function
+``trial(seed, t)`` each, mapped one trial per work item: a few lemma3 trials
+take seconds, and idle workers take over the rest.  ``thm1``, ``ssa`` and
+``marginal_bounds`` (the ``STACKED`` campaigns) spend most of a trial in
+Python overhead on a small state, so ``_run`` cuts their trials into
+contiguous blocks of at most ``BLOCK_TRIALS`` (``_blocks``) and maps a block
+function ``block(seed, ts)`` over the blocks.  A block samples each trial
+from its own seed as a trial function would, groups the trials by order and
+labeled dimensions, and validates and evaluates each group as one stack
+(``_stacked``), which gives every trial's values bit for bit.  A block's
+stacks are bounded, so memory does not grow with the trial count.
 """
 from __future__ import annotations
 
@@ -28,13 +39,16 @@ import threading
 import time
 import traceback
 from functools import partial
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from .labeled import herm_eig, trace_distance
+from .labeled import DensityOperator, herm_eig, trace_distance
 from .channels import (
     apply_channel,
     completely_factorizable,
+    _wishart,
     ensure_rng,
     haar_unitary,
     random_channel,
@@ -45,10 +59,12 @@ from .entropy import MIN_ENTROPY, VON_NEUMANN, entropy_from_spectrum, renyi, ssa
 from .process import (
     FUTURE_MODES,
     ORDERS,
+    InterventionalState,
     PureState,
     PurifiedComb,
     SwitchSpec,
     FixedOrderComb,
+    _wire_purified,
     as_fixed_order,
     comb_apply,
     interventional_state,
@@ -64,6 +80,10 @@ DP_FAMILIES = (VON_NEUMANN, renyi(0.5), renyi(0.8), renyi(2.0), MIN_ENTROPY)
 # work items per worker: a few lemma3 trials take seconds each, so chunks
 # stay small enough for idle workers to take over the rest
 CHUNKS_PER_WORKER = 16
+# campaigns whose trials run as same-shape stacks, at most BLOCK_TRIALS
+# trials per work item
+STACKED = frozenset({"thm1", "ssa", "marginal_bounds"})
+BLOCK_TRIALS = 64
 
 # default trial count of each campaign, read by its runner and by the CLI
 DEFAULT_TRIALS = {
@@ -242,12 +262,31 @@ def _read_all(fds: list[int]) -> dict[int, bytes]:
     return {fd: b"".join(p) for fd, p in parts.items()}
 
 
+def _blocks(n: int, cap: int) -> tuple[list[range], int]:
+    """``range(n)`` cut into contiguous parts of at most ``cap`` items, as
+    many as fill every worker equally, and the number of workers."""
+    parts = -(-n // cap)
+    workers = _workers(parts)
+    parts = -(-parts // workers) * workers
+    cuts = [n * k // parts for k in range(parts + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])], workers
+
+
 def _run(campaign: str, trial, trials: int, seed: int, n: int | None = None) -> dict:
-    """Summary of ``trial(seed, t)`` over ``t`` in ``range(n)`` (default
-    ``trials``), on ``_workers(trials)`` processes."""
+    """Summary of the trials ``t`` in ``range(n)`` (default ``trials``).
+
+    ``trial(seed, t)`` gives one trial's pair, on ``_workers(trials)``
+    processes; for a ``STACKED`` campaign ``trial(seed, ts)`` gives the pairs
+    of a block ``ts`` of trials, over the blocks of ``_blocks``.
+    """
     t0 = time.perf_counter()
     n = trials if n is None else n
-    worst, failures = _fold(_map(partial(trial, seed), range(n), _workers(trials)))
+    if campaign in STACKED:
+        blocks, workers = _blocks(n, BLOCK_TRIALS)
+        results = chain.from_iterable(_map(partial(trial, seed), blocks, workers))
+    else:
+        results = _map(partial(trial, seed), range(n), _workers(trials))
+    worst, failures = _fold(results)
     return {
         "campaign": campaign,
         "trials": n,
@@ -321,17 +360,71 @@ def sample_fixed_order_comb(seed, order: str | None = None) -> FixedOrderComb:
     return FixedOrderComb(order, rho, lam1, lam2)
 
 
-def _thm1_trial(seed: int, t: int) -> tuple[float, int]:
-    order = ORDERS[t % 2]
-    tau = interventional_state(sample_purified_comb(seed + t, order=order), "statevector")
-    return _fold(_check(value - bound)
-                 for value, bound in (dp_witness(tau, order, spec) for spec in DP_FAMILIES))
+class _Draw(NamedTuple):
+    """One trial of a block: its index ``t``, the seed it was sampled from,
+    the order its witnesses are evaluated in (None if the evaluation does
+    not take one), and its state's labeled dims and unvalidated matrix."""
+    t: int
+    sample_seed: int
+    order: str | None
+    dims: tuple[tuple[str, int], ...]
+    matrix: np.ndarray
+
+
+def _stacked(campaign: str, seed: int, draws: list[_Draw], build, evaluate) -> list:
+    """``(worst slack, failures)`` of each of ``draws``, in order.
+
+    The draws of one order and dims form one stack: ``build(stack, dims)``
+    validates it into a state and ``evaluate(state, order)`` gives one pair
+    per slice.  When a stack fails validation its matrices are validated one
+    by one, and the first that fails raises a ``ValueError`` that names the
+    campaign, the seed and the trial.
+    """
+    groups: dict[tuple, list[_Draw]] = {}
+    for draw in draws:
+        groups.setdefault((draw.order, draw.dims), []).append(draw)
+    pairs = {}
+    for (order, dims), group in groups.items():
+        try:
+            state = build(np.stack([draw.matrix for draw in group]), dims)
+        except ValueError:
+            for draw in group:
+                try:
+                    build(draw.matrix, dims)
+                except ValueError as exc:
+                    raise ValueError(f"{campaign} campaign, seed {seed}, trial {draw.t} "
+                                     f"(sample seed {draw.sample_seed}): {exc}") from exc
+            raise
+        pairs.update(zip((draw.t for draw in group), evaluate(state, order)))
+    return [pairs[draw.t] for draw in draws]
+
+
+def _interventional(matrix: np.ndarray, dims) -> InterventionalState:
+    # the validation of interventional_state(comb, "statevector")
+    return InterventionalState(DensityOperator(matrix, dims))
+
+
+def _comb_draw(t: int, sample_seed: int, order: str) -> _Draw:
+    """Trial ``t``: the wired state of ``sample_purified_comb(sample_seed, order)``."""
+    matrix, dims = _wire_purified(sample_purified_comb(sample_seed, order=order))
+    return _Draw(t, sample_seed, order, tuple(dims), matrix)
+
+
+def _dp_pairs(tau: InterventionalState, order: str) -> list[tuple[float, int]]:
+    slacks = [value - bound for value, bound in (dp_witness(tau, order, spec)
+                                                 for spec in DP_FAMILIES)]
+    return [_fold(map(_check, trial)) for trial in zip(*slacks)]
+
+
+def _thm1_block(seed: int, ts: range) -> list[tuple[float, int]]:
+    draws = [_comb_draw(t, seed + t, ORDERS[t % 2]) for t in ts]
+    return _stacked("thm1", seed, draws, _interventional, _dp_pairs)
 
 
 def run_thm1(trials: int = DEFAULT_TRIALS["thm1"], seed: int = 0) -> dict:
     """Matching-order DP witness >= its dimension bound on random purified
     combs, across all validated entropy families (shared spectra)."""
-    return _run("thm1", _thm1_trial, trials, seed)
+    return _run("thm1", _thm1_block, trials, seed)
 
 
 def _lemma1_trial(seed: int, t: int) -> tuple[float, int]:
@@ -381,16 +474,25 @@ def run_lemma3(trials: int = DEFAULT_TRIALS["lemma3"], seed: int = 0) -> dict:
     return _run("lemma3", _lemma3_trial, trials, seed)
 
 
-def _ssa_trial(seed: int, t: int) -> tuple[float, int]:
-    rng = ensure_rng(seed + t)
-    rho = random_density(8, rank=int(rng.integers(1, 9)), seed=rng,
-                         dims=[("X", 2), ("Y", 2), ("Z", 2)])
-    return _check(ssa_gap(rho, ["X"], ["Y"], ["Z"]))
+_SSA_DIMS = (("X", 2), ("Y", 2), ("Z", 2))
+
+
+def _ssa_pairs(rho: DensityOperator, order: None) -> list[tuple[float, int]]:
+    return [_check(gap) for gap in ssa_gap(rho, ["X"], ["Y"], ["Z"])]
+
+
+def _ssa_block(seed: int, ts: range) -> list[tuple[float, int]]:
+    draws = []
+    for t in ts:
+        rng = ensure_rng(seed + t)
+        draws.append(_Draw(t, seed + t, None, _SSA_DIMS,
+                           _wishart(8, int(rng.integers(1, 9)), rng)))
+    return _stacked("ssa", seed, draws, DensityOperator, _ssa_pairs)
 
 
 def run_ssa(trials: int = DEFAULT_TRIALS["ssa"], seed: int = 0) -> dict:
     """Strong subadditivity gap >= 0 on random three-qubit states."""
-    return _run("ssa", _ssa_trial, trials, seed)
+    return _run("ssa", _ssa_block, trials, seed)
 
 
 # crosscheck's first trial indices: the switch over every future mode and
@@ -417,25 +519,35 @@ def run_crosscheck(trials: int = DEFAULT_TRIALS["crosscheck"], seed: int = 0) ->
                 n=len(_SWITCH_GRID) + trials)
 
 
-def _marginal_bounds_trial(trials: int, seed: int, t: int) -> tuple[float, int]:
-    if t < trials:
-        rng = ensure_rng(seed + t)
-        dims = _sample_dims(rng)
-        total = math.prod(dims.values())
-        rho = random_density(total, rank=int(rng.integers(1, total + 1)), seed=rng,
-                             dims=list(dims.items()))
-        checks = []
-        for order in ORDERS:
-            dp, _ = dp_witness(rho, order)
-            i1, i2, _ = marginal_witnesses(rho, order)
-            checks.append(_check(min(i1 - dp, i2 - dp)))
-        return _fold(checks)
-    t -= trials
-    order = ORDERS[t % 2]
-    pc = sample_purified_comb(seed + 500_000 + t, order=order)
-    tau = interventional_state(pc, "statevector")
+def _state_draw(t: int, sample_seed: int) -> _Draw:
+    """Trial ``t``: a random five-part state of sampled dims and rank."""
+    rng = ensure_rng(sample_seed)
+    dims = _sample_dims(rng)
+    total = math.prod(dims.values())
+    matrix = _wishart(total, int(rng.integers(1, total + 1)), rng)
+    return _Draw(t, sample_seed, None, tuple(dims.items()), matrix)
+
+
+def _dominance_pairs(rho: DensityOperator, order: None) -> list[tuple[float, int]]:
+    slacks = []
+    for order in ORDERS:
+        dp, _ = dp_witness(rho, order)
+        i1, i2, _ = marginal_witnesses(rho, order)
+        slacks.append([min(a, b) for a, b in zip(i1 - dp, i2 - dp)])
+    return [_fold(map(_check, trial)) for trial in zip(*slacks)]
+
+
+def _bound_pairs(tau: InterventionalState, order: str) -> list[tuple[float, int]]:
     i1, i2, bound = marginal_witnesses(tau, order)
-    return _check(min(i1 - bound, i2 - bound))
+    return [_check(min(a, b)) for a, b in zip(i1 - bound, i2 - bound)]
+
+
+def _marginal_bounds_block(trials: int, seed: int, ts: range) -> list[tuple[float, int]]:
+    states = [_state_draw(t, seed + t) for t in ts if t < trials]
+    combs = [_comb_draw(t, seed + 500_000 + t - trials, ORDERS[(t - trials) % 2])
+             for t in ts if t >= trials]
+    return (_stacked("marginal_bounds", seed, states, DensityOperator, _dominance_pairs)
+            + _stacked("marginal_bounds", seed, combs, _interventional, _bound_pairs))
 
 
 def run_marginal_bounds(trials: int = DEFAULT_TRIALS["marginal_bounds"], seed: int = 0) -> dict:
@@ -443,7 +555,7 @@ def run_marginal_bounds(trials: int = DEFAULT_TRIALS["marginal_bounds"], seed: i
     the DP witness on arbitrary five-system states (trials ``0 .. trials-1``),
     and meet the dimension bound of the matching order on random fixed-order
     processes (trial ``trials + t`` draws from ``seed + 500_000 + t``)."""
-    return _run("marginal_bounds", partial(_marginal_bounds_trial, trials), trials, seed,
+    return _run("marginal_bounds", partial(_marginal_bounds_block, trials), trials, seed,
                 n=2 * trials)
 
 

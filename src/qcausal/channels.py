@@ -81,6 +81,17 @@ class KrausChannel:
         _check_unitary(u)
         return cls(in_dims, out_dims, [u])
 
+    @classmethod
+    def _of_checked_unitary(cls, u: np.ndarray, in_dims, out_dims) -> "KrausChannel":
+        """Channel of a square complex ``u`` that the caller has already
+        checked unitary within ``UNITARY_TOL``, which is stricter than the
+        constructor's ``TRACE_TOL``, so its Gram check could not fail."""
+        chan = cls.__new__(cls)
+        chan.in_dims = as_dims(in_dims)
+        chan.out_dims = as_dims(out_dims)
+        chan.kraus = u[None]
+        return chan
+
     def __repr__(self) -> str:
         return f"KrausChannel({self.in_dims} -> {self.out_dims}, {len(self.kraus)} Kraus)"
 
@@ -144,15 +155,21 @@ def random_pure(d: int, seed: int | np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _wishart(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-trace ``d x d`` Wishart matrix of the given rank drawn from
+    ``rng``, not yet validated: the draw behind :func:`random_density`."""
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return m
+
+
 def random_density(d: int, rank: int, seed: int | np.random.Generator,
                    dims=None) -> DensityOperator:
     """Wishart-distributed density operator of the given rank and dimension."""
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
-    rng = ensure_rng(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
+    m = _wishart(d, rank, ensure_rng(seed))
     if dims is None:
         dims = [("S", d)]
     dims = as_dims(dims)

@@ -127,11 +127,8 @@ def _grid_reports(process: str, lams, specs, backend: str = "statevector"):
     lams = [float(lam) for lam in lams]
     if not lams:
         return []
-    parts = -(-len(lams) // SUB_GRID_POINTS)
-    workers = campaigns._workers(parts)
-    parts = -(-parts // workers) * workers
-    cuts = [len(lams) * k // parts for k in range(parts + 1)]
-    sub_grids = [lams[a:b] for a, b in zip(cuts, cuts[1:])]
+    parts, workers = campaigns._blocks(len(lams), SUB_GRID_POINTS)
+    sub_grids = [lams[part.start:part.stop] for part in parts]
     work = partial(_sub_grid, process, tuple(specs), backend)
     reports = campaigns._map(work, sub_grids, workers)
     return list(zip(lams, (point for sub in reports for point in sub)))

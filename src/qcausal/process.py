@@ -420,12 +420,13 @@ def as_fixed_order(pc: PurifiedComb) -> FixedOrderComb:
     d = pc.dims
     rho = DensityOperator(pc.psi.density().matrix,
                           [(f"{first}0", d[f"{first}0"]), ("E0", d["Q0"])])
-    lambda1 = KrausChannel([(f"{first}1", d[f"{first}1"]), ("E0", d["Q0"])],
-                           [(f"{second}0", d[f"{second}0"]), ("E1", d["Q1"])],
-                           [pc.u1])
-    lambda2 = KrausChannel([(f"{second}1", d[f"{second}1"]), ("E1", d["Q1"])],
-                           [("F", d["F"]), ("E2", d["Q2"])],
-                           [pc.u2])
+    # PurifiedComb checked both unitaries, so the channels skip that check
+    lambda1 = KrausChannel._of_checked_unitary(
+        pc.u1, [(f"{first}1", d[f"{first}1"]), ("E0", d["Q0"])],
+        [(f"{second}0", d[f"{second}0"]), ("E1", d["Q1"])])
+    lambda2 = KrausChannel._of_checked_unitary(
+        pc.u2, [(f"{second}1", d[f"{second}1"]), ("E1", d["Q1"])],
+        [("F", d["F"]), ("E2", d["Q2"])])
     return FixedOrderComb(pc.order, rho, lambda1, lambda2)
 
 
@@ -519,7 +520,9 @@ def _rdm(arr: np.ndarray, labels: list[str], dims: list[int],
     return v @ _adjoint(v), keep_dims
 
 
-def _tau_statevector_purified(pc: PurifiedComb) -> InterventionalState:
+def _wire_purified(pc: PurifiedComb) -> tuple[np.ndarray, list[tuple[str, int]]]:
+    """Matrix and labeled dims of the five-part state of a purified comb,
+    wired but not yet validated."""
     first, second = _check_order(pc.order)
     d = pc.dims
     da1, db1 = d["A1"], d["B1"]
@@ -539,8 +542,11 @@ def _tau_statevector_purified(pc: PurifiedComb) -> InterventionalState:
         arr, labels, dims, pc.u2, [f"{second}1s", "Q1"],
         [("F", d["F"]), ("Q2", d["Q2"])])
     m, keep_dims = _rdm(arr, labels, dims, list(TAU_LABELS))
-    tau = DensityOperator(m, list(zip(TAU_LABELS, keep_dims)))
-    return InterventionalState(tau)
+    return m, list(zip(TAU_LABELS, keep_dims))
+
+
+def _tau_statevector_purified(pc: PurifiedComb) -> InterventionalState:
+    return InterventionalState(DensityOperator(*_wire_purified(pc)))
 
 
 def _tau_statevector_switch(s: SwitchSpec) -> InterventionalState:

@@ -6,8 +6,8 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +17,29 @@ import qcausal.campaigns as camp
 from qcausal import (
     CAMPAIGNS,
     DEFAULT_TRIALS,
+    FUTURE_MODES,
+    MIN_ENTROPY,
+    ORDERS,
     RUNNERS,
     TRACE_TOL,
+    VON_NEUMANN,
     PureState,
     PurifiedComb,
+    SwitchSpec,
+    apply_channel,
+    as_fixed_order,
+    comb_apply,
+    completely_factorizable,
     dp_witness,
+    entropy,
     haar_unitary,
     interventional_state,
+    marginal_witnesses,
+    purify_comb,
+    random_channel,
+    random_density,
     random_pure,
+    renyi,
     run_crosscheck,
     run_lemma1,
     run_lemma3,
@@ -33,6 +48,7 @@ from qcausal import (
     run_thm1,
     sample_fixed_order_comb,
     sample_purified_comb,
+    ssa_gap,
     trace_distance,
 )
 from qcausal.cli import BACKEND_AGREE_TOL
@@ -181,17 +197,109 @@ class TestFold:
         assert math.copysign(1.0, worst) == 1.0
 
 
-# campaign -> (per-trial function of (seed, t), trial indices) at `trials`
-def _trial_plan(name, trials):
-    if name == "crosscheck":
-        return camp._crosscheck_trial, len(camp._SWITCH_GRID) + trials
-    if name == "marginal_bounds":
-        return partial(camp._marginal_bounds_trial, trials), 2 * trials
-    return getattr(camp, f"_{name}_trial"), trials
+# Reference trials of each campaign, built from the public API alone: each
+# gives the slacks of trial t of a run at `seed` with `trials` trials, drawn
+# from the same per-trial seed and in the same order as the campaign draws.
+REF_FAMILIES = (VON_NEUMANN, renyi(0.5), renyi(0.8), renyi(2.0), MIN_ENTROPY)
 
 
-DRIVER_TRIALS = {"thm1": 9, "lemma1": 9, "lemma3": 4, "ssa": 13, "crosscheck": 3,
-                 "marginal_bounds": 6}
+def _ref_pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _ref_dims(rng):
+    while True:
+        dims = {l: _ref_pick(rng, (2, 3)) for l in ("A0", "A1", "B0", "B1", "F")}
+        if math.prod(dims.values()) <= 64:
+            return dims
+
+
+def _ref_thm1(trials, seed, t):
+    order = ORDERS[t % 2]
+    tau = interventional_state(sample_purified_comb(seed + t, order=order), "statevector")
+    return [value - bound for value, bound in (dp_witness(tau, order, spec)
+                                               for spec in REF_FAMILIES)]
+
+
+def _ref_lemma1(trials, seed, t):
+    rng = np.random.default_rng(seed + t)
+    while True:
+        dn, din, dtr = _ref_pick(rng, (2, 3)), _ref_pick(rng, (2, 3, 4)), _ref_pick(rng, (2, 3))
+        if (dn * din) % dtr == 0:
+            break
+    chan = completely_factorizable(haar_unitary(dn * din, rng), dim_noise=dn, dim_in=din,
+                                   dim_traced=dtr)
+    rho = random_density(din, int(rng.integers(1, din + 1)), rng, dims=[("Q1", din)])
+    out = apply_channel(chan, rho)
+    bound = math.log2(dn / dtr)
+    return [entropy(out, spec=spec) - entropy(rho, spec=spec) - bound for spec in REF_FAMILIES]
+
+
+def _ref_lemma3(trials, seed, t):
+    rng = np.random.default_rng(seed + t)
+    comb = sample_fixed_order_comb(rng)
+    flat = as_fixed_order(purify_comb(comb))
+
+    def slot(x0, x1):
+        din, dout = comb.dims[x0], comb.dims[x1]
+        rank = max(int(rng.integers(1, 4)), -(-din // dout))
+        return random_channel([(x0, din)], [(x1, dout)], kraus_rank=rank, seed=rng)
+
+    a, b = slot("A0", "A1"), slot("B0", "B1")
+    return [-float(np.max(np.abs(comb_apply(comb, a, b).matrix
+                                 - comb_apply(flat, a, b).matrix)))]
+
+
+def _ref_ssa(trials, seed, t):
+    rng = np.random.default_rng(seed + t)
+    rho = random_density(8, int(rng.integers(1, 9)), rng, dims=[("X", 2), ("Y", 2), ("Z", 2)])
+    return [ssa_gap(rho, ["X"], ["Y"], ["Z"])]
+
+
+def _ref_crosscheck(trials, seed, t):
+    grid = [(mode, lam) for mode in FUTURE_MODES for lam in (0.0, 0.3, 0.7, 1.0)]
+    if t < len(grid):
+        mode, lam = grid[t]
+        source = SwitchSpec(lam, future_mode=mode)
+    else:
+        source = sample_purified_comb(seed + t - len(grid))
+    return [-trace_distance(interventional_state(source, "statevector").tau,
+                            interventional_state(source, "contraction").tau)]
+
+
+def _ref_marginal_bounds(trials, seed, t):
+    if t < trials:
+        rng = np.random.default_rng(seed + t)
+        dims = _ref_dims(rng)
+        total = math.prod(dims.values())
+        rho = random_density(total, int(rng.integers(1, total + 1)), rng,
+                             dims=list(dims.items()))
+        slacks = []
+        for order in ORDERS:
+            dp, _ = dp_witness(rho, order)
+            i1, i2, _ = marginal_witnesses(rho, order)
+            slacks.append(min(i1 - dp, i2 - dp))
+        return slacks
+    t -= trials
+    order = ORDERS[t % 2]
+    tau = interventional_state(sample_purified_comb(seed + 500_000 + t, order=order))
+    i1, i2, bound = marginal_witnesses(tau, order)
+    return [min(i1 - bound, i2 - bound)]
+
+
+# campaign -> (reference trial, trial indices of a run with `trials` trials)
+REFERENCES = {
+    "thm1": (_ref_thm1, lambda trials: trials),
+    "lemma1": (_ref_lemma1, lambda trials: trials),
+    "lemma3": (_ref_lemma3, lambda trials: trials),
+    "ssa": (_ref_ssa, lambda trials: trials),
+    "crosscheck": (_ref_crosscheck, lambda trials: 12 + trials),
+    "marginal_bounds": (_ref_marginal_bounds, lambda trials: 2 * trials),
+}
+# trial counts per campaign: the stacked campaigns run a stack of one, one
+# block of small stacks, and several blocks (over both workers when two)
+DRIVER_TRIALS = {"thm1": (1, 9, 130), "lemma1": (9,), "lemma3": (4,), "ssa": (1, 13, 200),
+                 "crosscheck": (3,), "marginal_bounds": (1, 6, 70)}
 
 
 def _signed_zero_trial(seed, t):
@@ -265,14 +373,78 @@ class TestWorkers:
 class TestDriver:
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("name", CAMPAIGNS)
-    def test_pool_summary_equals_serial_fold(self, two_workers, name, seed):
-        trials = DRIVER_TRIALS[name]
-        summary = RUNNERS[name](trials=trials, seed=seed)
-        trial, n = _trial_plan(name, trials)
-        worst, failures = camp._fold(map(trial, repeat(seed, n), range(n)))
-        summary.pop("elapsed_s")
-        assert summary == {"campaign": name, "trials": n, "failures": failures,
-                           "worst_slack": worst, "tolerance": camp.TOL, "seed": seed}
+    def test_pool_summary_equals_serial_fold(self, monkeypatch, name, seed):
+        reference, indices = REFERENCES[name]
+        for trials in DRIVER_TRIALS[name]:
+            n = indices(trials)
+            worst, failures = camp._fold(camp._check(slack) for t in range(n)
+                                         for slack in reference(trials, seed, t))
+            expected = {"campaign": name, "trials": n, "failures": failures,
+                        "worst_slack": worst, "tolerance": camp.TOL, "seed": seed}
+            for workers in (1, 2):
+                monkeypatch.setattr(camp, "_workers", lambda k: min(workers, k))
+                summary = RUNNERS[name](trials=trials, seed=seed)
+                summary.pop("elapsed_s")
+                assert summary == expected, (trials, workers)
+
+    @pytest.mark.parametrize("name", sorted(camp.STACKED))
+    def test_block_pairs_in_trial_order(self, name):
+        # at 6 trials, marginal_bounds trials 2-5 are random states and 6-10
+        # combs: the block stacks them apart and returns them in trial order
+        trials, ts = 6, range(2, 11)
+        reference, _ = REFERENCES[name]
+        block = getattr(camp, f"_{name}_block")
+        if name == "marginal_bounds":
+            block = partial(block, trials)
+        assert block(7, ts) == [camp._fold(map(camp._check, reference(trials, 7, t)))
+                                for t in ts]
+
+    def test_blocks_are_bounded_and_fill_the_workers(self, monkeypatch):
+        monkeypatch.setattr(camp, "_workers", lambda k: min(2, k))
+        for n in (1, 5, 64, 65, 130, 1000, 1001):
+            blocks, workers = camp._blocks(n, 64)
+            assert [t for ts in blocks for t in ts] == list(range(n))
+            assert max(map(len, blocks)) <= 64
+            assert workers == (1 if n <= 64 else 2)
+            assert len(blocks) % workers == 0
+            assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_state_in_a_stack_names_the_trial(self, monkeypatch, workers):
+        # trial 70 of seed 3 (sample seed 73) draws a matrix with eigenvalue
+        # -1 in a block of 50 trials; the error names that trial
+        wishart = camp._wishart
+
+        def bad_draw(d, rank, rng):
+            m = wishart(d, rank, rng)
+            if rng.bit_generator.seed_seq.entropy == 73:
+                return np.diag([2.0, -1.0] + [0.0] * (d - 2))
+            return m
+
+        monkeypatch.setattr(camp, "_workers", lambda k: min(workers, k))
+        monkeypatch.setattr(camp, "_wishart", bad_draw)
+        with pytest.raises(ValueError) as info:
+            run_ssa(trials=200, seed=3)
+        message = str(info.value)
+        assert message.startswith("ssa campaign, seed 3, trial 70 (sample seed 73): ")
+        assert "not positive semidefinite" in message
+        assert "slice" not in message
+
+    def test_stacked_peak_memory_does_not_grow_with_trials(self, monkeypatch):
+        # in-process, so tracemalloc sees every block; 8x the trials add
+        # only their result pairs, about 90 bytes each (a peak of 0.38 MB
+        # went to 0.69 MB when measured), while one stack of all 4,000
+        # trials peaked at 19.5 MB
+        monkeypatch.setattr(camp, "_workers", lambda k: 1)
+        peaks = []
+        for trials in (500, 4000):
+            tracemalloc.start()
+            try:
+                run_ssa(trials=trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
     @pytest.mark.parametrize("name", CAMPAIGNS)
     def test_one_trial_builds_no_pool(self, four_cpus, name):
