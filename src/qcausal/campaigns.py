@@ -6,23 +6,25 @@ campaigns the slack is ``value - bound``; for agreement campaigns it is minus
 the observed distance.  All randomness derives from per-trial seeds
 ``seed + t`` so trials are order-independent and reproducible.
 
-Every trial gives a ``(worst slack, failures)`` pair, and ``_run`` folds
-the pairs in trial order.  It maps the work with the package's one worker
-driver, ``_map``, over ``_workers`` processes (as many as the CPUs this
-process may use divided by the BLAS threads per process), so a summary is
-the same bit for bit whatever the number of workers; only ``elapsed_s``, the
-wall time, differs.  The CLI maps the sub-grids of its sweeps with the same
+Every trial gives a ``(worst slack, failures)`` pair.  A campaign hands
+``_run`` a block function ``block(seed, ts)``, the pairs of the trials in
+the range ``ts``.  ``_run`` cuts the trials into contiguous blocks once
+(``_blocks``) and maps them with the package's one worker driver, ``_map``,
+over ``_workers`` processes (as many as the CPUs this process may use
+divided by the BLAS threads per process).  Each block returns the ``_fold``
+of its own pairs, folded again in block order; the fold keeps the first of
+equal minima and NaN once seen, so a summary is the same bit for bit
+whatever the cut and the number of workers; only ``elapsed_s``, the wall
+time, differs.  The CLI maps the sub-grids of its sweeps with the same
 driver.
 
-``lemma1``, ``lemma3`` and ``crosscheck`` are a module-level trial function
-``trial(seed, t)`` each, mapped one trial per work item: a few lemma3 trials
-take seconds, and idle workers take over the rest.  ``thm1``, ``ssa`` and
-``marginal_bounds`` (the ``STACKED`` campaigns) spend most of a trial in
-Python overhead on a small state, so ``_run`` cuts their trials into
-contiguous blocks of at most ``BLOCK_TRIALS`` (``_blocks``) and maps a block
-function ``block(seed, ts)`` over the blocks.  A block samples each trial
-from its own seed as a trial function would, groups the trials by order and
-labeled dimensions, and validates and evaluates each group as one stack
+``lemma1``, ``lemma3`` and ``crosscheck`` run a block's trials one by one
+(``_one_by_one``), in ``BLOCKS_PER_WORKER`` or more blocks per worker: a few
+lemma3 trials take seconds, and idle workers take over the rest.  ``thm1``,
+``ssa`` and ``marginal_bounds`` spend most of a trial in Python overhead on
+a small state, so a block of at most ``BLOCK_TRIALS`` trials samples each
+from its own seed as a trial alone would, groups them by order and labeled
+dimensions, and validates and evaluates each group as one stack
 (``_stacked``), which gives every trial's values bit for bit.  A block's
 stacks are bounded, so memory does not grow with the trial count.
 """
@@ -39,7 +41,6 @@ import threading
 import time
 import traceback
 from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -77,12 +78,11 @@ SLOT_DIMS = (2, 3)
 TAU_DIM_CAP = 64
 # entropy families exercised by the inequality campaigns (validated range)
 DP_FAMILIES = (VON_NEUMANN, renyi(0.5), renyi(0.8), renyi(2.0), MIN_ENTROPY)
-# work items per worker: a few lemma3 trials take seconds each, so chunks
-# stay small enough for idle workers to take over the rest
-CHUNKS_PER_WORKER = 16
-# campaigns whose trials run as same-shape stacks, at most BLOCK_TRIALS
-# trials per work item
-STACKED = frozenset({"thm1", "ssa", "marginal_bounds"})
+# blocks per worker of a campaign whose trials run one by one: a few lemma3
+# trials take seconds each, so blocks stay small enough for idle workers to
+# take over the rest
+BLOCKS_PER_WORKER = 16
+# most trials per block of a campaign whose trials run as same-shape stacks
 BLOCK_TRIALS = 64
 
 # default trial count of each campaign, read by its runner and by the CLI
@@ -152,15 +152,15 @@ def _map(fn, items, workers: int) -> list:
     process when ``workers <= 1``, else on ``workers`` forked processes.
 
     ``fn`` and ``items`` reach the workers by fork, so ``fn`` need not be
-    picklable; its results and exceptions must be.  The workers take
-    contiguous chunks of items one at a time from a shared task pipe and
-    send their pickled ``(index, ok, value)`` triples back on a pipe each.
-    The exception of the first failing item is re-raised here; a worker
-    that exits without reporting is a ``RuntimeError``.
+    picklable; its results and exceptions must be.  The workers take item
+    numbers one at a time from a shared task pipe, and after the last one
+    send their pickled ``(index, ok, value)`` triples back on a pipe each,
+    which is read to its end one worker after another.  The exception of
+    the first failing item is re-raised here; a worker that exits without
+    reporting is a ``RuntimeError``.
     """
     if workers <= 1:
         return list(map(fn, items))
-    chunk = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
     tasks_r, tasks_w = os.pipe()
     fds = {tasks_r, tasks_w}
     pids = {}  # result pipe -> worker pid
@@ -173,16 +173,15 @@ def _map(fn, items, workers: int) -> list:
             fds |= {out_r, out_w}
             pid = os.fork()
             if pid == 0:
-                _work(fn, items, chunk, tasks_r, out_w, fds - {tasks_r, out_w})
+                _work(fn, items, tasks_r, out_w, fds - {tasks_r, out_w})
             os.close(out_w)
             fds.discard(out_w)
             pids[out_r] = pid
         os.close(tasks_r)
         fds.discard(tasks_r)
-        # every chunk number is 4 bytes and a write of at most PIPE_BUF
+        # every item number is 4 bytes and a write of at most PIPE_BUF
         # bytes is atomic, so no worker's read of 4 bytes splits a number
-        chunks = -(-len(items) // chunk)
-        tasks = struct.pack(f"={chunks}I", *range(chunks))
+        tasks = struct.pack(f"={len(items)}I", *range(len(items)))
         try:
             for at in range(0, len(tasks), select.PIPE_BUF):
                 os.write(tasks_w, tasks[at:at + select.PIPE_BUF])
@@ -190,24 +189,28 @@ def _map(fn, items, workers: int) -> list:
             pass
         os.close(tasks_w)
         fds.discard(tasks_w)
-        reports = _read_all(list(pids))
         results = []
         for out_r, pid in list(pids.items()):
+            # a worker writes only after its last task, so reading its pipe
+            # while the others wait to write theirs cannot stall
+            with open(out_r, "rb") as fh:
+                fds.discard(out_r)
+                report = fh.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del pids[out_r]
-            if status != 0 or not reports[out_r]:
+            if status != 0 or not report:
                 raise RuntimeError(f"worker {pid} exited with status {status} "
                                    "before reporting its results")
-            results += pickle.loads(reports[out_r])
+            results += pickle.loads(report)
     finally:
-        for fd in fds:
-            os.close(fd)
         for pid in pids.values():
             try:
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
     results.sort(key=lambda r: r[0])
     for _, ok, value in results:
         if not ok:
@@ -215,9 +218,9 @@ def _map(fn, items, workers: int) -> list:
     return [value for _, _, value in results]
 
 
-def _work(fn, items, chunk: int, tasks: int, out: int, inherited) -> None:
+def _work(fn, items, tasks: int, out: int, inherited) -> None:
     """Body of a forked worker of ``_map``; never returns.  Maps ``fn`` over
-    each chunk whose number it reads from ``tasks``, until that pipe is empty
+    each item whose number it reads from ``tasks``, until that pipe is empty
     and closed, then writes the pickled triples to ``out``."""
     status = 1
     try:
@@ -225,12 +228,11 @@ def _work(fn, items, chunk: int, tasks: int, out: int, inherited) -> None:
             os.close(fd)
         results = []
         while task := os.read(tasks, 4):
-            (k,) = struct.unpack("=I", task)
-            for i in range(k * chunk, min((k + 1) * chunk, len(items))):
-                try:
-                    results.append((i, True, fn(items[i])))
-                except Exception as exc:
-                    results.append((i, False, exc))
+            (i,) = struct.unpack("=I", task)
+            try:
+                results.append((i, True, fn(items[i])))
+            except Exception as exc:
+                results.append((i, False, exc))
         with os.fdopen(out, "wb") as fh:
             fh.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
         status = 0
@@ -244,49 +246,34 @@ def _work(fn, items, chunk: int, tasks: int, out: int, inherited) -> None:
             os._exit(status)
 
 
-def _read_all(fds: list[int]) -> dict[int, bytes]:
-    """Everything written to each of ``fds`` until its writer closes it."""
-    poller = select.poll()
-    for fd in fds:
-        poller.register(fd, select.POLLIN)
-    parts = {fd: [] for fd in fds}
-    left = len(fds)
-    while left:
-        for fd, _ in poller.poll():
-            data = os.read(fd, 1 << 16)
-            if data:
-                parts[fd].append(data)
-            else:
-                poller.unregister(fd)
-                left -= 1
-    return {fd: b"".join(p) for fd, p in parts.items()}
-
-
-def _blocks(n: int, cap: int) -> tuple[list[range], int]:
+def _blocks(n: int, cap: int, workers: int | None = None) -> tuple[list[range], int]:
     """``range(n)`` cut into contiguous parts of at most ``cap`` items, as
-    many as fill every worker equally, and the number of workers."""
+    many as fill every worker equally (but no empty part), and the number of
+    workers: ``workers``, by default ``_workers`` of the parts."""
     parts = -(-n // cap)
-    workers = _workers(parts)
-    parts = -(-parts // workers) * workers
+    if workers is None:
+        workers = _workers(parts)
+    parts = min(n, -(-parts // workers) * workers)
     cuts = [n * k // parts for k in range(parts + 1)]
     return [range(a, b) for a, b in zip(cuts, cuts[1:])], workers
 
 
-def _run(campaign: str, trial, trials: int, seed: int, n: int | None = None) -> dict:
+def _run(campaign: str, block, trials: int, seed: int, n: int | None = None,
+         cap: int | None = None) -> dict:
     """Summary of the trials ``t`` in ``range(n)`` (default ``trials``).
 
-    ``trial(seed, t)`` gives one trial's pair, on ``_workers(trials)``
-    processes; for a ``STACKED`` campaign ``trial(seed, ts)`` gives the pairs
-    of a block ``ts`` of trials, over the blocks of ``_blocks``.
+    ``block(seed, ts)`` gives the pairs of the trials in ``ts``.  The blocks
+    hold at most ``cap`` trials; without a cap they are cut for
+    ``BLOCKS_PER_WORKER`` blocks or more on each of ``_workers(trials)``.
     """
     t0 = time.perf_counter()
     n = trials if n is None else n
-    if campaign in STACKED:
-        blocks, workers = _blocks(n, BLOCK_TRIALS)
-        results = chain.from_iterable(_map(partial(trial, seed), blocks, workers))
+    if cap is None:
+        workers = _workers(trials)
+        blocks, workers = _blocks(n, max(1, n // (workers * BLOCKS_PER_WORKER)), workers)
     else:
-        results = _map(partial(trial, seed), range(n), _workers(trials))
-    worst, failures = _fold(results)
+        blocks, workers = _blocks(n, cap)
+    worst, failures = _fold(_map(lambda ts: _fold(block(seed, ts)), blocks, workers))
     return {
         "campaign": campaign,
         "trials": n,
@@ -296,6 +283,11 @@ def _run(campaign: str, trial, trials: int, seed: int, n: int | None = None) -> 
         "seed": seed,
         "elapsed_s": round(time.perf_counter() - t0, 3),
     }
+
+
+def _one_by_one(trial, seed: int, ts: range):
+    """The pairs of the trials in ``ts``, run one by one as ``trial(seed, t)``."""
+    return map(partial(trial, seed), ts)
 
 
 def _pick(rng, options):
@@ -424,7 +416,7 @@ def _thm1_block(seed: int, ts: range) -> list[tuple[float, int]]:
 def run_thm1(trials: int = DEFAULT_TRIALS["thm1"], seed: int = 0) -> dict:
     """Matching-order DP witness >= its dimension bound on random purified
     combs, across all validated entropy families (shared spectra)."""
-    return _run("thm1", _thm1_block, trials, seed)
+    return _run("thm1", _thm1_block, trials, seed, cap=BLOCK_TRIALS)
 
 
 def _lemma1_trial(seed: int, t: int) -> tuple[float, int]:
@@ -451,7 +443,7 @@ def _lemma1_trial(seed: int, t: int) -> tuple[float, int]:
 
 def run_lemma1(trials: int = DEFAULT_TRIALS["lemma1"], seed: int = 0) -> dict:
     """Entropy gain of completely factorizable channels >= log2 dim ratio."""
-    return _run("lemma1", _lemma1_trial, trials, seed)
+    return _run("lemma1", partial(_one_by_one, _lemma1_trial), trials, seed)
 
 
 def _lemma3_trial(seed: int, t: int) -> tuple[float, int]:
@@ -471,7 +463,7 @@ def _lemma3_trial(seed: int, t: int) -> tuple[float, int]:
 
 def run_lemma3(trials: int = DEFAULT_TRIALS["lemma3"], seed: int = 0) -> dict:
     """comb_apply agrees with the purified form on random channel pairs."""
-    return _run("lemma3", _lemma3_trial, trials, seed)
+    return _run("lemma3", partial(_one_by_one, _lemma3_trial), trials, seed)
 
 
 _SSA_DIMS = (("X", 2), ("Y", 2), ("Z", 2))
@@ -492,7 +484,7 @@ def _ssa_block(seed: int, ts: range) -> list[tuple[float, int]]:
 
 def run_ssa(trials: int = DEFAULT_TRIALS["ssa"], seed: int = 0) -> dict:
     """Strong subadditivity gap >= 0 on random three-qubit states."""
-    return _run("ssa", _ssa_block, trials, seed)
+    return _run("ssa", _ssa_block, trials, seed, cap=BLOCK_TRIALS)
 
 
 # crosscheck's first trial indices: the switch over every future mode and
@@ -515,7 +507,7 @@ def run_crosscheck(trials: int = DEFAULT_TRIALS["crosscheck"], seed: int = 0) ->
     """Statevector and contraction backends agree in trace distance: the
     switch over all future modes and a grid of control weights, plus random
     purified combs."""
-    return _run("crosscheck", _crosscheck_trial, trials, seed,
+    return _run("crosscheck", partial(_one_by_one, _crosscheck_trial), trials, seed,
                 n=len(_SWITCH_GRID) + trials)
 
 
@@ -556,7 +548,7 @@ def run_marginal_bounds(trials: int = DEFAULT_TRIALS["marginal_bounds"], seed: i
     and meet the dimension bound of the matching order on random fixed-order
     processes (trial ``trials + t`` draws from ``seed + 500_000 + t``)."""
     return _run("marginal_bounds", partial(_marginal_bounds_block, trials), trials, seed,
-                n=2 * trials)
+                n=2 * trials, cap=BLOCK_TRIALS)
 
 
 RUNNERS = {

@@ -220,7 +220,12 @@ def cmd_sweep(args) -> int:
     if args.lambda_steps < 2:
         print("error: lambda-steps must be at least 2", file=sys.stderr)
         return 2
-    lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
+    try:
+        lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
+    except MemoryError as exc:
+        print(f"error: no memory for {args.lambda_steps} control weights: {exc}",
+              file=sys.stderr)
+        return 2
     try:
         return _write_after(args.out, lambda: csv_text(
             sweep_reports(args.process, lams, args.entropy, args.backend)))

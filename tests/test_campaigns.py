@@ -387,7 +387,7 @@ class TestDriver:
                 summary.pop("elapsed_s")
                 assert summary == expected, (trials, workers)
 
-    @pytest.mark.parametrize("name", sorted(camp.STACKED))
+    @pytest.mark.parametrize("name", ["marginal_bounds", "ssa", "thm1"])
     def test_block_pairs_in_trial_order(self, name):
         # at 6 trials, marginal_bounds trials 2-5 are random states and 6-10
         # combs: the block stacks them apart and returns them in trial order
@@ -408,6 +408,22 @@ class TestDriver:
             assert workers == (1 if n <= 64 else 2)
             assert len(blocks) % workers == 0
             assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+
+    def test_one_by_one_blocks_are_small_on_the_pool_of_the_trial_count(self, monkeypatch):
+        # blocks of at most n // (workers * BLOCKS_PER_WORKER) trials, none
+        # empty, on _workers(trials): crosscheck's 13 trials at --trials 1
+        # stay in this process
+        seen = []
+        monkeypatch.setattr(camp, "_workers", lambda k: min(2, k))
+        monkeypatch.setattr(camp, "_map", lambda fn, blocks, workers:
+                            seen.append((blocks, workers)) or [])
+        for run, trials in ((run_lemma3, 100), (run_lemma1, 3), (run_crosscheck, 1)):
+            run(trials=trials, seed=0)
+        (lemma3, two), (lemma1, also_two), (crosscheck, one) = seen
+        assert (two, also_two, one) == (2, 2, 1)
+        assert [len(ts) for ts in lemma3] == [2] + [3] * 16 + [2] + [3] * 16
+        assert lemma1 == [range(0, 1), range(1, 2), range(2, 3)]
+        assert crosscheck == [range(t, t + 1) for t in range(13)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_state_in_a_stack_names_the_trial(self, monkeypatch, workers):
@@ -431,20 +447,23 @@ class TestDriver:
         assert "slice" not in message
 
     def test_stacked_peak_memory_does_not_grow_with_trials(self, monkeypatch):
-        # in-process, so tracemalloc sees every block; 8x the trials add
-        # only their result pairs, about 90 bytes each (a peak of 0.38 MB
-        # went to 0.69 MB when measured), while one stack of all 4,000
-        # trials peaked at 19.5 MB
+        # in-process, so tracemalloc sees every block.  A block is folded
+        # where it runs, so 8x the trials add only a pair per block: when
+        # measured, ssa (stacked) peaked at 0.36 and 0.38 MB at 500 and 4,000
+        # trials and lemma1 (one by one) at 0.0205 and 0.0210 MB at 100 and
+        # 800, while one stack of all 4,000 ssa trials peaked at 19.5 MB
         monkeypatch.setattr(camp, "_workers", lambda k: 1)
-        peaks = []
-        for trials in (500, 4000):
-            tracemalloc.start()
-            try:
-                run_ssa(trials=trials, seed=0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 2 * peaks[0], peaks
+        for run, sizes in ((run_ssa, (500, 4000)), (run_lemma1, (100, 800))):
+            run(trials=sizes[0], seed=0)  # first-call allocations are not the trials'
+            peaks = []
+            for trials in sizes:
+                tracemalloc.start()
+                try:
+                    run(trials=trials, seed=0)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] < 1.2 * peaks[0], (run.__name__, peaks)
 
     @pytest.mark.parametrize("name", CAMPAIGNS)
     def test_one_trial_builds_no_pool(self, four_cpus, name):
@@ -457,11 +476,12 @@ class TestDriver:
 
     def test_worker_exception_reaches_caller(self, two_workers):
         with pytest.raises(ValueError, match="trial 5 failed"):
-            camp._run("raising", _raising_trial, trials=8, seed=0)
+            camp._run("raising", partial(camp._one_by_one, _raising_trial), trials=8, seed=0)
 
     def test_results_fold_in_trial_order(self, two_workers):
         # equal minima of either sign: the first trial's sign must survive
-        summary = camp._run("signed_zero", _signed_zero_trial, trials=8, seed=0)
+        summary = camp._run("signed_zero", partial(camp._one_by_one, _signed_zero_trial),
+                            trials=8, seed=0)
         assert summary["worst_slack"] == 0.0
         assert math.copysign(1.0, summary["worst_slack"]) == 1.0
 
@@ -518,6 +538,40 @@ class TestForkDriver:
                        "assert [v for v, _ in out] == [i * i for i in range(70)]\n"
                        "assert len({pid for _, pid in out} - {os.getpid()}) == 2\n"
                        "assert _map(lambda x: -x, [3, 1, 2], 2) == [-3, -1, -2]\n"
+                       + NO_CHILD_LEFT)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize("slow", [0, 1])
+    def test_large_results_in_item_order_whichever_worker_finishes_first(self, slow):
+        # every result pickles to more than a 64 KiB pipe buffer, so a
+        # worker that is done waits on its result pipe until it is read; the
+        # pipes are read in fork order, so with worker 0 slow, worker 1 is
+        # done first and waits for worker 0's pipe to be read to its end
+        done = _python("import os, time\n"
+                       "from qcausal.campaigns import _map\n"
+                       "forked = []  # in a worker: the pids of the workers forked before it\n"
+                       "fork = os.fork\n"
+                       "def fork_and_count():\n"
+                       "    pid = fork()\n"
+                       "    if pid:\n"
+                       "        forked.append(pid)\n"
+                       "    return pid\n"
+                       "os.fork = fork_and_count\n"
+                       "started_r, started_w = os.pipe()\n"
+                       "waited = []\n"
+                       "def big(i):\n"
+                       "    worker = len(forked)\n"
+                       f"    if worker == {slow}:\n"
+                       "        os.write(started_w, b'x')\n"
+                       "        time.sleep(0.5)\n"
+                       "    elif not waited:  # until the slow worker holds an item\n"
+                       "        waited.append(os.read(started_r, 1))\n"
+                       "    return worker, time.monotonic(), bytes([i]) * 70_000\n"
+                       "out = _map(big, range(8), 2)\n"
+                       "assert [r[2] for r in out] == [bytes([i]) * 70_000 for i in range(8)]\n"
+                       "last = {w: max(t for v, t, _ in out if v == w) for w in (0, 1)}\n"
+                       f"assert last[{1 - slow}] < last[{slow}], last\n"
                        + NO_CHILD_LEFT)
         assert done.returncode == 0, done.stderr
         assert done.stdout == ""

@@ -125,6 +125,17 @@ class TestSweep:
     def test_bad_steps_exits_2(self):
         assert main(["sweep", "--process", "upsilon1", "--lambda-steps", "1"]) == 2
 
+    def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # numpy refuses 10**12 weights (7.28 TiB) before touching any memory
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--process", "upsilon1", "--lambda-steps", str(10**12),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no memory for 1000000000000 control weights")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_process_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--process", "bogus"])
@@ -199,7 +210,7 @@ class TestVerify:
         # record the trial count each path hands to the driver instead of running it
         seen = []
 
-        def fake_run(name, trial, trials, seed, n=None):
+        def fake_run(name, block, trials, seed, n=None, cap=None):
             seen.append(trials)
             return {"campaign": name, "trials": trials, "failures": 0}
 
