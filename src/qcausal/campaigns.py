@@ -76,6 +76,10 @@ from .witness import dp_witness, marginal_witnesses
 TOL = 1e-9
 SLOT_DIMS = (2, 3)
 TAU_DIM_CAP = 64
+# dims of Q0 of a sampled purified comb, and of E0 E1 E2 of a sampled
+# fixed-order comb
+Q0_DIMS = (2, 3, 4)
+ENV_DIMS = (1, 2, 3)
 # entropy families exercised by the inequality campaigns (validated range)
 DP_FAMILIES = (VON_NEUMANN, renyi(0.5), renyi(0.8), renyi(2.0), MIN_ENTROPY)
 # blocks per worker of a campaign whose trials run one by one: a few lemma3
@@ -311,7 +315,7 @@ def sample_purified_comb(seed, order: str | None = None) -> PurifiedComb:
     first, second = order[0], order[1]
     while True:
         dims = _sample_dims(rng)
-        dq0 = _pick(rng, (2, 3, 4))
+        dq0 = _pick(rng, Q0_DIMS)
         if (dims[f"{first}1"] * dq0) % dims[f"{second}0"]:
             continue
         dq1 = dims[f"{first}1"] * dq0 // dims[f"{second}0"]
@@ -334,7 +338,7 @@ def sample_fixed_order_comb(seed, order: str | None = None) -> FixedOrderComb:
         order = ORDERS[int(rng.integers(2))]
     first, second = order[0], order[1]
     dims = _sample_dims(rng)
-    de0, de1, de2 = (_pick(rng, (1, 2, 3)) for _ in range(3))
+    de0, de1, de2 = (_pick(rng, ENV_DIMS) for _ in range(3))
     d_rho = dims[f"{first}0"] * de0
     rho = random_density(d_rho, rank=int(rng.integers(1, d_rho + 1)), seed=rng,
                          dims=[(f"{first}0", dims[f"{first}0"]), ("E0", de0)])

@@ -72,15 +72,20 @@ def renyi(alpha: float) -> EntropySpec:
 def _clean_spectrum(lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     low = float(lam.min()) if lam.size else 0.0
-    if low < -PSD_TOL:
-        raise ValueError(f"spectrum has eigenvalue {low:.3e} below -{PSD_TOL}")
+    # written so that NaN fails it
+    if not low >= -PSD_TOL:
+        raise ValueError(f"spectrum has eigenvalue {low:.3e}, not at or above -{PSD_TOL}")
     lam = np.clip(lam, 0.0, None)
     return lam
 
 
 def entropy_from_spectrum(lam: Sequence[float] | np.ndarray,
                           spec: EntropySpec = VON_NEUMANN) -> float:
-    """Entropy of a (sub)normalized spectrum under the chosen family."""
+    """Entropy of a (sub)normalized spectrum under the chosen family.
+
+    A NaN or infinite eigenvalue, or one below ``-PSD_TOL``, raises
+    ``ValueError``.
+    """
     lam = _clean_spectrum(np.asarray(lam))
     support = lam[lam > EIG_FLOOR]
     if support.size == 0:
@@ -90,23 +95,28 @@ def entropy_from_spectrum(lam: Sequence[float] | np.ndarray,
     if spec.kind == "renyi" and math.isinf(spec.alpha):
         spec = MIN_ENTROPY
     if spec.kind == "von_neumann":
-        return float(-np.sum(support * np.log2(support)))
+        h = float(-np.sum(support * np.log2(support)))
+        # an infinite eigenvalue makes h = -inf; the check below rejects it
+        if h > -math.inf:
+            return h
     if spec.kind == "renyi":
         a = spec.alpha
         with np.errstate(over="ignore"):
             power_sum = np.sum(support ** a)
         if np.finfo(float).tiny <= power_sum < math.inf:
             return float(np.log2(power_sum) / (1.0 - a))
-        # at large alpha the direct sum under- or overflows; factor out
-        # lam_max so that the remaining sum lies in [1, rank]
-        top = support.max()
-        return float(a / (1.0 - a) * np.log2(top)
-                     + np.log2(np.sum((support / top) ** a)) / (1.0 - a))
+    top = support.max()
+    if not top < math.inf:
+        raise ValueError("spectrum has an infinite eigenvalue")
     if spec.kind == "min":
-        return float(-np.log2(support.max()))
-    # max-entropy: log2 of the rank
-    rank = int(np.sum(lam > RANK_REL_TOL * lam.max()))
-    return float(np.log2(rank))
+        return float(-np.log2(top))
+    if spec.kind == "max":
+        # log2 of the rank
+        return float(np.log2(int(np.sum(lam > RANK_REL_TOL * top))))
+    # at large alpha the direct sum under- or overflows; factor out
+    # lam_max so that the remaining sum lies in [1, rank]
+    return float(a / (1.0 - a) * np.log2(top)
+                 + np.log2(np.sum((support / top) ** a)) / (1.0 - a))
 
 
 def entropy(rho: DensityOperator, subsystem: Sequence[str] | None = None,

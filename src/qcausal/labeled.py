@@ -203,11 +203,11 @@ class DensityOperator(LabeledOperator):
         clip = lam_min < 0.0
         if m.ndim == 2:
             if clip:
-                m = _clip_rebuild(m)
+                _clip_rebuild(m)
         else:
             # slice by slice, so a stack allocates no stack-sized eigenvectors
             for k in np.flatnonzero(clip):
-                m[k] = _clip_rebuild(m[k])
+                _clip_rebuild(m[k])
         m.flags.writeable = False
         self.matrix = m
         self._spectra: dict[frozenset[str], np.ndarray] = {}
@@ -229,13 +229,16 @@ class DensityOperator(LabeledOperator):
         return lam
 
 
-def _clip_rebuild(m: np.ndarray) -> np.ndarray:
-    """``m`` with its eigenvalues clipped at zero and renormalized to unit
-    trace."""
+def _clip_rebuild(m: np.ndarray) -> None:
+    """Clip the eigenvalues of ``m`` at zero and renormalize them to unit
+    trace, in place."""
     lam, v = np.linalg.eigh(m)
     lam = np.clip(lam, 0.0, None)
     lam /= lam.sum()
-    return (v * lam) @ v.conj().T
+    # m = (v * lam) @ v.conj().T, without a conjugate copy of v or a new result
+    w = v * lam
+    np.conjugate(v, out=v)
+    np.matmul(w, v.T, out=m)
 
 
 class PureState:

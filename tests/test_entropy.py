@@ -108,6 +108,16 @@ class TestSpectrumFormulas:
         with pytest.raises(ValueError):
             entropy_from_spectrum([1.1, -0.1])
 
+    @pytest.mark.parametrize("spec", ALL_SPECS + (renyi(2000.0),), ids=lambda s: s.label)
+    @pytest.mark.parametrize("lam", [[np.nan, 0.5, 0.5], [0.5, 0.5, np.inf], [np.inf],
+                                     [0.5, 0.5, -np.inf]],
+                             ids=["nan", "inf", "only_inf", "minus_inf"])
+    def test_non_finite_spectrum_rejected(self, lam, spec):
+        # a NaN used to drop out of the support (H = 1 bit for the first
+        # spectrum), and +inf gave -inf or NaN; a RuntimeWarning fails too
+        with pytest.raises(ValueError):
+            entropy_from_spectrum(lam, spec)
+
     def test_alpha_near_one_continuity(self):
         for _ in range(20):
             lam = rand_spectrum(6)

@@ -33,6 +33,15 @@ def rand_density_matrix(d, rank=None):
     return m / np.trace(m)
 
 
+def clip_rebuild_reference(m):
+    """Eigenvalues clipped at zero and renormalized, rebuilt through a
+    conjugate copy of the eigenvectors."""
+    lam, v = np.linalg.eigh(m)
+    lam = np.clip(lam, 0.0, None)
+    lam /= lam.sum()
+    return (v * lam) @ v.conj().T
+
+
 class TestLabeledDims:
     def test_basic_accessors(self):
         d = LabeledDims([("A", 2), ("B", 3), ("C", 4)])
@@ -166,6 +175,25 @@ class TestDensityOperator:
         lam, _ = herm_eig(rho)
         assert lam[-1] >= 0.0
         assert np.isclose(np.trace(rho.matrix), 1.0)
+
+    @pytest.mark.parametrize("d", [8, 64, 512])
+    def test_clip_rebuild_is_the_conjugate_copy_bit_for_bit(self, d):
+        # rank d/4: the zero eigenvalues come out of eigvalsh with rounding
+        # of either sign, so some matrices are clipped and rebuilt
+        rng = np.random.default_rng(d)
+        g = rng.normal(size=(4, d, d // 4)) + 1j * rng.normal(size=(4, d, d // 4))
+        m = g @ g.conj().swapaxes(-1, -2)
+        m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+        h = labeled._hermitian(m)
+        clip = np.linalg.eigvalsh(h)[:, 0] < 0.0
+        assert clip.any()
+        expected = np.stack([clip_rebuild_reference(x) if c else x for x, c in zip(h, clip)])
+        k = int(np.argmax(clip))
+        single = h[k].copy()
+        labeled._clip_rebuild(single)
+        assert np.array_equal(single, expected[k])
+        assert np.array_equal(DensityOperator(m[k], [("X", d)]).matrix, expected[k])
+        assert np.array_equal(DensityOperator(m, [("X", d)]).matrix, expected)
 
 
 class TestSpectrumMemo:

@@ -1,4 +1,5 @@
 """Process core: combs, switch, process matrices, Born rule, backends."""
+import itertools
 import math
 import tracemalloc
 
@@ -38,6 +39,7 @@ from qcausal import (
     trace_distance,
 )
 from qcausal.cli import BACKEND_AGREE_TOL
+import qcausal.campaigns as camp
 import qcausal.process as process
 from qcausal.process import _dilation_unitary
 
@@ -338,19 +340,38 @@ def purified_comb_of_shape(order, shape, seed, q0=2):
     return PurifiedComb(order, psi, u1, u2, d)
 
 
+def traced_peak(f):
+    """Traced allocation peak of ``f()``, in bytes."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockedTomography:
     @pytest.fixture
     def comb_blocks(self, monkeypatch):
-        """Count the tomography blocks evaluated through ``_comb_pair_out``."""
-        calls = []
+        """The ``(K, L)`` pairs of A-slot basis maps that each tomography
+        block evaluates through ``_comb_pair_out``, one list per block."""
+        blocks = []
         inner = process._comb_pair_out
 
-        def counting(*args):
-            calls.append(args[1].shape[0])
-            return inner(*args)
+        def recording(c, ka, la, kb, lb):
+            # a basis map is a matrix unit, named by the flat index of its one
+            k = np.argmax(ka.reshape(ka.shape[0], -1), axis=1)
+            l = np.argmax(la.reshape(la.shape[1], -1), axis=1)
+            blocks.append([(i, j) for i in k for j in l])
+            return inner(c, ka, la, kb, lb)
 
-        monkeypatch.setattr(process, "_comb_pair_out", counting)
-        return calls
+        monkeypatch.setattr(process, "_comb_pair_out", recording)
+        return blocks
+
+    @staticmethod
+    def assert_tiles(blocks, na):
+        pairs = [pair for block in blocks for pair in block]
+        assert len(pairs) == len(set(pairs)) == na * na
 
     @pytest.mark.parametrize("mode, lam, target_seed", SWITCH_CASES)
     def test_switch_equals_one_shot(self, mode, lam, target_seed):
@@ -370,24 +391,63 @@ class TestBlockedTomography:
             assert len(comb_blocks) == 1
             assert np.array_equal(w, one_shot_process_matrix(source))
 
+    def test_every_campaign_shape_fits_one_block(self):
+        # every slot, environment and Q dimension that the two samplers can
+        # draw: crosscheck's bit-identical W rests on each being one block
+        def slot_dims():
+            for dims in itertools.product(camp.SLOT_DIMS, repeat=5):
+                if math.prod(dims) <= camp.TAU_DIM_CAP:
+                    yield dict(zip(("A0", "A1", "B0", "B1", "F"), dims))
+
+        shapes = []
+        for order in ("AB", "BA"):
+            first, second = order
+            for d in slot_dims():
+                for e in itertools.product(camp.ENV_DIMS, repeat=3):
+                    shapes.append((order, {**d, **dict(zip(("E0", "E1", "E2"), e))}))
+                for q0 in camp.Q0_DIMS:
+                    q1, r1 = divmod(d[f"{first}1"] * q0, d[f"{second}0"])
+                    q2, r2 = divmod(d[f"{second}1"] * q1, d["F"])
+                    if not r1 and not r2:
+                        shapes.append((order, {**d, "E0": q0, "E1": q1, "E2": q2}))
+        assert len(shapes) > 2 * 6 * 27
+        for order, d in shapes:
+            na = d["A0"] * d["A1"]
+            assert process._comb_block_pairs(order, d) >= na * na, (order, d)
+
     @pytest.mark.parametrize("order", ["AB", "BA"])
     def test_comb_above_budget_is_blocked_and_equals_one_shot(self, order, comb_blocks):
         pc = purified_comb_of_shape(order, (2, 4, 2, 4, 2), seed=7)
         w = process_matrix_of(pc).matrix
         assert len(comb_blocks) > 1
-        assert sum(comb_blocks) == pc.dims["A0"] * pc.dims["A1"]
+        self.assert_tiles(comb_blocks, pc.dims["A0"] * pc.dims["A1"])
+        assert np.array_equal(w, one_shot_process_matrix(pc))
+
+    @pytest.mark.parametrize("budget_pairs", [1, 3, 8, 24])
+    def test_blocks_of_any_size_tile_the_pairs(self, budget_pairs, comb_blocks, monkeypatch):
+        # na = 8: blocks of 3 pairs cut each row into 3 + 3 + 2, blocks of
+        # 24 pairs are three rows, with two rows left for the last block
+        pc = purified_comb_of_shape("BA", (2, 4, 2, 4, 2), seed=8)
+        pairs = process._comb_block_pairs("BA", as_fixed_order(pc).dims)
+        monkeypatch.setattr(process, "TOMOGRAPHY_BLOCK_BYTES",
+                            process.TOMOGRAPHY_BLOCK_BYTES * budget_pairs // pairs)
+        w = process_matrix_of(pc).matrix
+        assert max(len(block) for block in comb_blocks) == budget_pairs
+        self.assert_tiles(comb_blocks, 8)
         assert np.array_equal(w, one_shot_process_matrix(pc))
 
     def test_peak_memory_at_dimension_512(self):
-        # one batch of all slot-map pairs peaks at 256 MB here
+        # one batch of all slot-map pairs peaks at 256 MiB here, blocks that
+        # bounded only their largest intermediate at 35.5 MiB; now the peak
+        # is the validation of the 4 MiB W: W, W†, W - W† and |W - W†|
         pc = purified_comb_of_shape("AB", (4, 4, 4, 4, 2), seed=512)
-        tracemalloc.start()
-        try:
-            process_matrix_of(pc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 64 * 2**20
+        assert traced_peak(lambda: process_matrix_of(pc)) <= 16 * 2**20
+
+    def test_peak_memory_at_dimension_128(self):
+        # one block of the 8 MiB budget and the 256 KiB W; 32.1 MiB when
+        # the budget bounded only a block's largest intermediate
+        pc = purified_comb_of_shape("AB", (2, 4, 2, 4, 2), seed=128)
+        assert traced_peak(lambda: process_matrix_of(pc)) <= 10 * 2**20
 
 
 class TestInterventionalState:
