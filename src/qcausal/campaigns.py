@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .labeled import DensityOperator, herm_eig, trace_distance
+from .labeled import DensityOperator, trace_distance
 from .channels import (
     apply_channel,
     completely_factorizable,
@@ -437,8 +437,8 @@ def _lemma1_trial(seed: int, t: int) -> tuple[float, int]:
     rho = random_density(din, rank=int(rng.integers(1, din + 1)), seed=rng,
                          dims=[("Q1", din)])
     out = apply_channel(chan, rho)
-    lam_in = herm_eig(rho)[0]
-    lam_out = herm_eig(out)[0]
+    lam_in = rho.spectrum()
+    lam_out = out.spectrum()
     bound = math.log2(dout / din)
     return _fold(_check(entropy_from_spectrum(lam_out, spec)
                         - entropy_from_spectrum(lam_in, spec) - bound)

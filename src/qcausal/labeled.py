@@ -156,19 +156,30 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+# The Hermiticity deviation is taken over row blocks of at most this many
+# bytes of ``m - m†``; a smaller matrix or stack is checked in one pass.
+_HERM_BLOCK_BYTES = 1 << 20
+
+
 def _hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """``(m + m†) / 2``, after checking that ``m`` is Hermitian within ``HERM_TOL``.
 
-    One copy of ``m†`` and one result array serve both steps: every
-    full-size temporary of a stack is memory the allocator may hand back to
-    the system and fault in again on the next stack.
+    ``m†`` is written once, into the C-contiguous result, and ``m`` is added
+    in place, so besides ``m`` the one full-size array is the result; the
+    values are those of ``(m + m†) * 0.5`` bit for bit.
     """
-    adj = _adjoint(m)
-    out = m - adj
-    dev = np.max(np.abs(out), axis=(-2, -1), initial=0.0)
+    out = np.conjugate(m.swapaxes(-1, -2), order="C")
+    if out.nbytes <= _HERM_BLOCK_BYTES:
+        dev = np.max(np.abs(m - out), axis=(-2, -1), initial=0.0)
+    else:
+        rows = max(1, _HERM_BLOCK_BYTES * m.shape[-1] // out.nbytes)
+        dev = 0.0
+        for r in range(0, m.shape[-1], rows):
+            dev = np.maximum(dev, np.max(np.abs(m[..., r:r + rows, :] - out[..., r:r + rows, :]),
+                                         axis=(-2, -1)))
     _require(dev <= HERM_TOL, dev,
              lambda d: f"{what} is not Hermitian: max deviation {d:.3e} > {HERM_TOL}")
-    np.add(m, adj, out=out)
+    out += m
     out *= 0.5
     return out
 
@@ -223,7 +234,8 @@ class DensityOperator(LabeledOperator):
         key = frozenset(self.labels if keep is None else keep)
         lam = self._spectra.get(key)
         if lam is None:
-            lam = herm_eig(partial_trace(self, key))[0]
+            # the eigenvalues of herm_eig, without its eigenvector copy
+            lam = np.linalg.eigh(_hermitian(partial_trace(self, key).matrix))[0][..., ::-1].copy()
             lam.flags.writeable = False
             self._spectra[key] = lam
         return lam
@@ -344,6 +356,11 @@ def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float | np.ndarray
     if set(a.labels) != set(b.labels):
         raise ValueError(f"label sets differ: {a.labels} vs {b.labels}")
     diff = a.matrix - permute(b, a.labels).matrix
-    lam = np.linalg.eigvalsh(0.5 * (diff + _adjoint(diff)))
+    # 0.5 * (diff + diff†) in place; diff is let go before the eigensolve
+    h = np.conjugate(diff.swapaxes(-1, -2), order="C")
+    h += diff
+    del diff
+    h *= 0.5
+    lam = np.linalg.eigvalsh(h)
     dist = 0.5 * np.sum(np.abs(lam), axis=-1)
     return float(dist) if dist.ndim == 0 else dist

@@ -459,9 +459,10 @@ def process_matrix_of(source) -> ProcessMatrix:
     ``K`` and ``L``, so that the traced peak of one block stays within
     ``TOMOGRAPHY_BLOCK_BYTES``, and each block is written into ``W`` in
     place.  At five-part dimension 128 / 256 / 512 the traced peak of this
-    function is 8.3 / 9.0 / 14.0 MiB, against 32.1 / 32.5 / 35.5 MiB when
-    the budget bounded only a block's largest intermediate; at 512 the peak
-    is the validation of ``W``, not a block.  The switch and
+    function is 8.3 / 9.0 / 12.0 MiB, against 32.1 / 32.5 / 35.5 MiB when
+    the budget bounded only a block's largest intermediate.  Validating
+    ``W`` holds ``W`` and its symmetrized copy, 9.5 MiB at 512, and is the
+    peak from dimension 1024 on (33.5 MiB).  The switch and
     every comb whose full batch fits that budget, which includes all combs
     of the campaign dimension policy, run as one block and give exactly the
     one-shot matrix.  A switch with a stack of control weights gets the
@@ -608,14 +609,21 @@ def _tau_statevector_switch(s: SwitchSpec) -> InterventionalState:
     return InterventionalState(tau)
 
 
-def _tau_contraction(w: ProcessMatrix) -> InterventionalState:
-    """Five-part state ``W / (d_A1 d_B1)`` of a process matrix.
+def _tau_contraction(source) -> InterventionalState:
+    """Five-part state ``W / (d_A1 d_B1)`` of the process matrix of ``source``.
 
     Linking ``W`` with Φ̃ on each slot input and Φ⁺ on each slot output, then
     relabeling the retained halves, gives exactly this rescale (link-product
     algebra, Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009).
+    A ``W`` built here is rescaled in place and let go before the second
+    validation; a :class:`ProcessMatrix` passed in is copied first.
     """
-    return InterventionalState(DensityOperator(w.matrix / (w.dim("A1") * w.dim("B1")), w.dims))
+    w = process_matrix_of(source)
+    m = w.matrix.copy() if w is source else w.matrix
+    m /= w.dim("A1") * w.dim("B1")
+    tau = DensityOperator(m, w.dims)
+    del w, m
+    return InterventionalState(tau)
 
 
 def interventional_state(source, backend: str = "statevector") -> InterventionalState:
@@ -639,5 +647,5 @@ def interventional_state(source, backend: str = "statevector") -> Interventional
                              "use backend='contraction'")
         raise TypeError(f"cannot build an interventional state from {type(source).__name__}")
     if backend == "contraction":
-        return _tau_contraction(process_matrix_of(source))
+        return _tau_contraction(source)
     raise ValueError(f"backend must be 'statevector' or 'contraction', got {backend!r}")

@@ -1,11 +1,13 @@
 """Labeled tensor core: dims bookkeeping, permutation, traces, purification."""
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 import qcausal.labeled as labeled
 from qcausal import (
+    HERM_TOL,
     DensityOperator,
     LabeledDims,
     LabeledOperator,
@@ -137,6 +139,59 @@ class TestHermEig:
         for m in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)):
             with pytest.raises(ValueError, match="not Hermitian"):
                 herm_eig(m)
+
+
+def near_hermitian(shape, dev, seed):
+    """Random matrix or stack whose deviation ``|m - m†|`` peaks at about
+    ``dev``; exactly Hermitian for ``dev = 0``."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h = (g + g.conj().swapaxes(-1, -2)) / 2
+    k = (g - g.conj().swapaxes(-1, -2)) / 2
+    return h + k * (dev / (2 * np.abs(k).max())) if k.size else h
+
+
+class TestHermitian:
+    """``_hermitian`` takes its deviation over row blocks and sums in its
+    result buffer; both give the values of the one-expression form."""
+
+    SHAPES = [(1, 1), (4, 4), (64, 64), (512, 512), (3, 8, 8), (40, 64, 64), (0, 5, 5)]
+
+    @pytest.mark.parametrize("block_bytes", [1, labeled._HERM_BLOCK_BYTES])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equals_symmetrized_sum_bit_for_bit(self, shape, block_bytes, monkeypatch):
+        # one byte forces one row per block; the default reduces the
+        # (512, 512) matrix and the 2.5 MiB stack in several blocks
+        monkeypatch.setattr(labeled, "_HERM_BLOCK_BYTES", block_bytes)
+        for seed, dev in enumerate((0.0, 1e-14, 0.99 * HERM_TOL)):
+            m = near_hermitian(shape, dev, seed)
+            before = m.copy()
+            h = labeled._hermitian(m)
+            assert np.array_equal(h, (m + m.conj().swapaxes(-1, -2)) * 0.5)
+            assert h.flags.c_contiguous
+            assert np.array_equal(m, before)
+
+    @pytest.mark.parametrize("block_bytes", [1, 2048, labeled._HERM_BLOCK_BYTES])
+    def test_failing_stack_names_first_slice_and_its_deviation(self, block_bytes, monkeypatch):
+        monkeypatch.setattr(labeled, "_HERM_BLOCK_BYTES", block_bytes)
+        m = near_hermitian((6, 16, 16), 1e-14, seed=3)
+        m[4, 2, 9] += 5e-7     # larger, but in a later slice
+        m[2, 13, 1] += 3e-8    # the first failing slice, in its last rows
+        m[2, 0, 5] += 2e-8
+        dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        assert list(np.flatnonzero(dev > HERM_TOL)) == [2, 4]
+        message = f"slice 2: matrix is not Hermitian: max deviation {dev[2]:.3e} > {HERM_TOL}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            labeled._hermitian(m)
+        with pytest.raises(ValueError, match=re.escape(f"max deviation {dev[4]:.3e} >")):
+            labeled._hermitian(m[4])
+        # a NaN on the diagonal fails its slice whether its row block comes
+        # first or last
+        for row in (0, 15):
+            bad = m.copy()
+            bad[1, row, row] = np.nan
+            with pytest.raises(ValueError, match="slice 1: .* max deviation nan"):
+                labeled._hermitian(bad)
 
 
 class TestDensityOperator:

@@ -438,10 +438,25 @@ class TestBlockedTomography:
 
     def test_peak_memory_at_dimension_512(self):
         # one batch of all slot-map pairs peaks at 256 MiB here, blocks that
-        # bounded only their largest intermediate at 35.5 MiB; now the peak
-        # is the validation of the 4 MiB W: W, W†, W - W† and |W - W†|
+        # bounded only their largest intermediate at 35.5 MiB, and the
+        # validation of the 4 MiB W at 14.0 MiB while it held W, W†, W - W†
+        # and |W - W†|; now it holds W and its result, and a block is the peak
         pc = purified_comb_of_shape("AB", (4, 4, 4, 4, 2), seed=512)
-        assert traced_peak(lambda: process_matrix_of(pc)) <= 16 * 2**20
+        assert traced_peak(lambda: process_matrix_of(pc)) <= 12.5 * 2**20
+
+    def test_contraction_peak_memory_at_dimension_512(self):
+        # 20.1 MiB while W stayed alive beside its rescaled copy; now W is
+        # rescaled in place and released before the second validation
+        pc = purified_comb_of_shape("AB", (4, 4, 4, 4, 2), seed=512)
+        assert traced_peak(lambda: interventional_state(pc, "contraction")) <= 17 * 2**20
+
+    def test_trace_distance_peak_memory_at_dimension_512(self):
+        # the difference and its adjoint, summed in place; 12.1 MiB when the
+        # sum and its half were new arrays.  Any two matrices make the same
+        # temporaries as two five-part states.
+        rng = np.random.default_rng(512)
+        a, b = (LabeledOperator(rng.normal(size=(512, 512)), [("X", 512)]) for _ in range(2))
+        assert traced_peak(lambda: trace_distance(a, b)) <= 8.5 * 2**20
 
     def test_peak_memory_at_dimension_128(self):
         # one block of the 8 MiB budget and the 256 KiB W; 32.1 MiB when
@@ -525,6 +540,19 @@ class TestContractionConvention:
         for pc in combs:
             expect = link_contraction(process_matrix_of(pc)).tau.matrix
             assert np.array_equal(interventional_state(pc, "contraction").tau.matrix, expect)
+
+    def test_caller_process_matrix_is_left_as_it_was(self):
+        # only a W reconstructed inside the call is rescaled in place; a
+        # caller's is copied, and both routes give the out-of-place rescale
+        for source in (sample_purified_comb(5), SwitchSpec(np.array([0.0, 0.3, 1.0]))):
+            w = process_matrix_of(source)
+            before = w.matrix.copy()
+            ct = interventional_state(w, "contraction").tau.matrix
+            assert np.array_equal(w.matrix, before)
+            assert np.array_equal(ct, interventional_state(source, "contraction").tau.matrix)
+            scale = w.dim("A1") * w.dim("B1")
+            expect = InterventionalState(DensityOperator(before / scale, w.dims)).tau.matrix
+            assert np.array_equal(ct, expect)
 
     def test_nontrivial_past_rejected(self):
         # a process matrix lives on the five slot and future labels only
