@@ -108,9 +108,7 @@ def _sub_grid(process: str, specs, backend: str, lams: list[float]) -> list[list
                 )
     else:
         tau = interventional_state(s, backend)
-    # marginal witnesses are always included (von Neumann) so the CSV schema
-    # does not depend on the entropy family chosen for the DP columns
-    families = [evaluate(tau, spec=spec, marginals=True) for spec in specs]
+    families = [evaluate(tau, spec=spec) for spec in specs]
     return [[replace(r, tag=f"{process}@{lam:.6g}") for r in reports]
             for lam, reports in zip(lams, zip(*families))]
 

@@ -151,11 +151,6 @@ def _require(ok: np.ndarray, values: np.ndarray, message) -> None:
         raise ValueError(f"slice {k}: {message(float(values[k]))}")
 
 
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each slice of a stack."""
-    return m.conj().swapaxes(-1, -2)
-
-
 # The Hermiticity deviation is taken over row blocks of at most this many
 # bytes of ``m - m†``; a smaller matrix or stack is checked in one pass.
 _HERM_BLOCK_BYTES = 1 << 20
@@ -211,14 +206,11 @@ class DensityOperator(LabeledOperator):
         lam_min = np.linalg.eigvalsh(m)[..., 0]
         _require(lam_min >= -PSD_TOL, lam_min,
                  lambda low: f"matrix is not positive semidefinite: min eigenvalue {low:.3e}")
-        clip = lam_min < 0.0
-        if m.ndim == 2:
-            if clip:
-                _clip_rebuild(m)
-        else:
-            # slice by slice, so a stack allocates no stack-sized eigenvectors
-            for k in np.flatnonzero(clip):
-                _clip_rebuild(m[k])
+        # slice by slice, so a stack allocates no stack-sized eigenvectors;
+        # a single matrix is the one slice of this view of m
+        slices = m.reshape(-1, *m.shape[-2:])
+        for k in np.flatnonzero(lam_min < 0.0):
+            _clip_rebuild(slices[k])
         m.flags.writeable = False
         self.matrix = m
         self._spectra: dict[frozenset[str], np.ndarray] = {}

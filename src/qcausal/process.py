@@ -25,9 +25,9 @@ from .labeled import (
     RECON_TOL,
     TRACE_TOL,
     DensityOperator,
+    LabeledDims,
     LabeledOperator,
     PureState,
-    _adjoint,
     _hermitian,
     _require,
     partial_trace,
@@ -72,20 +72,14 @@ class FixedOrderComb:
         want_rho = (f"{first}0", "E0")
         if rho.labels != want_rho:
             raise ValueError(f"comb state must live on {want_rho}, got {rho.labels}")
-        want_in1 = (f"{first}1", "E0")
-        want_out1 = (f"{second}0", "E1")
-        if lambda1.in_dims.labels != want_in1 or lambda1.out_dims.labels != want_out1:
-            raise ValueError(
-                f"link channel must map {want_in1} -> {want_out1}, got "
-                f"{lambda1.in_dims.labels} -> {lambda1.out_dims.labels}"
-            )
-        want_in2 = (f"{second}1", "E1")
-        want_out2 = ("F", "E2")
-        if lambda2.in_dims.labels != want_in2 or lambda2.out_dims.labels != want_out2:
-            raise ValueError(
-                f"closing channel must map {want_in2} -> {want_out2}, got "
-                f"{lambda2.in_dims.labels} -> {lambda2.out_dims.labels}"
-            )
+        for name, chan, want_in, want_out in (
+                ("link", lambda1, (f"{first}1", "E0"), (f"{second}0", "E1")),
+                ("closing", lambda2, (f"{second}1", "E1"), ("F", "E2"))):
+            if chan.in_dims.labels != want_in or chan.out_dims.labels != want_out:
+                raise ValueError(
+                    f"{name} channel must map {want_in} -> {want_out}, got "
+                    f"{chan.in_dims.labels} -> {chan.out_dims.labels}"
+                )
         if rho.dim("E0") != lambda1.in_dims.dim("E0"):
             raise ValueError("E0 dimension differs between the comb state and the link channel")
         if lambda1.out_dims.dim("E1") != lambda2.in_dims.dim("E1"):
@@ -247,12 +241,17 @@ class InterventionalState:
 # ---------------------------------------------------------------------------
 # direct (Kraus) evaluation of combs and the switch
 
-def _slot_channel_stacks(a: KrausChannel, b: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    for chan, labels in ((a, ("A0", "A1")), (b, ("B0", "B1"))):
-        if chan.in_dims.labels != (labels[0],) or chan.out_dims.labels != (labels[1],):
+def _slot_channel_stacks(a: KrausChannel, b: KrausChannel,
+                         dims: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus stacks of the slot channels ``a: A0 -> A1`` and ``b: B0 -> B1``,
+    after checking their labels and dimensions against ``dims``."""
+    for name, chan, party in (("a", a, "A"), ("b", b, "B")):
+        want_in = LabeledDims([(f"{party}0", dims[f"{party}0"])])
+        want_out = LabeledDims([(f"{party}1", dims[f"{party}1"])])
+        if chan.in_dims != want_in or chan.out_dims != want_out:
             raise ValueError(
-                f"slot channel must map ({labels[0]},) -> ({labels[1]},), got "
-                f"{chan.in_dims.labels} -> {chan.out_dims.labels}"
+                f"slot channel {name} must map {want_in} -> {want_out}, got "
+                f"{chan.in_dims} -> {chan.out_dims}"
             )
     return a.kraus, b.kraus
 
@@ -314,11 +313,7 @@ def _switch_pair_out(s: SwitchSpec, ka: np.ndarray, la: np.ndarray,
 
 def comb_apply(c: FixedOrderComb, a: KrausChannel, b: KrausChannel) -> DensityOperator:
     """Feed CPTP channels ``a: A0 -> A1`` and ``b: B0 -> B1`` through the comb."""
-    ka, kb = _slot_channel_stacks(a, b)
-    if a.in_dims.dim("A0") != c.dims["A0"] or a.out_dims.dim("A1") != c.dims["A1"]:
-        raise ValueError("channel a does not match the comb's A-slot dimensions")
-    if b.in_dims.dim("B0") != c.dims["B0"] or b.out_dims.dim("B1") != c.dims["B1"]:
-        raise ValueError("channel b does not match the comb's B-slot dimensions")
+    ka, kb = _slot_channel_stacks(a, b, c.dims)
     out = _comb_pair_out(c, ka, ka, kb, kb)
     return DensityOperator(out, [("F", c.dims["F"])])
 
@@ -328,10 +323,7 @@ def switch_apply(s: SwitchSpec, a: KrausChannel, b: KrausChannel) -> DensityOper
     declared future (``(T1, C1)``, ``(T1,)`` or ``(C1,)``)."""
     if np.ndim(s.lam):
         raise ValueError("switch_apply needs a single control weight, got a stack")
-    ka, kb = _slot_channel_stacks(a, b)
-    for chan, name in ((a, "a"), (b, "b")):
-        if chan.in_dims.total != 2 or chan.out_dims.total != 2:
-            raise ValueError(f"switch slot channel {name} must act on qubits")
+    ka, kb = _slot_channel_stacks(a, b, dict.fromkeys(("A0", "A1", "B0", "B1"), 2))
     out = _switch_pair_out(s, ka, ka, kb, kb)
     if s.future_mode == "full":
         return DensityOperator(out, [("T1", 2), ("C1", 2)])
@@ -517,31 +509,25 @@ def process_matrix_of(source) -> ProcessMatrix:
 # ---------------------------------------------------------------------------
 # interventional states
 
-def _apply_iso(arr: np.ndarray, labels: list[str], dims: list[int], u: np.ndarray,
+def _apply_iso(arr: np.ndarray, labels: list[str], u: np.ndarray,
                in_labels: list[str], out_pairs: list[tuple[str, int]]):
-    """Apply an isometry to the named axes of a state tensor (new axes first)."""
+    """Apply an isometry to the named axes of a state tensor (new axes first);
+    each axis's dimension is the array's own."""
     axes = [labels.index(l) for l in in_labels]
-    din = int(np.prod([dims[a] for a in axes]))
     arr = np.moveaxis(arr, axes, range(len(axes)))
-    rest_labels = [l for l in labels if l not in set(in_labels)]
-    rest_dims = [dims[labels.index(l)] for l in rest_labels]
-    res = u @ arr.reshape(din, -1)
-    out_dims = [d for _, d in out_pairs]
-    res = res.reshape(out_dims + rest_dims)
-    return res, [l for l, _ in out_pairs] + rest_labels, out_dims + rest_dims
+    res = u @ arr.reshape(int(np.prod(arr.shape[:len(axes)])), -1)
+    res = res.reshape(tuple(d for _, d in out_pairs) + arr.shape[len(axes):])
+    return res, [l for l, _ in out_pairs] + [l for l in labels if l not in set(in_labels)]
 
 
-def _rdm(arr: np.ndarray, labels: list[str], dims: list[int],
-         keep: list[str]) -> tuple[np.ndarray, list[int]]:
+def _rdm(arr: np.ndarray, labels: list[str], keep: list[str]) -> np.ndarray:
     """Density matrix on ``keep`` (in that order), tracing the rest; one per
     slice when ``arr`` has a leading stack axis before the labeled ones."""
     traced = [l for l in labels if l not in set(keep)]
     b = arr.ndim - len(labels)
-    perm = list(range(b)) + [b + labels.index(l) for l in keep + traced]
-    keep_dims = [dims[labels.index(l)] for l in keep]
-    dkeep = int(np.prod(keep_dims)) if keep_dims else 1
-    v = arr.transpose(perm).reshape(arr.shape[:b] + (dkeep, -1))
-    return v @ _adjoint(v), keep_dims
+    v = arr.transpose(list(range(b)) + [b + labels.index(l) for l in keep + traced])
+    v = v.reshape(arr.shape[:b] + (int(np.prod(v.shape[b:b + len(keep)])), -1))
+    return v @ v.conj().swapaxes(-1, -2)
 
 
 def _wire_purified(pc: PurifiedComb) -> tuple[np.ndarray, list[tuple[str, int]]]:
@@ -551,22 +537,14 @@ def _wire_purified(pc: PurifiedComb) -> tuple[np.ndarray, list[tuple[str, int]]]
     d = pc.dims
     da1, db1 = d["A1"], d["B1"]
     arr = pc.psi.amplitudes.reshape(d[f"{first}0"], d["Q0"])
-    labels = [f"{first}0", "Q0"]
-    dims = [d[f"{first}0"], d["Q0"]]
     arr = np.multiply.outer(arr, np.eye(da1) / np.sqrt(da1))
-    labels += ["A1s", "A1"]
-    dims += [da1, da1]
     arr = np.multiply.outer(arr, np.eye(db1) / np.sqrt(db1))
-    labels += ["B1s", "B1"]
-    dims += [db1, db1]
-    arr, labels, dims = _apply_iso(
-        arr, labels, dims, pc.u1, [f"{first}1s", "Q0"],
-        [(f"{second}0", d[f"{second}0"]), ("Q1", d["Q1"])])
-    arr, labels, dims = _apply_iso(
-        arr, labels, dims, pc.u2, [f"{second}1s", "Q1"],
-        [("F", d["F"]), ("Q2", d["Q2"])])
-    m, keep_dims = _rdm(arr, labels, dims, list(TAU_LABELS))
-    return m, list(zip(TAU_LABELS, keep_dims))
+    labels = [f"{first}0", "Q0", "A1s", "A1", "B1s", "B1"]
+    arr, labels = _apply_iso(arr, labels, pc.u1, [f"{first}1s", "Q0"],
+                             [(f"{second}0", d[f"{second}0"]), ("Q1", d["Q1"])])
+    arr, labels = _apply_iso(arr, labels, pc.u2, [f"{second}1s", "Q1"],
+                             [("F", d["F"]), ("Q2", d["Q2"])])
+    return _rdm(arr, labels, list(TAU_LABELS)), [(l, d[l]) for l in TAU_LABELS]
 
 
 def _tau_statevector_purified(pc: PurifiedComb) -> InterventionalState:
@@ -578,8 +556,7 @@ def _tau_statevector_switch(s: SwitchSpec) -> InterventionalState:
     branch tensors per weight and takes every slice's marginal in one
     batched product."""
     tpure = purify(s.target, "G")
-    dg = tpure.dims.dim("G")
-    t_arr = tpure.amplitudes.reshape(2, dg)
+    t_arr = tpure.amplitudes.reshape(2, -1)
     pair = np.eye(2) / np.sqrt(2.0)
 
     def branch(first_store: str, mid_store: str, mid_pair: str, last_pair: str):
@@ -598,14 +575,9 @@ def _tau_statevector_switch(s: SwitchSpec) -> InterventionalState:
     v[..., 0] = np.sqrt(lam) * b0
     v[..., 1] = np.sqrt(1.0 - lam) * b1
     labels = ["A0", "A1", "B0", "B1", "T1", "G", "C1"]
-    dims = [2, 2, 2, 2, 2, dg, 2]
-    if s.future_mode == "full":
-        m, _ = _rdm(v, labels, dims, ["A0", "A1", "B0", "B1", "T1", "C1"])
-        tau = DensityOperator(m, list(zip(TAU_LABELS, [2, 2, 2, 2, 4])))
-    else:
-        future = "T1" if s.future_mode == "trace_control" else "C1"
-        m, keep_dims = _rdm(v, labels, dims, ["A0", "A1", "B0", "B1", future])
-        tau = DensityOperator(m, list(zip(TAU_LABELS, keep_dims)))
+    future = {"full": ["T1", "C1"], "trace_control": ["T1"], "trace_target": ["C1"]}
+    m = _rdm(v, labels, ["A0", "A1", "B0", "B1"] + future[s.future_mode])
+    tau = DensityOperator(m, list(zip(TAU_LABELS, [2, 2, 2, 2, s.future_dim])))
     return InterventionalState(tau)
 
 

@@ -83,21 +83,20 @@ def dp_witness(state: InterventionalState | DensityOperator, order: str,
     return value, _bound(tau, second)
 
 
-def marginal_witnesses(state: InterventionalState | DensityOperator, order: str,
-                       spec: EntropySpec = VON_NEUMANN) -> tuple[float, float, float]:
-    """Marginal witnesses ``(i1, i2, bound)`` for one order, von Neumann only;
-    ``i1`` and ``i2`` are arrays over the stack axis for a stack of states.
+def marginal_witnesses(state: InterventionalState | DensityOperator,
+                       order: str) -> tuple[float, float, float]:
+    """Marginal witnesses ``(i1, i2, bound)`` for one order, in von Neumann
+    entropy; ``i1`` and ``i2`` are arrays over the stack axis for a stack of
+    states.
 
     Both quantities upper-bound the DP witness of the same order for every
     five-system state (strong subadditivity with the retained partners as the
     conditioning system), so on fixed-order processes they obey the same
     dimension bound, from at-most-four-system marginals.
     """
-    if spec.kind != "von_neumann":
-        raise ValueError(f"marginal witnesses are defined for von Neumann entropy, got {spec.label}")
     first, second = _check_order(order)
     tau = _as_tau(state)
-    h = lambda labels: entropy(tau, labels, spec=spec)
+    h = lambda labels: entropy(tau, labels)
     h_pair = h(["A1", "B1"])
     h_past = h([f"{first}0", f"{first}1", f"{second}0"])
     i1 = h(["A0", "A1", "B0", "B1"]) - h_past + h(["A1", "B1", "F"]) - h_pair
@@ -124,10 +123,12 @@ def verdict_token(violated_ab: bool, violated_ba: bool) -> str:
 class WitnessReport:
     """Both-order witness values, violation flags, and the verdict.
 
-    ``i1_*``/``i2_*`` are filled (von Neumann) only when marginals were
-    requested.  A verdict of ``Inconclusive`` with a range warning means the
-    entropy family sits outside the monotonicity-validated range and the raw
-    values carry no certification weight.
+    ``i1_*``/``i2_*`` are the von Neumann marginal witnesses, which
+    :func:`evaluate` fills whatever the DP family; a report built by hand may
+    leave them ``None``, which writes empty CSV cells.  A verdict of
+    ``Inconclusive`` with a range warning means the entropy family sits
+    outside the monotonicity-validated range and the raw values carry no
+    certification weight.
     """
     tag: str
     family: EntropySpec
@@ -146,16 +147,17 @@ class WitnessReport:
 
 
 def evaluate(state: InterventionalState | DensityOperator,
-             spec: EntropySpec = VON_NEUMANN, tag: str = "",
-             marginals: bool | None = None) -> WitnessReport | list[WitnessReport]:
+             spec: EntropySpec = VON_NEUMANN,
+             tag: str = "") -> WitnessReport | list[WitnessReport]:
     """Full witness report for a state: both orders, verdict, marginals.
 
     A stack of states gets a list with one report per slice, each equal to
     the report of that slice on its own.
 
-    ``marginals=None`` computes them exactly when the family is von Neumann;
-    they are always evaluated with von Neumann entropy regardless of the DP
-    family, since that is the only family they are derived for.
+    ``spec`` is the entropy family of the DP witness.  Every report carries
+    the von Neumann marginal witnesses whatever that family: strong
+    subadditivity derives them for von Neumann entropy only, and with them
+    in every report the CSV columns do not depend on the family.
     """
     tau = _as_tau(state)
     dp_ab, bound_ab = dp_witness(tau, "AB", spec)
@@ -171,15 +173,11 @@ def evaluate(state: InterventionalState | DensityOperator,
             "max-entropy monotonicity is externally justified and not "
             "exercised by the property campaigns"
         )
-    if marginals is None:
-        marginals = spec.kind == "von_neumann"
-    columns = [dp_ab, dp_ba]
-    if marginals:
-        i1_ab, i2_ab, _ = marginal_witnesses(tau, "AB", VON_NEUMANN)
-        i1_ba, i2_ba, _ = marginal_witnesses(tau, "BA", VON_NEUMANN)
-        columns += [i1_ab, i2_ab, i1_ba, i2_ba]
+    i1_ab, i2_ab, _ = marginal_witnesses(tau, "AB")
+    i1_ba, i2_ba, _ = marginal_witnesses(tau, "BA")
+    columns = [dp_ab, dp_ba, i1_ab, i2_ab, i1_ba, i2_ba]
 
-    def report(dp_ab, dp_ba, i1_ab=None, i2_ab=None, i1_ba=None, i2_ba=None):
+    def report(dp_ab, dp_ba, i1_ab, i2_ab, i1_ba, i2_ba):
         violated_ab = is_violated(dp_ab, bound_ab)
         violated_ba = is_violated(dp_ba, bound_ba)
         verdict = verdict_token(violated_ab, violated_ba) if spec.validated else VERDICT_NONE

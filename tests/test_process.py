@@ -59,6 +59,12 @@ def slot_channels_for(comb, seed):
     return a, b
 
 
+def relabeled(chan, old, new):
+    """The channel with subsystem ``old`` renamed ``new`` on either side."""
+    rename = lambda dims: [(new if label == old else label, d) for label, d in dims]
+    return KrausChannel(rename(chan.in_dims), rename(chan.out_dims), chan.kraus)
+
+
 def comb_apply_dense(comb, a, b):
     """Independent route: chain apply_channel calls and trace the environment."""
     first = comb.order[0]
@@ -171,6 +177,25 @@ class TestFixedOrderComb:
         with pytest.raises(ValueError):
             FixedOrderComb("AB", wrong, comb.lambda1, comb.lambda2)
 
+    @pytest.mark.parametrize("order", ["AB", "BA"])
+    @pytest.mark.parametrize("which,old,new", [
+        ("link", "E0", "X"), ("link", "E1", "E2"), ("closing", "E1", "E0"), ("closing", "F", "X"),
+    ])
+    def test_channel_label_contract_enforced(self, order, which, old, new):
+        comb = sample_fixed_order_comb(3, order=order)
+        lambda1, lambda2 = comb.lambda1, comb.lambda2
+        if which == "link":
+            lambda1 = relabeled(lambda1, old, new)
+        else:
+            lambda2 = relabeled(lambda2, old, new)
+        with pytest.raises(ValueError, match=f"{which} channel must map"):
+            FixedOrderComb(order, comb.rho, lambda1, lambda2)
+        # the first party's slot output is not the link's input
+        first, second = order
+        with pytest.raises(ValueError, match="link channel must map"):
+            FixedOrderComb(order, comb.rho, relabeled(comb.lambda1, f"{first}1", f"{second}1"),
+                           comb.lambda2)
+
     def test_order_token_validated(self):
         comb = sample_fixed_order_comb(1)
         with pytest.raises(ValueError):
@@ -183,6 +208,24 @@ class TestFixedOrderComb:
         fast = comb_apply(comb, a, b)
         slow = comb_apply_dense(comb, a, b)
         assert np.allclose(fast.matrix, slow.matrix, atol=1e-10)
+
+    @pytest.mark.parametrize("order", ["AB", "BA"])
+    def test_apply_rejects_slot_channels_on_wrong_labels(self, order):
+        comb = sample_fixed_order_comb(12, order=order)
+        a, b = slot_channels_for(comb, 5)
+        for bad_a, bad_b in ((relabeled(a, "A1", "X"), b), (a, relabeled(b, "B0", "A0")), (b, a)):
+            with pytest.raises(ValueError, match="slot channel . must map"):
+                comb_apply(comb, bad_a, bad_b)
+
+    @pytest.mark.parametrize("label", ["A0", "A1", "B0", "B1"])
+    def test_apply_rejects_slot_dimensions_off_the_comb(self, label):
+        # slot dimensions are 2 or 3; swap the one under test
+        comb = sample_fixed_order_comb(13, order="AB")
+        dims = {**comb.dims, label: 5 - comb.dims[label]}
+        a = random_channel([("A0", dims["A0"])], [("A1", dims["A1"])], kraus_rank=2, seed=6)
+        b = random_channel([("B0", dims["B0"])], [("B1", dims["B1"])], kraus_rank=2, seed=7)
+        with pytest.raises(ValueError, match=f"slot channel {label[0].lower()} must map"):
+            comb_apply(comb, a, b)
 
     def test_slot_dim_table(self):
         # one dims table per comb, read by the evaluators and the purification
@@ -252,6 +295,16 @@ class TestSwitch:
                            qubit_unitary_channel(1, ("A0", "A1")),
                            qubit_unitary_channel(2, ("B0", "B1")))
         assert out.labels == ("C1",)
+
+    def test_apply_rejects_slot_channels_off_qubits(self):
+        qubit_a = qubit_unitary_channel(3, ("A0", "A1"))
+        qubit_b = qubit_unitary_channel(4, ("B0", "B1"))
+        qutrit_in_a = random_channel([("A0", 3)], [("A1", 2)], kraus_rank=2, seed=8)
+        qutrit_out_b = random_channel([("B0", 2)], [("B1", 3)], kraus_rank=2, seed=9)
+        for a, b, name in ((qutrit_in_a, qubit_b, "a"), (qubit_a, qutrit_out_b, "b"),
+                           (qubit_a, relabeled(qubit_b, "B1", "F"), "b")):
+            with pytest.raises(ValueError, match=f"slot channel {name} must map"):
+                switch_apply(SwitchSpec(0.4), a, b)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -28,13 +28,13 @@ class TestStackEqualsSingles:
     def test_statevector_state_spectra_and_reports(self, mode):
         stack = interventional_state(SwitchSpec(LAMS, future_mode=mode))
         assert stack.tau.matrix.shape[0] == len(LAMS)
-        reports = evaluate(stack, marginals=True)
+        reports = evaluate(stack)
         renyi_reports = evaluate(stack, renyi(2.0))
         assert len(stack.tau._spectra) == 10
         for k, lam in enumerate(LAMS):
             one = interventional_state(SwitchSpec(lam, future_mode=mode))
             assert np.array_equal(stack.tau.matrix[k], one.tau.matrix), lam
-            assert evaluate(one, marginals=True) == reports[k]
+            assert evaluate(one) == reports[k]
             assert evaluate(one, renyi(2.0)) == renyi_reports[k]
             assert one.tau._spectra.keys() == stack.tau._spectra.keys()
             for key, lam_one in one.tau._spectra.items():

@@ -186,15 +186,13 @@ class TestVerdictLogic:
 
 
 class TestEvaluatePlumbing:
-    def test_marginal_defaults(self):
-        assert evaluate(upsilon1(0.3)).i1_ab is not None
-        r = evaluate(upsilon1(0.3), spec=renyi(2.0))
-        assert r.i1_ab is None
-        forced = evaluate(upsilon1(0.3), spec=renyi(2.0), marginals=True)
-        assert forced.i1_ab is not None
-        # forced marginals match the von Neumann report's
+    def test_every_family_reports_von_neumann_marginals(self):
         vn = evaluate(upsilon1(0.3))
-        assert np.isclose(forced.i1_ab, vn.i1_ab)
+        assert vn.i1_ab is not None
+        for spec in (renyi(0.3), renyi(2.0), MIN_ENTROPY, MAX_ENTROPY):
+            r = evaluate(upsilon1(0.3), spec=spec)
+            assert r.dp_ab != vn.dp_ab, spec.label
+            assert (r.i1_ab, r.i2_ab, r.i1_ba, r.i2_ba) == (vn.i1_ab, vn.i2_ab, vn.i1_ba, vn.i2_ba)
 
     def test_out_of_range_family_withholds_verdict(self):
         r = evaluate(upsilon1(0.5), spec=renyi(0.3))
@@ -202,9 +200,23 @@ class TestEvaluatePlumbing:
         assert any("validated range" in w for w in r.warnings)
         assert math.isfinite(r.dp_ab)
 
-    def test_marginal_witnesses_refuse_non_vn(self):
-        with pytest.raises(ValueError):
-            marginal_witnesses(upsilon1(0.5), "AB", renyi(2.0))
+    @pytest.mark.parametrize("lam", [0.3, np.linspace(0.0, 1.0, 5)], ids=["one", "stack"])
+    def test_marginal_witnesses_match_entropy_oracle(self, lam):
+        # the combinations of the witness.py docstring, the conditional
+        # entropies expanded as H(X Y) - H(Y), labels written out per order
+        tau = upsilon1(lam).tau
+        h = lambda *labels: entropy(tau, list(labels))
+        oracle = {
+            "AB": (h("A0", "A1", "B0", "B1") - h("A0", "A1", "B0") + h("A1", "B1", "F") - h("A1", "B1"),
+                   h("A0", "A1", "B1", "F") + h("A1", "B1", "B0") - h("A1", "B1") - h("A0", "A1", "B0")),
+            "BA": (h("B0", "B1", "A0", "A1") - h("B0", "B1", "A0") + h("A1", "B1", "F") - h("A1", "B1"),
+                   h("B0", "B1", "A1", "F") + h("A1", "B1", "A0") - h("A1", "B1") - h("B0", "B1", "A0")),
+        }
+        for order, (i1_want, i2_want) in oracle.items():
+            i1, i2, _ = marginal_witnesses(tau, order)
+            assert np.shape(i1) == np.shape(lam)
+            assert np.array_equal(i1, i1_want), order
+            assert np.array_equal(i2, i2_want), order
 
     def test_order_token_checked(self):
         with pytest.raises(ValueError):
@@ -236,8 +248,8 @@ class TestSharedSpectra:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        evaluate(state, marginals=True)
+        evaluate(state)
         # 16 entropies, 10 distinct marginals
         assert len(calls) == 10
-        evaluate(state, spec=renyi(2.0), marginals=True)
+        evaluate(state, spec=renyi(2.0))
         assert len(calls) == 10
