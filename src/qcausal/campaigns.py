@@ -60,11 +60,13 @@ from .entropy import MIN_ENTROPY, VON_NEUMANN, entropy_from_spectrum, renyi, ssa
 from .process import (
     FUTURE_MODES,
     ORDERS,
+    TAU_LABELS,
     InterventionalState,
     PureState,
     PurifiedComb,
     SwitchSpec,
     FixedOrderComb,
+    _interventional,
     _wire_purified,
     as_fixed_order,
     comb_apply,
@@ -395,15 +397,11 @@ def _stacked(campaign: str, seed: int, draws: list[_Draw], build, evaluate) -> l
     return [pairs[draw.t] for draw in draws]
 
 
-def _interventional(matrix: np.ndarray, dims) -> InterventionalState:
-    # the validation of interventional_state(comb, "statevector")
-    return InterventionalState(DensityOperator(matrix, dims))
-
-
 def _comb_draw(t: int, sample_seed: int, order: str) -> _Draw:
     """Trial ``t``: the wired state of ``sample_purified_comb(sample_seed, order)``."""
-    matrix, dims = _wire_purified(sample_purified_comb(sample_seed, order=order))
-    return _Draw(t, sample_seed, order, tuple(dims), matrix)
+    pc = sample_purified_comb(sample_seed, order=order)
+    return _Draw(t, sample_seed, order, tuple((l, pc.dims[l]) for l in TAU_LABELS),
+                 _wire_purified(pc))
 
 
 def _dp_pairs(tau: InterventionalState, order: str) -> list[tuple[float, int]]:
@@ -502,8 +500,8 @@ def _crosscheck_trial(seed: int, t: int) -> tuple[float, int]:
         source = SwitchSpec(lam, future_mode=mode)
     else:
         source = sample_purified_comb(seed + t - len(_SWITCH_GRID))
-    sv = interventional_state(source, "statevector").tau
-    ct = interventional_state(source, "contraction").tau
+    sv = interventional_state(source, "statevector")
+    ct = interventional_state(source, "contraction")
     return _check(-trace_distance(sv, ct))
 
 

@@ -14,7 +14,8 @@ is built, validated and evaluated as one stack of states, which gives every
 point's values bit for bit, and the sub-grids run on the campaigns' worker
 driver.
 
-Output goes to ``--out`` (or stdout); diagnostics go to stderr.  Identical
+Output goes to ``--out`` (or stdout); diagnostics go to stderr, among them
+each distinct warning of a sweep's witness reports, once.  Identical
 command lines produce byte-identical files at a fixed BLAS thread count:
 sweeps are deterministic and campaigns derive every sample from explicit
 per-trial seeds.  Another thread count can move the last bits of a result;
@@ -40,12 +41,12 @@ from .labeled import trace_distance
 from .process import SwitchSpec, interventional_state
 from .witness import evaluate
 
-PROCESS_TAGS = ("switch_full", "upsilon1", "upsilon2")
 _FUTURE_OF = {
     "switch_full": "full",
     "upsilon1": "trace_control",
     "upsilon2": "trace_target",
 }
+PROCESS_TAGS = tuple(_FUTURE_OF)
 FIGURES = ("3a", "3b", "3c", "4", "5a", "5b")
 BACKEND_AGREE_TOL = 1e-9
 # Largest number of grid points evaluated as one stack.  On 2 CPUs a figure
@@ -100,7 +101,7 @@ def _sub_grid(process: str, specs, backend: str, lams: list[float]) -> list[list
     if backend == "both":
         tau = interventional_state(s, "statevector")
         other = interventional_state(s, "contraction")
-        for lam, dist in zip(lams, trace_distance(tau.tau, other.tau)):
+        for lam, dist in zip(lams, trace_distance(tau, other)):
             if dist > BACKEND_AGREE_TOL:
                 raise BackendMismatch(
                     f"backends disagree at {process} lambda={lam:.6g}: "
@@ -224,9 +225,15 @@ def cmd_sweep(args) -> int:
         print(f"error: no memory for {args.lambda_steps} control weights: {exc}",
               file=sys.stderr)
         return 2
+
+    def work() -> str:
+        rows = sweep_reports(args.process, lams, args.entropy, args.backend)
+        for warning in dict.fromkeys(w for _, report in rows for w in report.warnings):
+            print(f"warning: {warning}", file=sys.stderr)
+        return csv_text(rows)
+
     try:
-        return _write_after(args.out, lambda: csv_text(
-            sweep_reports(args.process, lams, args.entropy, args.backend)))
+        return _write_after(args.out, work)
     except BackendMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

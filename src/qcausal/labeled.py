@@ -19,6 +19,7 @@ A validation error in a stack names the index of the first failing slice.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -152,7 +153,7 @@ def _require(ok: np.ndarray, values: np.ndarray, message) -> None:
 
 
 # The Hermiticity deviation is taken over row blocks of at most this many
-# bytes of ``m - m†``; a smaller matrix or stack is checked in one pass.
+# bytes of ``m - m†``; a smaller matrix or stack is one block.
 _HERM_BLOCK_BYTES = 1 << 20
 
 
@@ -164,14 +165,10 @@ def _hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     values are those of ``(m + m†) * 0.5`` bit for bit.
     """
     out = np.conjugate(m.swapaxes(-1, -2), order="C")
-    if out.nbytes <= _HERM_BLOCK_BYTES:
-        dev = np.max(np.abs(m - out), axis=(-2, -1), initial=0.0)
-    else:
-        rows = max(1, _HERM_BLOCK_BYTES * m.shape[-1] // out.nbytes)
-        dev = 0.0
-        for r in range(0, m.shape[-1], rows):
-            dev = np.maximum(dev, np.max(np.abs(m[..., r:r + rows, :] - out[..., r:r + rows, :]),
-                                         axis=(-2, -1)))
+    # the maximum is exact and passes NaN through, so blocks change no value
+    rows = max(1, _HERM_BLOCK_BYTES * m.shape[-1] // max(1, out.nbytes))
+    dev = reduce(np.maximum, (np.max(np.abs(m[..., r:r + rows, :] - out[..., r:r + rows, :]),
+                                     axis=(-2, -1)) for r in range(0, m.shape[-1], rows)))
     _require(dev <= HERM_TOL, dev,
              lambda d: f"{what} is not Hermitian: max deviation {d:.3e} > {HERM_TOL}")
     out += m

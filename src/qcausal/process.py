@@ -38,7 +38,8 @@ from .channels import KrausChannel, _check_unitary
 
 ORDERS = ("AB", "BA")
 TAU_LABELS = ("A0", "A1", "B0", "B1", "F")
-FUTURE_MODES = ("full", "trace_control", "trace_target")
+# each switch future mode -> the output wires its declared future keeps
+FUTURE_MODES = {"full": ("T1", "C1"), "trace_control": ("T1",), "trace_target": ("C1",)}
 # Byte budget for the traced peak of one tomography block.  One batch of all
 # na² nb² slot-map pairs peaks at 256 MiB at five-part dimension 512;
 # process_matrix_of cuts the pairs of basis maps on the A slot into blocks
@@ -143,17 +144,18 @@ class SwitchSpec:
     """Coherent-control process on qubits: target routed through the two slots
     in an order controlled by ``sqrt(lam)|0> + sqrt(1-lam)|1>``.
 
-    ``future_mode`` selects the declared global future: ``"full"`` keeps target
-    and control (``F`` of dimension 4, target most significant),
-    ``"trace_control"`` keeps only the target, ``"trace_target"`` only the
-    control.
+    ``future_mode`` selects the declared global future, the wires that
+    :data:`FUTURE_MODES` maps it to: ``"full"`` keeps target and control
+    (``F`` of dimension 4, target most significant), ``"trace_control"``
+    keeps only the target, ``"trace_target"`` only the control.  ``dims``
+    maps each of ``A0 A1 B0 B1 F`` to its dimension, as a comb's does.
 
     ``lam`` may also be a one-dimensional array of control weights: the spec
     then stands for one switch per weight, and
     :func:`interventional_state` returns their states as a stack.
     """
 
-    __slots__ = ("lam", "target", "future_mode")
+    __slots__ = ("lam", "target", "future_mode", "dims")
 
     def __init__(self, lam: float | np.ndarray, target: DensityOperator | None = None,
                  future_mode: str = "full"):
@@ -161,7 +163,8 @@ class SwitchSpec:
         if lams.ndim > 1 or lams.size == 0 or not (np.all(0.0 <= lams) and np.all(lams <= 1.0)):
             raise ValueError(f"control weight must lie in [0, 1], got {lam!r}")
         if future_mode not in FUTURE_MODES:
-            raise ValueError(f"future_mode must be one of {FUTURE_MODES}, got {future_mode!r}")
+            raise ValueError(f"future_mode must be one of {tuple(FUTURE_MODES)}, "
+                             f"got {future_mode!r}")
         if target is None:
             m = np.zeros((2, 2), dtype=complex)
             m[0, 0] = 1.0
@@ -173,10 +176,12 @@ class SwitchSpec:
         self.lam = float(lams) if lams.ndim == 0 else lams
         self.target = target
         self.future_mode = future_mode
+        self.dims = {**dict.fromkeys(("A0", "A1", "B0", "B1"), 2),
+                     "F": 2 ** len(FUTURE_MODES[future_mode])}
 
     @property
     def future_dim(self) -> int:
-        return 4 if self.future_mode == "full" else 2
+        return self.dims["F"]
 
     def __repr__(self) -> str:
         return f"SwitchSpec(lam={self.lam}, future_mode={self.future_mode!r})"
@@ -203,39 +208,32 @@ class ProcessMatrix(LabeledOperator):
         super().__init__(m, op.dims)
 
 
-class InterventionalState:
-    """Five-system state left by the entangled interventions.
+class InterventionalState(DensityOperator):
+    """Five-system state left by the entangled interventions, or a stack of them.
 
     Labels are ``(A0, A1, B0, B1, F)`` where ``A0``/``B0`` are the stored slot
     inputs and ``A1``/``B1`` the retained halves of the entangled pairs fed to
-    the slot outputs; their marginal is exactly maximally mixed.  ``tau``
-    may be a stack of such states.
+    the slot outputs; their marginal is exactly maximally mixed.  The state is
+    validated again as a density operator after the permutation.
     """
 
-    __slots__ = ("tau",)
+    __slots__ = ()
 
     def __init__(self, tau: DensityOperator):
         if set(tau.labels) != set(TAU_LABELS):
             raise ValueError(f"expected labels {TAU_LABELS}, got {tau.labels}")
         tau = permute(tau, TAU_LABELS)
-        tau = DensityOperator(tau.matrix, tau.dims)
-        marg = partial_trace(tau, ["A1", "B1"]).matrix
+        super().__init__(tau.matrix, tau.dims)
+        marg = partial_trace(self, ["A1", "B1"]).matrix
         d = marg.shape[-1]
         dev = np.max(np.abs(marg - np.eye(d) / d), axis=(-2, -1))
         _require(dev <= RECON_TOL, dev,
                  lambda x: f"marginal on the retained pair halves deviates from "
                            f"maximally mixed by {x:.3e}")
-        self.tau = tau
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return self.tau.labels
-
-    def dim(self, label: str) -> int:
-        return self.tau.dim(label)
-
-    def __repr__(self) -> str:
-        return f"InterventionalState({self.tau.dims})"
+    def tau(self) -> "InterventionalState":
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +302,13 @@ def _switch_pair_out(s: SwitchSpec, ka: np.ndarray, la: np.ndarray,
         brl = np.stack(np.broadcast_arrays(ba_l, ab_l), axis=-3)
     out = np.einsum("...ijczy,yw,...ijdvw,cd->...zcvd", brk, rho_t, brl.conj(), ctrl,
                     optimize=True)
-    if s.future_mode == "full":
-        return out.reshape(out.shape[:-4] + (4, 4))
-    if s.future_mode == "trace_control":
-        return np.einsum("...zcvc->...zv", out)
-    return np.einsum("...zczd->...cd", out)
+    # row and column axes of each output wire; the wires the future drops are traced
+    keep = FUTURE_MODES[s.future_mode]
+    axes = {"T1": "zv", "C1": "cd"}
+    cols = "".join(axes[l][1] if l in keep else axes[l][0] for l in axes)
+    kept = "".join(axes[l][0] for l in keep) + "".join(axes[l][1] for l in keep)
+    out = np.einsum(f"...zc{cols}->...{kept}", out)
+    return out.reshape(out.shape[:-2 * len(keep)] + (s.dims["F"], s.dims["F"]))
 
 
 def comb_apply(c: FixedOrderComb, a: KrausChannel, b: KrausChannel) -> DensityOperator:
@@ -320,15 +320,12 @@ def comb_apply(c: FixedOrderComb, a: KrausChannel, b: KrausChannel) -> DensityOp
 
 def switch_apply(s: SwitchSpec, a: KrausChannel, b: KrausChannel) -> DensityOperator:
     """Feed CPTP qubit channels through the switch; the output lives on the
-    declared future (``(T1, C1)``, ``(T1,)`` or ``(C1,)``)."""
+    wires that :data:`FUTURE_MODES` keeps for its future mode."""
     if np.ndim(s.lam):
         raise ValueError("switch_apply needs a single control weight, got a stack")
-    ka, kb = _slot_channel_stacks(a, b, dict.fromkeys(("A0", "A1", "B0", "B1"), 2))
+    ka, kb = _slot_channel_stacks(a, b, s.dims)
     out = _switch_pair_out(s, ka, ka, kb, kb)
-    if s.future_mode == "full":
-        return DensityOperator(out, [("T1", 2), ("C1", 2)])
-    label = "T1" if s.future_mode == "trace_control" else "C1"
-    return DensityOperator(out, [(label, 2)])
+    return DensityOperator(out, [(l, 2) for l in FUTURE_MODES[s.future_mode]])
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +448,11 @@ def process_matrix_of(source) -> ProcessMatrix:
     ``K`` and ``L``, so that the traced peak of one block stays within
     ``TOMOGRAPHY_BLOCK_BYTES``, and each block is written into ``W`` in
     place.  At five-part dimension 128 / 256 / 512 the traced peak of this
-    function is 8.3 / 9.0 / 12.0 MiB, against 32.1 / 32.5 / 35.5 MiB when
-    the budget bounded only a block's largest intermediate.  Validating
-    ``W`` holds ``W`` and its symmetrized copy, 9.5 MiB at 512, and is the
-    peak from dimension 1024 on (33.5 MiB).  The switch and
-    every comb whose full batch fits that budget, which includes all combs
-    of the campaign dimension policy, run as one block and give exactly the
-    one-shot matrix.  A switch with a stack of control weights gets the
+    function is 8.3 / 9.0 / 12.0 MiB.  Validating ``W`` holds ``W`` and its
+    symmetrized copy, 9.5 MiB at 512, and is the peak from dimension 1024
+    on (33.5 MiB).  The switch and every comb whose full batch fits that
+    budget, which includes all combs of the campaign dimension policy, run
+    as one block and give exactly the one-shot matrix.  A switch with a stack of control weights gets the
     stack of its per-weight matrices.
     """
     if isinstance(source, ProcessMatrix):
@@ -468,20 +463,16 @@ def process_matrix_of(source) -> ProcessMatrix:
         return ProcessMatrix(LabeledOperator(np.stack([w.matrix for w in ws]), ws[0].dims))
     if isinstance(source, PurifiedComb):
         source = as_fixed_order(source)
+    if not isinstance(source, (FixedOrderComb, SwitchSpec)):
+        raise TypeError(f"cannot reconstruct a process matrix from {type(source).__name__}")
+    da0, da1, db0, db1, df = (source.dims[l] for l in TAU_LABELS)
+    na, nb = da0 * da1, db0 * db1
     if isinstance(source, FixedOrderComb):
-        d = source.dims
-        da0, da1, db0, db1, df = (d[l] for l in ("A0", "A1", "B0", "B1", "F"))
-        na, nb = da0 * da1, db0 * db1
         evaluate = lambda *stacks: _comb_pair_out(source, *stacks)
-        pairs = _comb_block_pairs(source.order, d)
-    elif isinstance(source, SwitchSpec):
-        da0 = da1 = db0 = db1 = 2
-        df = source.future_dim
-        na = nb = 4
+        pairs = _comb_block_pairs(source.order, source.dims)
+    else:
         evaluate = lambda *stacks: _switch_pair_out(source, *stacks)
         pairs = na * na
-    else:
-        raise TypeError(f"cannot reconstruct a process matrix from {type(source).__name__}")
     rows, cols = max(1, pairs // na), min(na, pairs)
 
     ka_base = np.zeros((na, da1, da0), dtype=complex)
@@ -530,8 +521,8 @@ def _rdm(arr: np.ndarray, labels: list[str], keep: list[str]) -> np.ndarray:
     return v @ v.conj().swapaxes(-1, -2)
 
 
-def _wire_purified(pc: PurifiedComb) -> tuple[np.ndarray, list[tuple[str, int]]]:
-    """Matrix and labeled dims of the five-part state of a purified comb,
+def _wire_purified(pc: PurifiedComb) -> np.ndarray:
+    """Matrix of the five-part state of a purified comb on ``TAU_LABELS``,
     wired but not yet validated."""
     first, second = _check_order(pc.order)
     d = pc.dims
@@ -544,11 +535,17 @@ def _wire_purified(pc: PurifiedComb) -> tuple[np.ndarray, list[tuple[str, int]]]
                              [(f"{second}0", d[f"{second}0"]), ("Q1", d["Q1"])])
     arr, labels = _apply_iso(arr, labels, pc.u2, [f"{second}1s", "Q1"],
                              [("F", d["F"]), ("Q2", d["Q2"])])
-    return _rdm(arr, labels, list(TAU_LABELS)), [(l, d[l]) for l in TAU_LABELS]
+    return _rdm(arr, labels, list(TAU_LABELS))
 
 
-def _tau_statevector_purified(pc: PurifiedComb) -> InterventionalState:
-    return InterventionalState(DensityOperator(*_wire_purified(pc)))
+def _interventional(matrix: np.ndarray, dims) -> InterventionalState:
+    """Validate a wired five-part matrix, or a stack of them, on the labeled
+    ``dims`` as a density operator, then as an interventional state.  From
+    Python 3.11 on, a matrix passed straight from the call that makes it is
+    let go in between."""
+    tau = DensityOperator(matrix, dims)
+    del matrix
+    return InterventionalState(tau)
 
 
 def _tau_statevector_switch(s: SwitchSpec) -> InterventionalState:
@@ -575,10 +572,8 @@ def _tau_statevector_switch(s: SwitchSpec) -> InterventionalState:
     v[..., 0] = np.sqrt(lam) * b0
     v[..., 1] = np.sqrt(1.0 - lam) * b1
     labels = ["A0", "A1", "B0", "B1", "T1", "G", "C1"]
-    future = {"full": ["T1", "C1"], "trace_control": ["T1"], "trace_target": ["C1"]}
-    m = _rdm(v, labels, ["A0", "A1", "B0", "B1"] + future[s.future_mode])
-    tau = DensityOperator(m, list(zip(TAU_LABELS, [2, 2, 2, 2, s.future_dim])))
-    return InterventionalState(tau)
+    keep = ["A0", "A1", "B0", "B1", *FUTURE_MODES[s.future_mode]]
+    return _interventional(_rdm(v, labels, keep), [(l, s.dims[l]) for l in TAU_LABELS])
 
 
 def _tau_contraction(source) -> InterventionalState:
@@ -608,10 +603,11 @@ def interventional_state(source, backend: str = "statevector") -> Interventional
     numerical precision.
     """
     if backend == "statevector":
-        if isinstance(source, PurifiedComb):
-            return _tau_statevector_purified(source)
         if isinstance(source, FixedOrderComb):
-            return _tau_statevector_purified(purify_comb(source))
+            source = purify_comb(source)
+        if isinstance(source, PurifiedComb):
+            return _interventional(_wire_purified(source),
+                                   [(l, source.dims[l]) for l in TAU_LABELS])
         if isinstance(source, SwitchSpec):
             return _tau_statevector_switch(source)
         if isinstance(source, ProcessMatrix):

@@ -52,13 +52,12 @@ VERDICT_NONE = "Inconclusive"
 
 
 def _as_tau(state: InterventionalState | DensityOperator) -> DensityOperator:
-    if isinstance(state, InterventionalState):
-        return state.tau
-    if isinstance(state, DensityOperator):
-        if set(state.labels) != set(TAU_LABELS):
-            raise ValueError(f"witnesses need the labels {TAU_LABELS}, got {state.labels}")
-        return state
-    raise TypeError(f"expected an interventional or five-system state, got {type(state).__name__}")
+    if not isinstance(state, DensityOperator):
+        raise TypeError(f"expected an interventional or five-system state, "
+                        f"got {type(state).__name__}")
+    if set(state.labels) != set(TAU_LABELS):
+        raise ValueError(f"witnesses need the labels {TAU_LABELS}, got {state.labels}")
+    return state
 
 
 def _bound(tau: DensityOperator, second: str) -> float:

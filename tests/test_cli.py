@@ -31,6 +31,17 @@ SWEEP_ARGS = ["sweep", "--process", "upsilon1", "--lambda-steps", "3"]
 # can be created
 PROC_OUT = ["/proc/qcausal-x.csv"] if sys.platform.startswith("linux") else []
 VERDICTS = {"BeyondFixedOrder", "ExcludesOnlyAB", "ExcludesOnlyBA", "Inconclusive"}
+# sha256 of the default 101-point sweep CSV of each case study: per backend,
+# the figure file of bench/reference.json that the statevector route writes,
+# and the contraction route's own bytes, which no figure file covers
+SWEEP_DIGESTS = {
+    "switch_full": (("3a", "fig3a.csv"),
+                    "d6a80ec9f3cca63638e7503dcdec09255de98bf2441b587f98b2a2dd4536d65c"),
+    "upsilon1": (("3b", "fig3b.csv"),
+                 "ba291ea7c602d06c34c756cbf10a5a3fd357dc6129bb7748d8f5159fa7df28f0"),
+    "upsilon2": (("3c", "fig3c.csv"),
+                 "cde0c82bf4c2ad1ff50d0e46413a3712df19b8cbee5124de9b39e923d2c74e80"),
+}
 
 
 def read_csv(path):
@@ -115,6 +126,37 @@ class TestSweep:
         assert float(r1[1]["dp_ab"]) != float(r2[1]["dp_ab"])
         # marginal columns stay von Neumann regardless of the DP family
         assert r1[1]["i1_ab"] == r2[1]["i1_ab"]
+
+    @pytest.mark.parametrize("process", PROCESS_TAGS)
+    def test_csv_digests_of_every_backend(self, process, capsys):
+        (figure, name), contraction = SWEEP_DIGESTS[process]
+        figures = json.loads((ROOT / "bench" / "reference.json").read_text())["figures"]
+        want = {"statevector": figures[figure][name], "both": figures[figure][name],
+                "contraction": contraction}
+        for backend, digest in want.items():
+            assert main(["sweep", "--process", process, "--backend", backend]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, backend
+
+    @pytest.mark.parametrize("family, warning", [
+        ("renyi:0.3", "warning: entropy family renyi(0.3) is outside the validated range "
+                      "(Renyi alpha >= 1/2); verdict withheld"),
+        ("max", "warning: max-entropy monotonicity is externally justified and not "
+                "exercised by the property campaigns"),
+    ])
+    def test_report_warnings_reach_stderr_once(self, family, warning, capsys):
+        assert main(SWEEP_ARGS + ["--entropy", family]) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [warning]
+        rows = sweep_reports("upsilon1", np.linspace(0.0, 1.0, 3), parse_entropy(family))
+        assert all(warning == f"warning: {w}" for _, r in rows for w in r.warnings)
+        assert out == csv_text(rows)
+        if family == "renyi:0.3":
+            assert {r.verdict for _, r in rows} == {"Inconclusive"}
+
+    def test_validated_family_prints_no_warning(self, capsys):
+        assert main(SWEEP_ARGS) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bad_range_exits_2(self, capsys):
         rc = main(["sweep", "--process", "upsilon1", "--lambda-min", "0.8",

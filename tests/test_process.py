@@ -1,6 +1,8 @@
 """Process core: combs, switch, process matrices, Born rule, backends."""
 import itertools
 import math
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from qcausal import (
     FixedOrderComb,
     InterventionalState,
     KrausChannel,
+    LabeledDims,
     LabeledOperator,
     ProcessMatrix,
     PureState,
@@ -296,6 +299,26 @@ class TestSwitch:
                            qubit_unitary_channel(2, ("B0", "B1")))
         assert out.labels == ("C1",)
 
+    @pytest.mark.parametrize("mode", FUTURE_MODES)
+    def test_dims_and_output_wires_follow_the_future_mode(self, mode):
+        s = SwitchSpec(0.3, future_mode=mode)
+        wires = FUTURE_MODES[mode]
+        assert s.dims == {"A0": 2, "A1": 2, "B0": 2, "B1": 2, "F": 2 ** len(wires)}
+        out = switch_apply(s, qubit_unitary_channel(1, ("A0", "A1")),
+                           qubit_unitary_channel(2, ("B0", "B1")))
+        assert out.dims == LabeledDims((w, 2) for w in wires)
+        for backend in ("statevector", "contraction"):
+            tau = interventional_state(s, backend)
+            assert dict(tau.dims) == s.dims
+        assert dict(process_matrix_of(s).dims) == s.dims
+
+    def test_future_modes_and_unknown_mode_message(self):
+        assert list(FUTURE_MODES) == ["full", "trace_control", "trace_target"]
+        message = ("future_mode must be one of ('full', 'trace_control', 'trace_target'), "
+                   "got 'trace_both'")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SwitchSpec(0.3, future_mode="trace_both")
+
     def test_apply_rejects_slot_channels_off_qubits(self):
         qubit_a = qubit_unitary_channel(3, ("A0", "A1"))
         qubit_b = qubit_unitary_channel(4, ("B0", "B1"))
@@ -503,6 +526,14 @@ class TestBlockedTomography:
         pc = purified_comb_of_shape("AB", (4, 4, 4, 4, 2), seed=512)
         assert traced_peak(lambda: interventional_state(pc, "contraction")) <= 17 * 2**20
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="Python 3.10 keeps a call's arguments until it returns")
+    def test_statevector_peak_memory_at_dimension_512(self):
+        # the wired matrix is let go before the second validation, which
+        # holds the first one's result; keeping it would add 4 MiB
+        pc = purified_comb_of_shape("AB", (4, 4, 4, 4, 2), seed=512)
+        assert traced_peak(lambda: interventional_state(pc, "statevector")) <= 17 * 2**20
+
     def test_trace_distance_peak_memory_at_dimension_512(self):
         # the difference and its adjoint, summed in place; 12.1 MiB when the
         # sum and its half were new arrays.  Any two matrices make the same
@@ -553,6 +584,13 @@ class TestInterventionalState:
         st = interventional_state(SwitchSpec(0.2, future_mode="trace_target"))
         assert st.labels == ("A0", "A1", "B0", "B1", "F")
 
+    def test_is_the_density_operator_it_validates(self):
+        st = interventional_state(sample_purified_comb(3))
+        assert isinstance(st, DensityOperator)
+        assert st.tau is st
+        assert repr(st) == f"InterventionalState({st.dims})"
+        assert not st.matrix.flags.writeable
+
     def test_invalid_marginal_rejected(self, monkeypatch):
         m = np.zeros((32, 32))
         m[0, 0] = 1.0
@@ -562,7 +600,7 @@ class TestInterventionalState:
             InterventionalState(bad)
         # a NaN marginal fails the marginal check itself once the state's
         # own validation, which rejects any NaN entry first, is bypassed
-        monkeypatch.setattr(process, "DensityOperator", LabeledOperator)
+        monkeypatch.setattr(DensityOperator, "__init__", LabeledOperator.__init__)
         with pytest.raises(ValueError, match="maximally mixed"):
             InterventionalState(LabeledOperator(np.full((32, 32), np.nan), five))
 
