@@ -19,7 +19,6 @@ A validation error in a stack names the index of the first failing slice.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -167,8 +166,10 @@ def _hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     out = np.conjugate(m.swapaxes(-1, -2), order="C")
     # the maximum is exact and passes NaN through, so blocks change no value
     rows = max(1, _HERM_BLOCK_BYTES * m.shape[-1] // max(1, out.nbytes))
-    dev = reduce(np.maximum, (np.max(np.abs(m[..., r:r + rows, :] - out[..., r:r + rows, :]),
-                                     axis=(-2, -1)) for r in range(0, m.shape[-1], rows)))
+    dev = 0.0
+    for r in range(0, m.shape[-1], rows):
+        dev = np.maximum(dev, np.max(np.abs(m[..., r:r + rows, :] - out[..., r:r + rows, :]),
+                                     axis=(-2, -1)))
     _require(dev <= HERM_TOL, dev,
              lambda d: f"{what} is not Hermitian: max deviation {d:.3e} > {HERM_TOL}")
     out += m

@@ -143,7 +143,7 @@ class TestSweep:
                       "(Renyi alpha >= 1/2); verdict withheld"),
         ("max", "warning: max-entropy monotonicity is externally justified and not "
                 "exercised by the property campaigns"),
-    ])
+    ], ids=["renyi:0.3", "max"])
     def test_report_warnings_reach_stderr_once(self, family, warning, capsys):
         assert main(SWEEP_ARGS + ["--entropy", family]) == 0
         out, err = capsys.readouterr()
