@@ -27,9 +27,14 @@ def ensure_rng(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _gram_deviation(a: np.ndarray) -> float:
+    """``max |A† A - I|``: how far the columns of ``a`` are from orthonormal."""
+    return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[1]))))
+
+
 def _check_unitary(u: np.ndarray, name: str = "matrix") -> None:
     """Raise unless ``u† u`` is the identity within ``UNITARY_TOL``."""
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
+    dev = _gram_deviation(u)
     if not dev <= UNITARY_TOL:
         raise ValueError(f"{name} is not unitary: max deviation {dev:.3e} > {UNITARY_TOL}")
 
@@ -59,9 +64,7 @@ class KrausChannel:
                 )
             ops.append(k)
         ks = np.stack(ops)
-        flat = ks.reshape(-1, in_dims.total)
-        gram = flat.conj().T @ flat
-        dev = float(np.max(np.abs(gram - np.eye(in_dims.total))))
+        dev = _gram_deviation(ks.reshape(-1, in_dims.total))
         if not dev <= TRACE_TOL:
             raise ValueError(
                 f"Kraus operators are not trace preserving: sum K†K deviates "
@@ -196,9 +199,9 @@ def random_channel(in_dims, out_dims, kraus_rank: int,
 
 
 def completely_factorizable(u2: np.ndarray, dim_noise: int, dim_in: int,
-                            dim_traced: int, in_label: str = "Q1",
-                            out_label: str = "Q2") -> KrausChannel:
-    """Channel ``X -> Tr_F[U2 (ω_noise ⊗ X) U2†]`` built from a unitary.
+                            dim_traced: int) -> KrausChannel:
+    """Channel ``Q1 -> Q2``, ``X -> Tr_F[U2 (ω_noise ⊗ X) U2†]``, built from
+    a unitary.
 
     ``u2`` acts on ``noise ⊗ in -> traced ⊗ out`` (noise/traced most
     significant), so ``dim_out = dim_noise * dim_in / dim_traced`` must be an
@@ -217,4 +220,4 @@ def completely_factorizable(u2: np.ndarray, dim_noise: int, dim_in: int,
     blocks = u2.reshape(dim_traced, dim_out, dim_noise, dim_in)
     scale = 1.0 / np.sqrt(dim_noise)
     kraus = [scale * blocks[f, :, b, :] for f in range(dim_traced) for b in range(dim_noise)]
-    return KrausChannel([(in_label, dim_in)], [(out_label, dim_out)], kraus)
+    return KrausChannel([("Q1", dim_in)], [("Q2", dim_out)], kraus)

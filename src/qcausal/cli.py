@@ -167,47 +167,37 @@ def _cannot_write(path: str | Path, exc: OSError) -> int:
     return 2
 
 
-def _write(text: str, out: str | Path | None) -> int:
-    """Write ``text`` to the file ``out``, or to stdout if ``out`` is None.
+def _write_after(outs: list | None, work) -> int:
+    """Write the texts returned by ``work()`` to the files ``outs``, one
+    each in order, or their one text to stdout if ``outs`` is None.
 
-    Returns the exit status: 0, or 2 after an error message on stderr when
-    the file cannot be written.
+    Every file is created before the work, which can take seconds, so a
+    path that cannot be written exits 2 at once, after an error message on
+    stderr.  The files are closed again before ``work`` runs, since the work
+    may fork, and an existing file is not emptied until the texts are
+    ready.  The files created here are removed if the command ends without
+    writing them all, also when ``work`` raises.  Returns the exit status.
     """
-    if out is None:
-        sys.stdout.write(text)
+    if outs is None:
+        sys.stdout.write("".join(work()))
         return 0
+    created = [out for out in outs if not os.path.lexists(out)]
     try:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        return _cannot_write(out, exc)
-    return 0
-
-
-def _write_after(out: str | None, work) -> int:
-    """Write the text returned by ``work()`` to the file ``out``, or to
-    stdout if ``out`` is None.
-
-    The file is created before the work, which can take seconds, so a path
-    that cannot be written exits 2 at once.  It is closed again before
-    ``work`` runs, since the work may fork, and an existing file is not
-    emptied until the text is ready.  A file created here is removed if the
-    command ends without writing it, also when ``work`` raises.  Returns the
-    exit status of :func:`_write`.
-    """
-    if out is None:
-        return _write(work(), None)
-    created = not os.path.lexists(out)
-    try:
-        open(out, "a").close()
-    except OSError as exc:
-        return _cannot_write(out, exc)
-    status = 2
-    try:
-        status = _write(work(), out)
-        return status
+        for out in outs:
+            try:
+                open(out, "a").close()
+            except OSError as exc:
+                return _cannot_write(out, exc)
+        for out, text in zip(outs, work()):
+            try:
+                with open(out, "w", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                return _cannot_write(out, exc)
+        created = []
+        return 0
     finally:
-        if status and created:
+        for out in created:
             with contextlib.suppress(OSError):
                 os.remove(out)
 
@@ -230,10 +220,10 @@ def cmd_sweep(args) -> int:
         rows = sweep_reports(args.process, lams, args.entropy, args.backend)
         for warning in dict.fromkeys(w for _, report in rows for w in report.warnings):
             print(f"warning: {warning}", file=sys.stderr)
-        return csv_text(rows)
+        return [csv_text(rows)]
 
     try:
-        return _write_after(args.out, work)
+        return _write_after(None if args.out is None else [args.out], work)
     except BackendMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -245,11 +235,11 @@ def cmd_verify(args) -> int:
         trials = campaigns.DEFAULT_TRIALS[args.campaign]
     summary = {}
 
-    def run() -> str:
+    def run() -> list[str]:
         summary.update(campaigns.RUNNERS[args.campaign](trials=trials, seed=args.seed))
-        return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        return [json.dumps(summary, indent=2, sort_keys=True) + "\n"]
 
-    status = _write_after(args.out, run)
+    status = _write_after(None if args.out is None else [args.out], run)
     if status:
         return status
     if summary["failures"]:
@@ -284,17 +274,19 @@ def cmd_reproduce(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _cannot_write(outdir, exc)
-    lams = np.linspace(0.0, 1.0, 101)
     process, files = _FIGURE_PLAN[args.figure]
-    # each grid state is built once and evaluated in every file's family
-    grid = _grid_reports(process, lams, [spec for _, spec in files])
-    for k, (name, _) in enumerate(files):
-        path = outdir / name
-        status = _write(csv_text((lam, reports[k]) for lam, reports in grid), path)
-        if status:
-            return status
-        print(f"wrote {path}", file=sys.stderr)
-    return 0
+    paths = [outdir / name for name, _ in files]
+
+    def work() -> list[str]:
+        # each grid state is built once and evaluated in every file's family
+        grid = _grid_reports(process, np.linspace(0.0, 1.0, 101), [spec for _, spec in files])
+        return [csv_text((lam, reports[k]) for lam, reports in grid) for k in range(len(files))]
+
+    status = _write_after(paths, work)
+    if not status:
+        for path in paths:
+            print(f"wrote {path}", file=sys.stderr)
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -177,6 +177,17 @@ def _hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return out
 
 
+def _hermitian_with_trace(m: np.ndarray, target: float, what: str = "matrix") -> np.ndarray:
+    """:func:`_hermitian` of ``m``, after checking that the trace of the
+    result, of each slice in a stack, is ``target`` within
+    ``TRACE_TOL * target``."""
+    out = _hermitian(m, what)
+    tr = np.trace(out, axis1=-2, axis2=-1).real
+    _require(abs(tr - target) <= TRACE_TOL * target, tr,
+             lambda t: f"{what} trace {t!r} is not {target} within {TRACE_TOL * target:g}")
+    return out
+
+
 class DensityOperator(LabeledOperator):
     """Unit-trace positive semidefinite :class:`LabeledOperator`, or a stack
     of them.
@@ -197,10 +208,7 @@ class DensityOperator(LabeledOperator):
 
     def __init__(self, matrix: np.ndarray, dims: LabeledDims | Iterable[tuple[str, int]]):
         super().__init__(matrix, dims)
-        m = _hermitian(self.matrix)
-        tr = np.trace(m, axis1=-2, axis2=-1).real
-        _require(abs(tr - 1.0) <= TRACE_TOL, tr,
-                 lambda t: f"trace {t!r} is not 1 within {TRACE_TOL}")
+        m = _hermitian_with_trace(self.matrix, 1)
         lam_min = np.linalg.eigvalsh(m)[..., 0]
         _require(lam_min >= -PSD_TOL, lam_min,
                  lambda low: f"matrix is not positive semidefinite: min eigenvalue {low:.3e}")

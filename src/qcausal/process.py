@@ -23,15 +23,14 @@ import numpy as np
 
 from .labeled import (
     RECON_TOL,
-    TRACE_TOL,
     DensityOperator,
     LabeledDims,
     LabeledOperator,
     PureState,
-    _hermitian,
+    _hermitian_with_trace,
     _require,
+    as_dims,
     partial_trace,
-    permute,
     purify,
 )
 from .channels import KrausChannel, _check_unitary
@@ -42,7 +41,7 @@ TAU_LABELS = ("A0", "A1", "B0", "B1", "F")
 FUTURE_MODES = {"full": ("T1", "C1"), "trace_control": ("T1",), "trace_target": ("C1",)}
 # Byte budget for the traced peak of one tomography block.  One batch of all
 # na² nb² slot-map pairs peaks at 256 MiB at five-part dimension 512;
-# process_matrix_of cuts the pairs of basis maps on the A slot into blocks
+# _tomography cuts the pairs of basis maps on the A slot into blocks
 # whose peak in _comb_pair_out stays within this budget.  Every switch and
 # every comb of the campaign dimension policy fits in one block, so its W is
 # the one-shot evaluation bit for bit; splitting every batch would slow
@@ -179,16 +178,21 @@ class SwitchSpec:
         self.dims = {**dict.fromkeys(("A0", "A1", "B0", "B1"), 2),
                      "F": 2 ** len(FUTURE_MODES[future_mode])}
 
-    @property
-    def future_dim(self) -> int:
-        return self.dims["F"]
-
     def __repr__(self) -> str:
         return f"SwitchSpec(lam={self.lam}, future_mode={self.future_mode!r})"
 
 
+def _tau_dims(dims, what: str) -> LabeledDims:
+    """``dims``, whose labels must be ``TAU_LABELS`` in that order."""
+    dims = as_dims(dims)
+    if dims.labels != TAU_LABELS:
+        raise ValueError(f"{what} needs labels {TAU_LABELS} in that order, got {dims.labels}")
+    return dims
+
+
 class ProcessMatrix(LabeledOperator):
-    """Two-slot process matrix on ``TAU_LABELS = (A0, A1, B0, B1, F)``.
+    """Two-slot process matrix on ``TAU_LABELS = (A0, A1, B0, B1, F)``, in
+    that order; built from ``(matrix, dims)`` like a :class:`DensityOperator`.
 
     Hermitian within ``HERM_TOL`` (then symmetrized) with
     ``Tr W = dim(A1) * dim(B1)``; in a stack, each slice.
@@ -196,34 +200,26 @@ class ProcessMatrix(LabeledOperator):
 
     __slots__ = ()
 
-    def __init__(self, op: LabeledOperator):
-        if set(op.labels) != set(TAU_LABELS):
-            raise ValueError(f"process matrix needs labels {TAU_LABELS}, got {op.labels}")
-        op = permute(op, TAU_LABELS)
-        m = _hermitian(op.matrix, "process matrix")
-        target = op.dim("A1") * op.dim("B1")
-        tr = np.trace(m, axis1=-2, axis2=-1).real
-        _require(abs(tr - target) <= TRACE_TOL * target, tr,
-                 lambda t: f"process matrix trace {t!r} differs from {target}")
-        super().__init__(m, op.dims)
+    def __init__(self, matrix: np.ndarray, dims):
+        super().__init__(matrix, _tau_dims(dims, "process matrix"))
+        self.matrix = _hermitian_with_trace(self.matrix, self.dim("A1") * self.dim("B1"),
+                                            "process matrix")
 
 
 class InterventionalState(DensityOperator):
     """Five-system state left by the entangled interventions, or a stack of them.
 
-    Labels are ``(A0, A1, B0, B1, F)`` where ``A0``/``B0`` are the stored slot
-    inputs and ``A1``/``B1`` the retained halves of the entangled pairs fed to
-    the slot outputs; their marginal is exactly maximally mixed.  The state is
-    validated again as a density operator after the permutation.
+    Labels are ``TAU_LABELS = (A0, A1, B0, B1, F)``, in that order, where
+    ``A0``/``B0`` are the stored slot inputs and ``A1``/``B1`` the retained
+    halves of the entangled pairs fed to the slot outputs; their marginal is
+    exactly maximally mixed.  Built from ``(matrix, dims)`` and validated as
+    a :class:`DensityOperator`.
     """
 
     __slots__ = ()
 
-    def __init__(self, tau: DensityOperator):
-        if set(tau.labels) != set(TAU_LABELS):
-            raise ValueError(f"expected labels {TAU_LABELS}, got {tau.labels}")
-        tau = permute(tau, TAU_LABELS)
-        super().__init__(tau.matrix, tau.dims)
+    def __init__(self, matrix: np.ndarray, dims):
+        super().__init__(matrix, _tau_dims(dims, "interventional state"))
         marg = partial_trace(self, ["A1", "B1"]).matrix
         d = marg.shape[-1]
         dev = np.max(np.abs(marg - np.eye(d) / d), axis=(-2, -1))
@@ -290,16 +286,14 @@ def _switch_pair_out(s: SwitchSpec, ka: np.ndarray, la: np.ndarray,
     rho_t = s.target.matrix
     amp = np.sqrt(lam * (1.0 - lam))
     ctrl = np.array([[lam, amp], [amp, 1.0 - lam]], dtype=complex)
-    # branch 0 (control |0>): B_i A_j ; branch 1: A_j B_i
-    ba_k = np.einsum("...izw,...jwy->...ijzy", kb, ka, optimize=True)
-    ab_k = np.einsum("...jzw,...iwy->...ijzy", ka, kb, optimize=True)
-    brk = np.stack(np.broadcast_arrays(ba_k, ab_k), axis=-3)
-    if la is ka and lb is kb:
-        brl = brk
-    else:
-        ba_l = np.einsum("...izw,...jwy->...ijzy", lb, la, optimize=True)
-        ab_l = np.einsum("...jzw,...iwy->...ijzy", la, lb, optimize=True)
-        brl = np.stack(np.broadcast_arrays(ba_l, ab_l), axis=-3)
+
+    def branches(a, b):
+        # branch 0 (control |0>): B_i A_j ; branch 1: A_j B_i
+        ba = np.einsum("...izw,...jwy->...ijzy", b, a, optimize=True)
+        ab = np.einsum("...jzw,...iwy->...ijzy", a, b, optimize=True)
+        return np.stack(np.broadcast_arrays(ba, ab), axis=-3)
+
+    brk, brl = branches(ka, kb), branches(la, lb)
     out = np.einsum("...ijczy,yw,...ijdvw,cd->...zcvd", brk, rho_t, brl.conj(), ctrl,
                     optimize=True)
     # row and column axes of each output wire; the wires the future drops are traced
@@ -439,32 +433,13 @@ def _comb_block_pairs(order: str, d: dict[str, int]) -> int:
     return max(1, TOMOGRAPHY_BLOCK_BYTES // (nb * nb * pair_bytes))
 
 
-def process_matrix_of(source) -> ProcessMatrix:
-    """Process matrix on ``(A0, A1, B0, B1, F)`` by basis-channel tomography.
-
-    The source is evaluated on the matrix-unit basis of generalized slot maps;
-    one code path serves combs, purified combs, and the switch.  The pairs
-    ``(K, L)`` of A-slot basis maps are evaluated in blocks, cut over both
-    ``K`` and ``L``, so that the traced peak of one block stays within
+def _tomography(source: FixedOrderComb | SwitchSpec) -> np.ndarray:
+    """Unvalidated ``W`` on ``TAU_LABELS`` of a comb, or of a switch with
+    one control weight, from the source evaluated on the matrix-unit basis
+    of generalized slot maps.  The pairs ``(K, L)`` of A-slot basis maps
+    are evaluated in blocks, cut over both, whose traced peak stays within
     ``TOMOGRAPHY_BLOCK_BYTES``, and each block is written into ``W`` in
-    place.  At five-part dimension 128 / 256 / 512 the traced peak of this
-    function is 8.3 / 9.0 / 12.0 MiB.  Validating ``W`` holds ``W`` and its
-    symmetrized copy, 9.5 MiB at 512, and is the peak from dimension 1024
-    on (33.5 MiB).  The switch and every comb whose full batch fits that
-    budget, which includes all combs of the campaign dimension policy, run
-    as one block and give exactly the one-shot matrix.  A switch with a stack of control weights gets the
-    stack of its per-weight matrices.
-    """
-    if isinstance(source, ProcessMatrix):
-        return source
-    if isinstance(source, SwitchSpec) and np.ndim(source.lam):
-        ws = [process_matrix_of(SwitchSpec(lam, source.target, source.future_mode))
-              for lam in source.lam]
-        return ProcessMatrix(LabeledOperator(np.stack([w.matrix for w in ws]), ws[0].dims))
-    if isinstance(source, PurifiedComb):
-        source = as_fixed_order(source)
-    if not isinstance(source, (FixedOrderComb, SwitchSpec)):
-        raise TypeError(f"cannot reconstruct a process matrix from {type(source).__name__}")
+    place."""
     da0, da1, db0, db1, df = (source.dims[l] for l in TAU_LABELS)
     na, nb = da0 * da1, db0 * db1
     if isinstance(source, FixedOrderComb):
@@ -492,9 +467,30 @@ def process_matrix_of(source) -> ProcessMatrix:
     for i in range(0, na, rows):
         for j in range(0, na, cols):
             out[i:i + rows, j:j + cols] = evaluate(ka[i:i + rows], la[:, j:j + cols], kb, lb)
-    w = w.reshape(na * nb * df, na * nb * df)
-    dims = list(zip(TAU_LABELS, (da0, da1, db0, db1, df)))
-    return ProcessMatrix(LabeledOperator(w, dims))
+    return w.reshape(na * nb * df, na * nb * df)
+
+
+def process_matrix_of(source) -> ProcessMatrix:
+    """Process matrix of a comb, a purified comb or a switch by the
+    basis-channel tomography of :func:`_tomography`, validated once.
+
+    A switch with a stack of control weights gets the stack of its
+    per-weight matrices.  At five-part dimension 128 / 256 / 512 the traced
+    peak of tomography is 8.3 / 9.0 / 12.0 MiB; validating ``W`` holds ``W``
+    and its symmetrized copy, and is the peak from dimension 1024 on.
+    """
+    if isinstance(source, ProcessMatrix):
+        return source
+    if isinstance(source, PurifiedComb):
+        source = as_fixed_order(source)
+    if isinstance(source, SwitchSpec) and np.ndim(source.lam):
+        w = np.stack([_tomography(SwitchSpec(lam, source.target, source.future_mode))
+                      for lam in source.lam])
+    elif isinstance(source, (FixedOrderComb, SwitchSpec)):
+        w = _tomography(source)
+    else:
+        raise TypeError(f"cannot reconstruct a process matrix from {type(source).__name__}")
+    return ProcessMatrix(w, [(l, source.dims[l]) for l in TAU_LABELS])
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +541,7 @@ def _interventional(matrix: np.ndarray, dims) -> InterventionalState:
     let go in between."""
     tau = DensityOperator(matrix, dims)
     del matrix
-    return InterventionalState(tau)
+    return InterventionalState(tau.matrix, tau.dims)
 
 
 def _tau_statevector_switch(s: SwitchSpec) -> InterventionalState:
@@ -590,7 +586,7 @@ def _tau_contraction(source) -> InterventionalState:
     m /= w.dim("A1") * w.dim("B1")
     tau = DensityOperator(m, w.dims)
     del w, m
-    return InterventionalState(tau)
+    return InterventionalState(tau.matrix, tau.dims)
 
 
 def interventional_state(source, backend: str = "statevector") -> InterventionalState:

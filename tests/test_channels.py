@@ -176,8 +176,7 @@ class TestCompletelyFactorizable:
 
     def test_dimension_bookkeeping(self):
         u = haar_unitary(4, 14)
-        c = completely_factorizable(u, dim_noise=2, dim_in=2, dim_traced=2,
-                                    in_label="X", out_label="Y")
-        assert c.in_dims.labels == ("X",)
-        assert c.out_dims.labels == ("Y",)
+        c = completely_factorizable(u, dim_noise=2, dim_in=2, dim_traced=2)
+        assert c.in_dims.labels == ("Q1",)
+        assert c.out_dims.labels == ("Q2",)
         assert c.out_dims.total == 2

@@ -346,6 +346,32 @@ class TestReproduce:
         assert main(["reproduce", "4", "--out", str(tmp_path)]) == 2
         assert f"cannot write {tmp_path / 'fig4.csv'}" in capsys.readouterr().err
 
+    def test_every_file_is_checked_before_the_grid(self, monkeypatch, tmp_path, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the grid ran before the output files were checked")
+        monkeypatch.setattr(cli, "_grid_reports", never)
+        (tmp_path / "fig5b_vn.csv").write_text("kept\n")
+        (tmp_path / "fig5b_alpha3.csv").mkdir()
+        assert main(["reproduce", "5b", "--out", str(tmp_path)]) == 2
+        taken = tmp_path / "fig5b_alpha3.csv"
+        assert capsys.readouterr().err == f"error: cannot write {taken}: Is a directory\n"
+        # fig5b_alpha2.csv was created by the command and is removed again;
+        # the file that was there before is neither removed nor emptied
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig5b_alpha3.csv", "fig5b_vn.csv"]
+        assert (tmp_path / "fig5b_vn.csv").read_text() == "kept\n"
+
+    def test_files_removed_when_the_grid_raises(self, monkeypatch, tmp_path):
+        names = ["fig5a_vn.csv", "fig5a_alpha0.5.csv", "fig5a_alpha0.65.csv",
+                 "fig5a_alpha0.8.csv"]
+
+        def broken(*args, **kwargs):
+            assert all((tmp_path / name).exists() for name in names)
+            raise RuntimeError("grid broke")
+        monkeypatch.setattr(cli, "_grid_reports", broken)
+        with pytest.raises(RuntimeError, match="grid broke"):
+            main(["reproduce", "5a", "--out", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_figure_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "9z"])

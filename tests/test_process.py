@@ -43,6 +43,7 @@ from qcausal import (
 )
 from qcausal.cli import BACKEND_AGREE_TOL
 import qcausal.campaigns as camp
+import qcausal.labeled as labeled
 import qcausal.process as process
 from qcausal.process import _dilation_unitary
 
@@ -104,7 +105,8 @@ def link_contraction(w):
     da0, da1, db0, db1, _ = w.dims.dims
     t = np.einsum("ijklfpqrsg,iIpP,jJqQ,kKrR,lLsS->IJKLfPQRSg", w.tensor(), phi_tilde(da0),
                   phi_tilde(da1) / da1, phi_tilde(db0), phi_tilde(db1) / db1)
-    return InterventionalState(DensityOperator(t.reshape(w.matrix.shape), w.dims))
+    # validated twice, as the backends validate their states
+    return InterventionalState(DensityOperator(t.reshape(w.matrix.shape), w.dims).matrix, w.dims)
 
 
 def dense_purified_unitaries(comb):
@@ -292,8 +294,8 @@ class TestSwitch:
         assert np.allclose(out.matrix, expect)
 
     def test_future_mode_dims(self):
-        assert SwitchSpec(0.3).future_dim == 4
-        assert SwitchSpec(0.3, future_mode="trace_target").future_dim == 2
+        assert SwitchSpec(0.3).dims["F"] == 4
+        assert SwitchSpec(0.3, future_mode="trace_target").dims["F"] == 2
         out = switch_apply(SwitchSpec(0.3, future_mode="trace_target"),
                            qubit_unitary_channel(1, ("A0", "A1")),
                            qubit_unitary_channel(2, ("B0", "B1")))
@@ -345,13 +347,35 @@ class TestProcessMatrix:
         d_expected = comb.dims["A1"] * comb.dims["B1"]
         assert np.isclose(w.matrix.trace().real, d_expected, atol=1e-8)
         assert np.allclose(w.matrix, w.matrix.conj().T)
-        nan = LabeledOperator(np.full(w.matrix.shape, np.nan), w.dims)
+        nan = np.full(w.matrix.shape, np.nan)
         with pytest.raises(ValueError, match="not Hermitian"):
-            ProcessMatrix(nan)
+            ProcessMatrix(nan, w.dims)
         # with the Hermiticity check bypassed, the trace check rejects NaN
-        monkeypatch.setattr(process, "_hermitian", lambda m, what="matrix": m)
+        monkeypatch.setattr(labeled, "_hermitian", lambda m, what="matrix": m)
         with pytest.raises(ValueError, match="trace nan"):
-            ProcessMatrix(nan)
+            ProcessMatrix(nan, w.dims)
+
+    @pytest.mark.parametrize("cls", [ProcessMatrix, InterventionalState])
+    def test_labels_out_of_order_are_rejected(self, cls):
+        s = SwitchSpec(0.3)
+        op = process_matrix_of(s) if cls is ProcessMatrix else interventional_state(s)
+        swapped = permute(op, ("B0", "B1", "A0", "A1", "F"))
+        message = f"needs labels {TAU_LABELS} in that order, got {swapped.labels}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(swapped.matrix, swapped.dims)
+
+    @pytest.mark.parametrize("mode", FUTURE_MODES)
+    def test_stacked_switch_is_its_weights_stacked_and_validated_once(self, mode, monkeypatch):
+        lams = np.linspace(0.0, 1.0, 101)
+        each = np.stack([process_matrix_of(SwitchSpec(lam, future_mode=mode)).matrix
+                         for lam in lams])
+        built = []
+        init = ProcessMatrix.__init__
+        monkeypatch.setattr(ProcessMatrix, "__init__",
+                            lambda self, *args: built.append(init(self, *args)))
+        w = process_matrix_of(SwitchSpec(lams, future_mode=mode))
+        assert len(built) == 1
+        assert np.array_equal(w.matrix, each)
 
     def test_switch_matrix_is_rank_one(self):
         w = process_matrix_of(SwitchSpec(0.37))
@@ -381,7 +405,7 @@ def one_shot_process_matrix(source):
         source = as_fixed_order(source)
     if isinstance(source, SwitchSpec):
         da0 = da1 = db0 = db1 = 2
-        df = source.future_dim
+        df = source.dims["F"]
         evaluate = process._switch_pair_out
     else:
         da0, da1, db0, db1, df = (source.dims[l] for l in ("A0", "A1", "B0", "B1", "F"))
@@ -397,7 +421,7 @@ def one_shot_process_matrix(source):
                    kb.reshape(1, 1, 1, nb, 1, db1, db0))
     w = out.transpose(0, 2, 4, 1, 3, 5).reshape(na * nb * df, na * nb * df)
     dims = zip(TAU_LABELS, (da0, da1, db0, db1, df))
-    return ProcessMatrix(LabeledOperator(w, dims)).matrix
+    return ProcessMatrix(w, dims).matrix
 
 
 def purified_comb_of_shape(order, shape, seed, q0=2):
@@ -595,14 +619,13 @@ class TestInterventionalState:
         m = np.zeros((32, 32))
         m[0, 0] = 1.0
         five = [("A0", 2), ("A1", 2), ("B0", 2), ("B1", 2), ("F", 2)]
-        bad = DensityOperator(m, five)
         with pytest.raises(ValueError, match="maximally mixed"):
-            InterventionalState(bad)
+            InterventionalState(m, five)
         # a NaN marginal fails the marginal check itself once the state's
         # own validation, which rejects any NaN entry first, is bypassed
         monkeypatch.setattr(DensityOperator, "__init__", LabeledOperator.__init__)
         with pytest.raises(ValueError, match="maximally mixed"):
-            InterventionalState(LabeledOperator(np.full((32, 32), np.nan), five))
+            InterventionalState(np.full((32, 32), np.nan), five)
 
     def test_statevector_needs_wiring(self):
         w = process_matrix_of(SwitchSpec(0.5))
@@ -642,15 +665,15 @@ class TestContractionConvention:
             assert np.array_equal(w.matrix, before)
             assert np.array_equal(ct, interventional_state(source, "contraction").tau.matrix)
             scale = w.dim("A1") * w.dim("B1")
-            expect = InterventionalState(DensityOperator(before / scale, w.dims)).tau.matrix
+            expect = DensityOperator(before / scale, w.dims).matrix
+            expect = InterventionalState(expect, w.dims).tau.matrix
             assert np.array_equal(ct, expect)
 
     def test_nontrivial_past_rejected(self):
         # a process matrix lives on the five slot and future labels only
         w = process_matrix_of(SwitchSpec(0.4))
-        with_past = LabeledOperator(np.kron(np.eye(2), w.matrix), [("P", 2)] + list(w.dims))
         with pytest.raises(ValueError, match="process matrix needs labels"):
-            ProcessMatrix(with_past)
+            ProcessMatrix(np.kron(np.eye(2), w.matrix), [("P", 2)] + list(w.dims))
 
 
 class TestCausalSeparability:

@@ -87,7 +87,7 @@ class TestBadSlice:
         m[1] = 0.0
         m[1, 0, 0] = 1.0
         with pytest.raises(ValueError, match="^slice 1: marginal on the retained pair"):
-            InterventionalState(DensityOperator(m, tau.dims))
+            InterventionalState(m, tau.dims)
 
     @pytest.mark.parametrize("lam", [[0.5, 1.5], [[0.5]], [], [0.5, np.nan]])
     def test_switch_rejects_bad_weights(self, lam):

@@ -24,8 +24,10 @@ from qcausal import (
     marginal_witnesses,
     renyi,
     sample_purified_comb,
+    trace_distance,
     verdict_token,
 )
+from qcausal.cli import _FUTURE_OF, BACKEND_AGREE_TOL
 
 FIVE_QUBITS = [("A0", 2), ("A1", 2), ("B0", 2), ("B1", 2), ("F", 2)]
 
@@ -169,6 +171,35 @@ class TestSwitchClosedForms:
             tau = switch_state(lam, "full")
             for order in ("AB", "BA"):
                 assert dp_witness(tau, order, MAX_ENTROPY)[0] == -math.log2(5), (lam, order)
+
+
+class TestNearEndpoints:
+    """Control weights within 1e-9 of 0 and 1, for each case study."""
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-9, 1.0 - 1e-9, 1.0 - 1e-12])
+    @pytest.mark.parametrize("process", _FUTURE_OF)
+    def test_backends_agree_and_von_neumann_verdict_is_the_endpoint_one(self, process, lam):
+        s = SwitchSpec(lam, future_mode=_FUTURE_OF[process])
+        sv = interventional_state(s, "statevector")
+        ct = interventional_state(s, "contraction")
+        # measured gaps of at most 1.7e-15
+        assert trace_distance(sv, ct) <= BACKEND_AGREE_TOL
+        verdict = VERDICT_NOT_AB if lam < 0.5 else VERDICT_NOT_BA
+        assert evaluate(sv).verdict == evaluate(ct).verdict == verdict
+
+    @pytest.mark.parametrize("lam, verdict", [
+        (2e-9, VERDICT_NOT_AB), (4e-9, VERDICT_BEYOND),
+        (1.0 - 4e-9, VERDICT_BEYOND), (1.0 - 1e-9, VERDICT_NOT_BA)])
+    @pytest.mark.parametrize("backend", ["statevector", "contraction"])
+    def test_switch_full_max_entropy_verdict_flips_at_the_rank_cutoff(self, backend, lam,
+                                                                      verdict):
+        # In exact arithmetic rho_{A1 F} has rank 5 on all of (0, 1), so the
+        # verdict is BeyondFixedOrder there.  Its three eigenvalues lam / 4 (or
+        # their mirror near 1) fall below the RANK_REL_TOL cutoff within about
+        # 4e-9 of an endpoint, and the verdict becomes the endpoint's.  This
+        # pins the fragile region as it is; it is not a tolerance to loosen.
+        tau = interventional_state(SwitchSpec(lam), backend)
+        assert evaluate(tau, spec=MAX_ENTROPY).verdict == verdict
 
 
 class TestVerdictLogic:
