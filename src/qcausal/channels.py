@@ -78,21 +78,22 @@ class KrausChannel:
     def from_unitary(cls, u: np.ndarray, in_dims, out_dims) -> "KrausChannel":
         in_dims = as_dims(in_dims)
         out_dims = as_dims(out_dims)
-        u = np.asarray(u, dtype=complex)
-        if in_dims.total != out_dims.total:
-            raise ValueError(f"unitary channel needs equal dimensions, got {in_dims} -> {out_dims}")
+        u = np.array(u, dtype=complex)
+        if u.shape != (out_dims.total, in_dims.total) or in_dims.total != out_dims.total:
+            raise ValueError(f"unitary channel {in_dims} -> {out_dims} needs equal "
+                             f"dimensions and a matching square matrix, got {u.shape}")
         _check_unitary(u)
-        return cls(in_dims, out_dims, [u])
+        return cls._of_checked(u[None], in_dims, out_dims)
 
     @classmethod
-    def _of_checked_unitary(cls, u: np.ndarray, in_dims, out_dims) -> "KrausChannel":
-        """Channel of a square complex ``u`` that the caller has already
-        checked unitary within ``UNITARY_TOL``, which is stricter than the
-        constructor's ``TRACE_TOL``, so its Gram check could not fail."""
+    def _of_checked(cls, kraus: np.ndarray, in_dims, out_dims) -> "KrausChannel":
+        """Channel of a complex ``(r, d_out, d_in)`` array whose ``sum K†K``
+        the caller has checked within ``UNITARY_TOL``, stricter than the
+        constructor's ``TRACE_TOL``, so the constructor's check cannot fail."""
         chan = cls.__new__(cls)
         chan.in_dims = as_dims(in_dims)
         chan.out_dims = as_dims(out_dims)
-        chan.kraus = u[None]
+        chan.kraus = kraus
         return chan
 
     def __repr__(self) -> str:
@@ -217,7 +218,7 @@ def completely_factorizable(u2: np.ndarray, dim_noise: int, dim_in: int,
         )
     _check_unitary(u2)
     dim_out = d // dim_traced
-    blocks = u2.reshape(dim_traced, dim_out, dim_noise, dim_in)
-    scale = 1.0 / np.sqrt(dim_noise)
-    kraus = [scale * blocks[f, :, b, :] for f in range(dim_traced) for b in range(dim_noise)]
-    return KrausChannel([("Q1", dim_in)], [("Q2", dim_out)], kraus)
+    # K_(f,b) = U2[f, :, b, :] / sqrt(dim_noise): sum K†K averages diagonal blocks of U2†U2
+    blocks = u2.reshape(dim_traced, dim_out, dim_noise, dim_in).transpose(0, 2, 1, 3)
+    kraus = (1.0 / np.sqrt(dim_noise) * blocks).reshape(-1, dim_out, dim_in)
+    return KrausChannel._of_checked(kraus, [("Q1", dim_in)], [("Q2", dim_out)])

@@ -18,6 +18,7 @@ from .labeled import partial_trace  # noqa: F401
 
 EIG_FLOOR = 1e-12
 RENYI_VN_EPS = 1e-6  # |alpha - 1| below this dispatches to von Neumann
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -69,54 +70,59 @@ def renyi(alpha: float) -> EntropySpec:
     return EntropySpec("renyi", float(alpha))
 
 
-def _clean_spectrum(lam: np.ndarray) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    low = float(lam.min()) if lam.size else 0.0
-    # written so that NaN fails it
-    if not low >= -PSD_TOL:
-        raise ValueError(f"spectrum has eigenvalue {low:.3e}, not at or above -{PSD_TOL}")
-    lam = np.clip(lam, 0.0, None)
-    return lam
-
-
 def entropy_from_spectrum(lam: Sequence[float] | np.ndarray,
-                          spec: EntropySpec = VON_NEUMANN) -> float:
-    """Entropy of a (sub)normalized spectrum under the chosen family.
-
-    A NaN or infinite eigenvalue, or one below ``-PSD_TOL``, raises
-    ``ValueError``.
-    """
-    lam = _clean_spectrum(np.asarray(lam))
-    support = lam[lam > EIG_FLOOR]
-    if support.size == 0:
-        raise ValueError("spectrum has no weight above the eigenvalue floor")
-    if spec.kind == "renyi" and abs(spec.alpha - 1.0) <= RENYI_VN_EPS:
-        spec = VON_NEUMANN
-    if spec.kind == "renyi" and math.isinf(spec.alpha):
-        spec = MIN_ENTROPY
-    if spec.kind == "von_neumann":
-        h = float(-np.sum(support * np.log2(support)))
-        # an infinite eigenvalue makes h = -inf; the check below rejects it
-        if h > -math.inf:
-            return h
-    if spec.kind == "renyi":
-        a = spec.alpha
+                          spec: EntropySpec = VON_NEUMANN) -> float | np.ndarray:
+    """Entropy of a (sub)normalized spectrum under the chosen family: a float
+    for one spectrum, one per row in one pass for a 2-D array of spectra.
+    Rows are grouped by support size into arrays that keep each row's support
+    in its order, so numpy's pairwise sum along the last axis adds the same
+    terms in the same order as for the row alone: bit for bit.  A NaN or
+    infinite eigenvalue, or one below ``-PSD_TOL``, raises ``ValueError``;
+    in a stack, the first bad row raises its own error."""
+    lam = np.asarray(lam, dtype=float)
+    rows = lam if lam.ndim == 2 else lam.reshape(1, -1)
+    low, top = rows.min(axis=1, initial=math.inf), rows.max(axis=1, initial=0.0)
+    # written so that NaN fails it; a row has support iff top > EIG_FLOOR
+    ok = (low >= -PSD_TOL) & (top > EIG_FLOOR) & (top < math.inf)
+    if not ok.all():
+        i = ok.argmin()
+        if not low[i] >= -PSD_TOL:
+            raise ValueError(f"spectrum has eigenvalue {low[i]:.3e}, not at or above -{PSD_TOL}")
+        raise ValueError("spectrum has an infinite eigenvalue" if top[i] > EIG_FLOOR
+                         else "spectrum has no weight above the eigenvalue floor")
+    keep = rows > EIG_FLOOR
+    a = spec.alpha
+    if spec.kind == "min" or spec.kind == "renyi" and a == math.inf:
+        h = -np.log2(top)
+    elif spec.kind == "max":  # log2 of the rank
+        h = np.log2((rows > RANK_REL_TOL * top[:, None]).sum(axis=1))
+    elif spec.kind == "von_neumann" or abs(a - 1.0) <= RENYI_VN_EPS:
+        h = -_row_sums(lambda s: s * np.log2(s), rows, keep)
+    else:
         with np.errstate(over="ignore"):
-            power_sum = np.sum(support ** a)
-        if np.finfo(float).tiny <= power_sum < math.inf:
-            return float(np.log2(power_sum) / (1.0 - a))
-    top = support.max()
-    if not top < math.inf:
-        raise ValueError("spectrum has an infinite eigenvalue")
-    if spec.kind == "min":
-        return float(-np.log2(top))
-    if spec.kind == "max":
-        # log2 of the rank
-        return float(np.log2(int(np.sum(lam > RANK_REL_TOL * top))))
-    # at large alpha the direct sum under- or overflows; factor out
-    # lam_max so that the remaining sum lies in [1, rank]
-    return float(a / (1.0 - a) * np.log2(top)
-                 + np.log2(np.sum((support / top) ** a)) / (1.0 - a))
+            power_sum = _row_sums(lambda s: s ** a, rows, keep)
+        if all(_TINY <= p < math.inf for p in power_sum.tolist()):
+            h = np.log2(power_sum) / (1.0 - a)
+        else:
+            # at large alpha the direct sum under- or overflows; factor out
+            # lam_max so that the remaining sum lies in [1, rank]
+            far = (power_sum < _TINY) | (power_sum == math.inf)
+            scaled = _row_sums(lambda s: s ** a, rows / top[:, None], keep)
+            h = np.where(far, a / (1.0 - a) * np.log2(top) + np.log2(scaled) / (1.0 - a),
+                         np.log2(np.where(far, 1.0, power_sum)) / (1.0 - a))
+    return h if lam.ndim == 2 else float(h[0])
+
+
+def _row_sums(term, rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Sum of ``term`` over each row's support ``rows[i][keep[i]]``, one pass per size."""
+    if len(rows) == 1:
+        return term(rows[keep]).sum(keepdims=True)
+    size = keep.sum(axis=1)
+    out = np.empty(len(rows))
+    for k in set(size.tolist()):
+        at = size == k
+        out[at] = term(rows[at][keep[at]].reshape(-1, k)).sum(axis=1)
+    return out
 
 
 def entropy(rho: DensityOperator, subsystem: Sequence[str] | None = None,
@@ -124,8 +130,8 @@ def entropy(rho: DensityOperator, subsystem: Sequence[str] | None = None,
     """Entropy of the state ``rho``, or of its marginal on ``subsystem`` if given.
 
     A float for a single state; for a stack of states, a read-only array
-    with one entropy per slice, each from :func:`entropy_from_spectrum` of
-    that slice's spectrum, so the same float as for the slice on its own.
+    with one entropy per slice, from one :func:`entropy_from_spectrum` pass
+    over the stack's spectra: each slice's own float, bit for bit.
     Each marginal is decomposed once and served from the state's memo of
     spectra in every family; each entropy is computed once per label set and
     family, and a repeat, in any label order, returns the same value.
@@ -135,11 +141,8 @@ def entropy(rho: DensityOperator, subsystem: Sequence[str] | None = None,
     key = (frozenset(rho.labels if subsystem is None else subsystem), spec)
     value = rho._entropies.get(key)
     if value is None:
-        lam = rho.spectrum(subsystem)
-        if lam.ndim == 1:
-            value = entropy_from_spectrum(lam, spec)
-        else:
-            value = np.array([entropy_from_spectrum(row, spec) for row in lam])
+        value = entropy_from_spectrum(rho.spectrum(subsystem), spec)
+        if isinstance(value, np.ndarray):
             value.flags.writeable = False
         rho._entropies[key] = value
     return value

@@ -404,11 +404,11 @@ def as_fixed_order(pc: PurifiedComb) -> FixedOrderComb:
     rho = DensityOperator(pc.psi.density().matrix,
                           [(f"{first}0", d[f"{first}0"]), ("E0", d["Q0"])])
     # PurifiedComb checked both unitaries, so the channels skip that check
-    lambda1 = KrausChannel._of_checked_unitary(
-        pc.u1, [(f"{first}1", d[f"{first}1"]), ("E0", d["Q0"])],
+    lambda1 = KrausChannel._of_checked(
+        pc.u1[None], [(f"{first}1", d[f"{first}1"]), ("E0", d["Q0"])],
         [(f"{second}0", d[f"{second}0"]), ("E1", d["Q1"])])
-    lambda2 = KrausChannel._of_checked_unitary(
-        pc.u2, [(f"{second}1", d[f"{second}1"]), ("E1", d["Q1"])],
+    lambda2 = KrausChannel._of_checked(
+        pc.u2[None], [(f"{second}1", d[f"{second}1"]), ("E1", d["Q1"])],
         [("F", d["F"]), ("E2", d["Q2"])])
     return FixedOrderComb(pc.order, rho, lambda1, lambda2)
 

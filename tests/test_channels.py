@@ -14,6 +14,7 @@ from qcausal import (
     random_density,
     random_pure,
 )
+from qcausal import channels
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -161,6 +162,14 @@ class TestRandomEnsembles:
         assert ensure_rng(g) is g
 
 
+def _count_gram_checks(monkeypatch) -> list:
+    """Record the shape of each matrix that ``channels._gram_deviation`` checks."""
+    checked = []
+    gram = channels._gram_deviation
+    monkeypatch.setattr(channels, "_gram_deviation", lambda a: checked.append(a.shape) or gram(a))
+    return checked
+
+
 class TestCompletelyFactorizable:
     def test_unital_and_tp(self):
         # preserves the maximally mixed state whatever the unitary
@@ -173,6 +182,30 @@ class TestCompletelyFactorizable:
         out = apply_channel(c, omega)
         assert out.dims.total == dout
         assert np.allclose(out.matrix, np.eye(dout) / dout, atol=1e-10)
+
+    @pytest.mark.parametrize("dn, din, dtr", [(2, 3, 2), (3, 4, 2), (2, 2, 4)])
+    def test_one_gram_check_and_the_block_kraus(self, monkeypatch, dn, din, dtr):
+        # the unitary check implies sum K†K = I, so it is the only Gram check
+        checked = _count_gram_checks(monkeypatch)
+        u = haar_unitary(dn * din, 15)
+        c = completely_factorizable(u, dim_noise=dn, dim_in=din, dim_traced=dtr)
+        assert checked == [u.shape]
+        dout = dn * din // dtr
+        blocks = u.reshape(dtr, dout, dn, din)
+        want = [1.0 / np.sqrt(dn) * blocks[f, :, b, :] for f in range(dtr) for b in range(dn)]
+        assert c.kraus.shape == (dtr * dn, dout, din)
+        assert c.kraus.tobytes() == np.stack(want).tobytes()
+        assert is_tp(c)
+
+    def test_from_unitary_checks_once_and_copies(self, monkeypatch):
+        checked = _count_gram_checks(monkeypatch)
+        u = haar_unitary(3, 16)
+        c = KrausChannel.from_unitary(u, [("A", 3)], [("B", 3)])
+        assert checked == [(3, 3)]
+        assert np.array_equal(c.kraus, u[None]) and not np.shares_memory(c.kraus, u)
+        for bad, dims in ((np.eye(4)[:, :3], [("B", 4)]), (np.eye(2), [("B", 3)])):
+            with pytest.raises(ValueError):
+                KrausChannel.from_unitary(bad, [("A", 3)], dims)
 
     def test_dimension_bookkeeping(self):
         u = haar_unitary(4, 14)

@@ -467,6 +467,23 @@ class TestGridPool:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_first_figures_call_imports_nothing(self):
+        # the benchmark's figures first call runs right after import; a module
+        # that numpy loads lazily (numpy.ma, for np.unique) would land there,
+        # or in the first stacked sub-grid
+        code = ("import sys\n"
+                "from qcausal import VON_NEUMANN, cli, renyi\n"
+                "before = set(sys.modules)\n"
+                "cli.csv_text(cli.sweep_reports('switch_full', [0.3], VON_NEUMANN))\n"
+                "cli.csv_text(cli.sweep_reports('switch_full', [0.1, 0.3, 0.5], renyi(2.0)))\n"
+                "print(sorted(set(sys.modules) - before))\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_backend_mismatch_in_a_worker_exits_1(self, monkeypatch, capsys):
         # the backends disagree only in processes other than this one
         parent = os.getpid()

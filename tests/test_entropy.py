@@ -1,4 +1,5 @@
 """Entropy families: formulas, ordering, duality, SSA."""
+import itertools
 import math
 import sys
 
@@ -200,12 +201,12 @@ class TestStateEntropy:
 
 
 def _count_entropy_calls(monkeypatch) -> list:
-    """Record the spectrum and family of each ``entropy_from_spectrum`` call
-    that ``entropy`` makes."""
+    """Record the spectrum shape and family of each ``entropy_from_spectrum``
+    call that ``entropy`` makes."""
     calls = []
 
     def counted(lam, spec=VON_NEUMANN):
-        calls.append(spec)
+        calls.append((np.shape(lam), spec))
         return entropy_from_spectrum(lam, spec)
     monkeypatch.setattr(entropy_module, "entropy_from_spectrum", counted)
     return calls
@@ -240,7 +241,8 @@ class TestEntropyMemo:
     def test_grid_point_computes_each_entropy_once(self, monkeypatch):
         # per point of a sub-grid: 10 distinct von Neumann marginals (the DP
         # terms and the marginal witnesses of both orders), plus the 3 DP
-        # terms of each Renyi family
+        # terms of each Renyi family; each is one call on the sub-grid's
+        # stack of spectra, one row per point
         calls = _count_entropy_calls(monkeypatch)
         specs = (VON_NEUMANN, renyi(0.5), renyi(0.65), renyi(0.8))
         lams = [0.1, 0.3, 0.7]
@@ -248,8 +250,74 @@ class TestEntropyMemo:
         assert len(points) == len(lams)
         for reports in points:
             assert [r.family for r in reports] == list(specs)
-        assert len(calls) == 19 * len(lams)
-        assert calls.count(VON_NEUMANN) == 10 * len(lams)
+        assert len(calls) == 19
+        assert all(len(shape) == 2 and shape[0] == len(lams) for shape, _ in calls)
+        assert [spec for _, spec in calls].count(VON_NEUMANN) == 10
+
+
+# every family, and Renyi on both sides of the von Neumann dispatch and far
+# past the point where the direct power sum underflows
+STACK_SPECS = (VON_NEUMANN, MIN_ENTROPY, MAX_ENTROPY, renyi(0.5), renyi(2.0),
+               renyi(1.0 + RENYI_VN_EPS / 2), renyi(1.0 - RENYI_VN_EPS / 2),
+               renyi(1100.0), renyi(1e300))
+BAD_SPECTRA = {"nan": [0.5, np.nan, 0.5], "negative": [0.6, 0.5, -0.1],
+               "no_support": [1e-13, 0.0, -1e-17], "inf": [0.5, np.inf, 0.5],
+               "minus_inf": [0.5, 0.5, -np.inf]}
+
+
+def _spectra(rng, d: int, n: int, order: str) -> np.ndarray:
+    """``n`` spectra of length ``d``: the first pure, the others of random
+    rank, each padded with zeros and ``±1e-17`` and then sorted or shuffled."""
+    rows = []
+    for i in range(n):
+        rank = 1 if i == 0 else int(rng.integers(1, d + 1))
+        row = np.concatenate([rng.dirichlet(np.full(rank, 0.5)),
+                              rng.choice([0.0, 1e-17, -1e-17], size=d - rank)])
+        if order == "shuffled":
+            rng.shuffle(row)
+        else:
+            row = np.sort(row)[::-1] if order == "descending" else np.sort(row)
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestStackedSpectra:
+    """A 2-D array of spectra gives each row's own entropy, bit for bit."""
+
+    # numpy's pairwise sum works in blocks of 8 and splits above 128
+    @pytest.mark.parametrize("d", [*range(1, 10), 15, 16, 17, 63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda s: s.label)
+    def test_rows_bit_for_bit(self, spec, d):
+        rng = np.random.default_rng(d)
+        for order in ("descending", "ascending", "shuffled"):
+            stack = _spectra(rng, d, 12, order)
+            got = entropy_from_spectrum(stack, spec)
+            want = np.array([entropy_from_spectrum(row, spec) for row in stack])
+            assert np.array_equal(got, want)
+            # a pure row's entropy is -0.0 in some families
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("first, second", list(itertools.permutations(BAD_SPECTRA, 2)))
+    def test_first_bad_row_raises_its_own_error(self, first, second):
+        good = [0.5, 0.3, 0.2]
+        stack = np.array([good, BAD_SPECTRA[first], good, BAD_SPECTRA[second]])
+        for spec in STACK_SPECS:
+            with pytest.raises(ValueError) as own:
+                entropy_from_spectrum(BAD_SPECTRA[first], spec)
+            with pytest.raises(ValueError) as stacked:
+                entropy_from_spectrum(stack, spec)
+            assert str(stacked.value) == str(own.value)
+
+    def test_stacked_state_gives_one_read_only_array(self):
+        dims = [("A", 2), ("B", 4)]
+        matrices = [random_density(8, rank, 40 + rank, dims=dims).matrix for rank in (1, 3, 8)]
+        stack = DensityOperator(np.stack(matrices), dims)
+        slices = [DensityOperator(m, dims) for m in matrices]
+        for spec in ALL_SPECS:
+            for labels in (["B"], None):
+                value = entropy(stack, labels, spec)
+                assert value.shape == (3,) and not value.flags.writeable
+                assert value.tolist() == [entropy(rho, labels, spec) for rho in slices]
 
 
 class TestSSA:
