@@ -43,6 +43,7 @@ from .entropy import (
 from .process import (
     FUTURE_MODES,
     ORDERS,
+    SLOTS,
     TAU_LABELS,
     FixedOrderComb,
     InterventionalState,

@@ -67,6 +67,7 @@ from .process import (
     SwitchSpec,
     FixedOrderComb,
     _interventional,
+    _slots,
     _wire_purified,
     as_fixed_order,
     comb_apply,
@@ -314,22 +315,21 @@ def sample_purified_comb(seed, order: str | None = None) -> PurifiedComb:
     rng = ensure_rng(seed)
     if order is None:
         order = ORDERS[int(rng.integers(2))]
-    first, second = order[0], order[1]
+    x0, x1, y0, y1 = _slots(order)
     while True:
         dims = _sample_dims(rng)
         dq0 = _pick(rng, Q0_DIMS)
-        if (dims[f"{first}1"] * dq0) % dims[f"{second}0"]:
+        if (dims[x1] * dq0) % dims[y0]:
             continue
-        dq1 = dims[f"{first}1"] * dq0 // dims[f"{second}0"]
-        if (dims[f"{second}1"] * dq1) % dims["F"]:
+        dq1 = dims[x1] * dq0 // dims[y0]
+        if (dims[y1] * dq1) % dims["F"]:
             continue
-        dq2 = dims[f"{second}1"] * dq1 // dims["F"]
+        dq2 = dims[y1] * dq1 // dims["F"]
         break
     dims.update(Q0=dq0, Q1=dq1, Q2=dq2)
-    psi = PureState(random_pure(dims[f"{first}0"] * dq0, rng),
-                    [(f"{first}0", dims[f"{first}0"]), ("Q0", dq0)])
-    u1 = haar_unitary(dims[f"{first}1"] * dq0, rng)
-    u2 = haar_unitary(dims[f"{second}1"] * dq1, rng)
+    psi = PureState(random_pure(dims[x0] * dq0, rng), [(x0, dims[x0]), ("Q0", dq0)])
+    u1 = haar_unitary(dims[x1] * dq0, rng)
+    u2 = haar_unitary(dims[y1] * dq1, rng)
     return PurifiedComb(order, psi, u1, u2, dims)
 
 
@@ -338,12 +338,12 @@ def sample_fixed_order_comb(seed, order: str | None = None) -> FixedOrderComb:
     rng = ensure_rng(seed)
     if order is None:
         order = ORDERS[int(rng.integers(2))]
-    first, second = order[0], order[1]
+    x0, x1, y0, y1 = _slots(order)
     dims = _sample_dims(rng)
     de0, de1, de2 = (_pick(rng, ENV_DIMS) for _ in range(3))
-    d_rho = dims[f"{first}0"] * de0
+    d_rho = dims[x0] * de0
     rho = random_density(d_rho, rank=int(rng.integers(1, d_rho + 1)), seed=rng,
-                         dims=[(f"{first}0", dims[f"{first}0"]), ("E0", de0)])
+                         dims=[(x0, dims[x0]), ("E0", de0)])
 
     def chan(in_pairs, out_pairs):
         din = math.prod(d for _, d in in_pairs)
@@ -351,9 +351,8 @@ def sample_fixed_order_comb(seed, order: str | None = None) -> FixedOrderComb:
         rank = max(int(rng.integers(1, 4)), -(-din // dout))
         return random_channel(in_pairs, out_pairs, kraus_rank=rank, seed=rng)
 
-    lam1 = chan([(f"{first}1", dims[f"{first}1"]), ("E0", de0)],
-                [(f"{second}0", dims[f"{second}0"]), ("E1", de1)])
-    lam2 = chan([(f"{second}1", dims[f"{second}1"]), ("E1", de1)],
+    lam1 = chan([(x1, dims[x1]), ("E0", de0)], [(y0, dims[y0]), ("E1", de1)])
+    lam2 = chan([(y1, dims[y1]), ("E1", de1)],
                 [("F", dims["F"]), ("E2", de2)])
     return FixedOrderComb(order, rho, lam1, lam2)
 

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .labeled import PSD_TOL, RANK_REL_TOL, DensityOperator
+from .labeled import PSD_TOL, RANK_REL_TOL, TRACE_TOL, DensityOperator
 # not called here: bench/test_bench.py checks that the counting shim rebinds
 # this module's copy of a function imported from .labeled
 from .labeled import partial_trace  # noqa: F401
@@ -19,6 +19,7 @@ from .labeled import partial_trace  # noqa: F401
 EIG_FLOOR = 1e-12
 RENYI_VN_EPS = 1e-6  # |alpha - 1| below this dispatches to von Neumann
 _TINY = np.finfo(float).tiny
+_TOP_MAX = 1.0 + TRACE_TOL + PSD_TOL  # above any marginal of a validated state
 
 
 @dataclass(frozen=True)
@@ -76,20 +77,20 @@ def entropy_from_spectrum(lam: Sequence[float] | np.ndarray,
     for one spectrum, one per row in one pass for a 2-D array of spectra.
     Rows are grouped by support size into arrays that keep each row's support
     in its order, so numpy's pairwise sum along the last axis adds the same
-    terms in the same order as for the row alone: bit for bit.  A NaN or
-    infinite eigenvalue, or one below ``-PSD_TOL``, raises ``ValueError``;
-    in a stack, the first bad row raises its own error."""
+    terms in the same order as for the row alone: bit for bit.  A NaN
+    eigenvalue, one below ``-PSD_TOL`` or one above ``1 + TRACE_TOL + PSD_TOL``
+    raises ``ValueError``; in a stack, the first bad row raises its own error."""
     lam = np.asarray(lam, dtype=float)
     rows = lam if lam.ndim == 2 else lam.reshape(1, -1)
     low, top = rows.min(axis=1, initial=math.inf), rows.max(axis=1, initial=0.0)
     # written so that NaN fails it; a row has support iff top > EIG_FLOOR
-    ok = (low >= -PSD_TOL) & (top > EIG_FLOOR) & (top < math.inf)
+    ok = (low >= -PSD_TOL) & (top > EIG_FLOOR) & (top <= _TOP_MAX)
     if not ok.all():
         i = ok.argmin()
         if not low[i] >= -PSD_TOL:
             raise ValueError(f"spectrum has eigenvalue {low[i]:.3e}, not at or above -{PSD_TOL}")
-        raise ValueError("spectrum has an infinite eigenvalue" if top[i] > EIG_FLOOR
-                         else "spectrum has no weight above the eigenvalue floor")
+        raise ValueError("spectrum has no weight above the eigenvalue floor" if top[i] <= EIG_FLOOR
+                         else f"spectrum has eigenvalue {top[i]:.12g} > 1 + TRACE_TOL + PSD_TOL")
     keep = rows > EIG_FLOOR
     a = spec.alpha
     if spec.kind == "min" or spec.kind == "renyi" and a == math.inf:

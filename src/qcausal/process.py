@@ -2,7 +2,8 @@
 
 The slot wires are labeled ``A0 -> A1`` and ``B0 -> B1`` (input/output of the
 two local laboratories) and ``F`` is the global future; no process here has
-a global past.  A fixed-order comb threads an environment ``E0 -> E1 -> E2``
+a global past.  ``SLOTS`` names each causal order's slot wires once, in
+causal order.  A fixed-order comb threads an environment ``E0 -> E1 -> E2``
 between the slots; its purified form carries ``Q0 -> Q1 -> Q2`` instead,
 with pure global state and unitary links.
 
@@ -35,8 +36,10 @@ from .labeled import (
 )
 from .channels import KrausChannel, _check_unitary
 
-ORDERS = ("AB", "BA")
 TAU_LABELS = ("A0", "A1", "B0", "B1", "F")
+# each causal order -> the first party's slot input and output, then the second's
+SLOTS = {"AB": ("A0", "A1", "B0", "B1"), "BA": ("B0", "B1", "A0", "A1")}
+ORDERS = tuple(SLOTS)
 # each switch future mode -> the output wires its declared future keeps
 FUTURE_MODES = {"full": ("T1", "C1"), "trace_control": ("T1",), "trace_target": ("C1",)}
 # Byte budget for the traced peak of one tomography block.  One batch of all
@@ -49,32 +52,33 @@ FUTURE_MODES = {"full": ("T1", "C1"), "trace_control": ("T1",), "trace_target": 
 TOMOGRAPHY_BLOCK_BYTES = 8 * 2**20
 
 
-def _check_order(order: str) -> tuple[str, str]:
+def _slots(order: str) -> tuple[str, str, str, str]:
+    """The slot wires ``SLOTS[order]``; an order not in ``ORDERS`` raises ``ValueError``."""
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-    return order[0], order[1]
+    return SLOTS[order]
 
 
 class FixedOrderComb:
     """Two-slot comb: state, link channel, and closing channel in a fixed order.
 
-    For ``order="AB"`` the pieces are a density operator on ``(A0, E0)``, a
-    channel ``(A1, E0) -> (B0, E1)`` and a channel ``(B1, E1) -> (F, E2)``;
-    for ``order="BA"`` the roles of the two parties swap.  ``dims`` maps
-    each of ``A0 A1 B0 B1 F E0 E1 E2`` to its dimension.
+    With slot wires ``x0, x1, y0, y1 = SLOTS[order]`` the pieces are a
+    density operator on ``(x0, E0)``, a channel ``(x1, E0) -> (y0, E1)`` and
+    a channel ``(y1, E1) -> (F, E2)``.  ``dims`` maps each of
+    ``A0 A1 B0 B1 F E0 E1 E2`` to its dimension.
     """
 
     __slots__ = ("order", "rho", "lambda1", "lambda2", "dims")
 
     def __init__(self, order: str, rho: DensityOperator,
                  lambda1: KrausChannel, lambda2: KrausChannel):
-        first, second = _check_order(order)
-        want_rho = (f"{first}0", "E0")
+        x0, x1, y0, y1 = _slots(order)
+        want_rho = (x0, "E0")
         if rho.labels != want_rho:
             raise ValueError(f"comb state must live on {want_rho}, got {rho.labels}")
         for name, chan, want_in, want_out in (
-                ("link", lambda1, (f"{first}1", "E0"), (f"{second}0", "E1")),
-                ("closing", lambda2, (f"{second}1", "E1"), ("F", "E2"))):
+                ("link", lambda1, (x1, "E0"), (y0, "E1")),
+                ("closing", lambda2, (y1, "E1"), ("F", "E2"))):
             if chan.in_dims.labels != want_in or chan.out_dims.labels != want_out:
                 raise ValueError(
                     f"{name} channel must map {want_in} -> {want_out}, got "
@@ -96,30 +100,31 @@ class FixedOrderComb:
 
 
 class PurifiedComb:
-    """Comb in purified form: pure ``psi`` on ``(first0, Q0)`` plus unitaries
-    ``u1: first1 ⊗ Q0 -> second0 ⊗ Q1`` and ``u2: second1 ⊗ Q1 -> F ⊗ Q2``.
+    """Comb in purified form: pure ``psi`` on ``(x0, Q0)`` plus unitaries
+    ``u1: x1 ⊗ Q0 -> y0 ⊗ Q1`` and ``u2: y1 ⊗ Q1 -> F ⊗ Q2``, with
+    ``x0, x1, y0, y1 = SLOTS[order]``.
 
     ``dims`` maps each of ``A0 A1 B0 B1 F Q0 Q1 Q2`` to its dimension; the
-    chain forces ``dim(second1) * dim(Q1) = dim(F) * dim(Q2)``.
+    chain forces ``dim(y1) * dim(Q1) = dim(F) * dim(Q2)``.
     """
 
     __slots__ = ("order", "psi", "u1", "u2", "dims")
 
     def __init__(self, order: str, psi: PureState, u1: np.ndarray, u2: np.ndarray,
                  dims: dict[str, int]):
-        first, second = _check_order(order)
+        x0, x1, y0, y1 = _slots(order)
         needed = {"A0", "A1", "B0", "B1", "F", "Q0", "Q1", "Q2"}
         if set(dims) != needed:
             raise ValueError(f"dims must have keys {sorted(needed)}, got {sorted(dims)}")
-        if psi.labels != (f"{first}0", "Q0"):
-            raise ValueError(f"psi must live on ({first}0, Q0), got {psi.labels}")
-        if psi.dims.dim(f"{first}0") != dims[f"{first}0"] or psi.dims.dim("Q0") != dims["Q0"]:
+        if psi.labels != (x0, "Q0"):
+            raise ValueError(f"psi must live on ({x0}, Q0), got {psi.labels}")
+        if psi.dims.dim(x0) != dims[x0] or psi.dims.dim("Q0") != dims["Q0"]:
             raise ValueError("psi dimensions disagree with the dims table")
-        d1 = dims[f"{first}1"] * dims["Q0"]
-        d2 = dims[f"{second}0"] * dims["Q1"]
+        d1 = dims[x1] * dims["Q0"]
+        d2 = dims[y0] * dims["Q1"]
         if d1 != d2:
             raise ValueError(f"u1 endpoint dimensions differ: {d1} vs {d2}")
-        d3 = dims[f"{second}1"] * dims["Q1"]
+        d3 = dims[y1] * dims["Q1"]
         d4 = dims["F"] * dims["Q2"]
         if d3 != d4:
             raise ValueError(f"u2 endpoint dimensions differ: {d3} vs {d4}")
@@ -258,10 +263,9 @@ def _comb_pair_out(c: FixedOrderComb, ka: np.ndarray, la: np.ndarray,
     carry a trailing ``(r, d_out, d_in)`` block and optional broadcastable
     batch axes.  Returns the future-space result with the batch axes leading.
     """
-    first, second = _check_order(c.order)
-    k1, l1, k2, l2 = (ka, la, kb, lb) if c.order == "AB" else (kb, lb, ka, la)
     d = c.dims
-    d10, d11, d20, d21 = d[f"{first}0"], d[f"{first}1"], d[f"{second}0"], d[f"{second}1"]
+    d10, d11, d20, d21 = (d[l] for l in _slots(c.order))
+    k1, l1, k2, l2 = (ka, la, kb, lb) if c.order == "AB" else (kb, lb, ka, la)
     de0, de1, de2, df = d["E0"], d["E1"], d["E2"], d["F"]
 
     rho4 = c.rho.matrix.reshape(d10, de0, d10, de0)
@@ -368,9 +372,9 @@ def purify_comb(c: FixedOrderComb) -> PurifiedComb:
     ancilla; inert wires ride along so that ``Q0 = E0 F0 anc1 anc2``,
     ``Q1 = E1 G1 F0 anc2`` and ``Q2 = E2 G2 G1 F0``.
     """
-    first, second = _check_order(c.order)
+    x0, x1, y0, y1 = _slots(c.order)
     d = c.dims
-    d10, d11, d21 = d[f"{first}0"], d[f"{first}1"], d[f"{second}1"]
+    d10, d11, d21 = d[x0], d[x1], d[y1]
     de0, de1, de2 = d["E0"], d["E1"], d["E2"]
 
     phi0 = purify(c.rho, "F0")
@@ -382,34 +386,31 @@ def purify_comb(c: FixedOrderComb) -> PurifiedComb:
     dq1 = de1 * denv1 * df0 * danc2
     dq2 = de2 * denv2 * denv1 * df0
 
-    # u1 acts on (first1, E0, anc1); F0 and anc2 ride along.
+    # u1 acts on (x1, E0, anc1); F0 and anc2 ride along.
     g1 = _axis_gather([d11, de0, df0, danc1, danc2], [0, 1, 3, 2, 4])
     u1 = np.kron(u1d, np.eye(df0 * danc2))[:, g1]
-    # u2 acts on (second1, E1, anc2); G1 and F0 ride along.
+    # u2 acts on (y1, E1, anc2); G1 and F0 ride along.
     g2 = _axis_gather([d21, de1, denv1, df0, danc2], [0, 1, 4, 2, 3])
     u2 = np.kron(u2d, np.eye(denv1 * df0))[:, g2]
 
     amp = np.zeros((d10, de0, df0, danc1, danc2), dtype=complex)
     amp[:, :, :, 0, 0] = phi0.amplitudes.reshape(d10, de0, df0)
-    psi = PureState(amp.reshape(-1), [(f"{first}0", d10), ("Q0", dq0)])
+    psi = PureState(amp.reshape(-1), [(x0, d10), ("Q0", dq0)])
 
-    dims = {l: d[l] for l in (f"{first}0", f"{first}1", f"{second}0", f"{second}1", "F")}
+    dims = {l: d[l] for l in (x0, x1, y0, y1, "F")}
     return PurifiedComb(c.order, psi, u1, u2, {**dims, "Q0": dq0, "Q1": dq1, "Q2": dq2})
 
 
 def as_fixed_order(pc: PurifiedComb) -> FixedOrderComb:
     """View a purified comb as a fixed-order comb with environments ``Q0 Q1 Q2``."""
-    first, second = _check_order(pc.order)
+    x0, x1, y0, y1 = _slots(pc.order)
     d = pc.dims
-    rho = DensityOperator(pc.psi.density().matrix,
-                          [(f"{first}0", d[f"{first}0"]), ("E0", d["Q0"])])
+    rho = DensityOperator(pc.psi.density().matrix, [(x0, d[x0]), ("E0", d["Q0"])])
     # PurifiedComb checked both unitaries, so the channels skip that check
-    lambda1 = KrausChannel._of_checked(
-        pc.u1[None], [(f"{first}1", d[f"{first}1"]), ("E0", d["Q0"])],
-        [(f"{second}0", d[f"{second}0"]), ("E1", d["Q1"])])
-    lambda2 = KrausChannel._of_checked(
-        pc.u2[None], [(f"{second}1", d[f"{second}1"]), ("E1", d["Q1"])],
-        [("F", d["F"]), ("E2", d["Q2"])])
+    lambda1 = KrausChannel._of_checked(pc.u1[None], [(x1, d[x1]), ("E0", d["Q0"])],
+                                       [(y0, d[y0]), ("E1", d["Q1"])])
+    lambda2 = KrausChannel._of_checked(pc.u2[None], [(y1, d[y1]), ("E1", d["Q1"])],
+                                       [("F", d["F"]), ("E2", d["Q2"])])
     return FixedOrderComb(pc.order, rho, lambda1, lambda2)
 
 
@@ -422,12 +423,12 @@ def _comb_block_pairs(order: str, d: dict[str, int]) -> int:
     all ``nb²`` pairs of B-slot basis maps.
 
     The largest intermediates of :func:`_comb_pair_out` are operators on
-    ``(second, E1)`` or ``(F, E2)``, and at most four of them per slot-map
-    pair are alive at once: an einsum's input and output, and the copies
-    that its contraction and the next reshape make.
+    ``(y, E1)`` with ``y`` a second-party wire, or ``(F, E2)``, and at most
+    four of them per slot-map pair are alive at once: an einsum's input and
+    output, and the copies that its contraction and the next reshape make.
     """
-    second = order[1]
-    side = max(d[f"{second}0"] * d["E1"], d[f"{second}1"] * d["E1"], d["F"] * d["E2"])
+    _, _, y0, y1 = _slots(order)
+    side = max(d[y0] * d["E1"], d[y1] * d["E1"], d["F"] * d["E2"])
     nb = d["B0"] * d["B1"]
     pair_bytes = 4 * side * side * np.dtype(complex).itemsize
     return max(1, TOMOGRAPHY_BLOCK_BYTES // (nb * nb * pair_bytes))
@@ -520,16 +521,16 @@ def _rdm(arr: np.ndarray, labels: list[str], keep: list[str]) -> np.ndarray:
 def _wire_purified(pc: PurifiedComb) -> np.ndarray:
     """Matrix of the five-part state of a purified comb on ``TAU_LABELS``,
     wired but not yet validated."""
-    first, second = _check_order(pc.order)
+    x0, x1, y0, y1 = _slots(pc.order)
     d = pc.dims
     da1, db1 = d["A1"], d["B1"]
-    arr = pc.psi.amplitudes.reshape(d[f"{first}0"], d["Q0"])
+    arr = pc.psi.amplitudes.reshape(d[x0], d["Q0"])
     arr = np.multiply.outer(arr, np.eye(da1) / np.sqrt(da1))
     arr = np.multiply.outer(arr, np.eye(db1) / np.sqrt(db1))
-    labels = [f"{first}0", "Q0", "A1s", "A1", "B1s", "B1"]
-    arr, labels = _apply_iso(arr, labels, pc.u1, [f"{first}1s", "Q0"],
-                             [(f"{second}0", d[f"{second}0"]), ("Q1", d["Q1"])])
-    arr, labels = _apply_iso(arr, labels, pc.u2, [f"{second}1s", "Q1"],
+    labels = [x0, "Q0", "A1s", "A1", "B1s", "B1"]
+    arr, labels = _apply_iso(arr, labels, pc.u1, [x1 + "s", "Q0"],
+                             [(y0, d[y0]), ("Q1", d["Q1"])])
+    arr, labels = _apply_iso(arr, labels, pc.u2, [y1 + "s", "Q1"],
                              [("F", d["F"]), ("Q2", d["Q2"])])
     return _rdm(arr, labels, list(TAU_LABELS))
 

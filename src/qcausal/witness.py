@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .labeled import DensityOperator
 from .entropy import VON_NEUMANN, EntropySpec, entropy
-from .process import TAU_LABELS, InterventionalState, _check_order
+from .process import TAU_LABELS, InterventionalState, _slots
 
 # A witness counts as violated only when it undercuts its bound by more than
 # this; keeps the exact endpoint equalities classified as satisfied.
@@ -60,26 +60,25 @@ def _as_tau(state: InterventionalState | DensityOperator) -> DensityOperator:
     return state
 
 
-def _bound(tau: DensityOperator, second: str) -> float:
-    """``log2(dim of the second party's retained partner / dim F)``."""
-    return math.log2(tau.dim(f"{second}1") / tau.dim("F"))
+def _bound(tau: DensityOperator, y1: str) -> float:
+    """``log2(dim y1 / dim F)``, with ``y1`` the second party's retained partner."""
+    return math.log2(tau.dim(y1) / tau.dim("F"))
 
 
 def dp_witness(state: InterventionalState | DensityOperator, order: str,
                spec: EntropySpec = VON_NEUMANN) -> tuple[float, float]:
     """Data-processing witness and its fixed-order bound for one order.
 
-    Returns ``(value, bound)`` with ``value = H(all five) - H(first-party
-    past)`` in the requested entropy family (an array over the stack axis
-    for a stack of states) and ``bound = log2(dim of the second party's
-    retained partner / dim F)``.  Every process with the given
+    Returns ``(value, bound)`` with ``value = H(all five) - H(x0 x1 y0)``,
+    the first party's past, in the requested entropy family (an array over
+    the stack axis for a stack of states) and ``bound = log2(dim y1 / dim F)``,
+    where ``x0, x1, y0, y1 = SLOTS[order]``.  Every process with the given
     fixed order satisfies ``value >= bound``; ``value < bound`` excludes it.
     """
-    first, second = _check_order(order)
+    x0, x1, y0, y1 = _slots(order)
     tau = _as_tau(state)
-    past = [f"{first}0", f"{first}1", f"{second}0"]
-    value = entropy(tau, spec=spec) - entropy(tau, past, spec=spec)
-    return value, _bound(tau, second)
+    value = entropy(tau, spec=spec) - entropy(tau, [x0, x1, y0], spec=spec)
+    return value, _bound(tau, y1)
 
 
 def marginal_witnesses(state: InterventionalState | DensityOperator,
@@ -93,15 +92,14 @@ def marginal_witnesses(state: InterventionalState | DensityOperator,
     conditioning system), so on fixed-order processes they obey the same
     dimension bound, from at-most-four-system marginals.
     """
-    first, second = _check_order(order)
+    x0, x1, y0, y1 = _slots(order)
     tau = _as_tau(state)
     h = lambda labels: entropy(tau, labels)
     h_pair = h(["A1", "B1"])
-    h_past = h([f"{first}0", f"{first}1", f"{second}0"])
+    h_past = h([x0, x1, y0])
     i1 = h(["A0", "A1", "B0", "B1"]) - h_past + h(["A1", "B1", "F"]) - h_pair
-    i2 = (h([f"{first}0", f"{first}1", f"{second}1", "F"]) + h(["A1", "B1", f"{second}0"])
-          - h_pair - h_past)
-    return i1, i2, _bound(tau, second)
+    i2 = h([x0, x1, y1, "F"]) + h(["A1", "B1", y0]) - h_pair - h_past
+    return i1, i2, _bound(tau, y1)
 
 
 def is_violated(value: float, bound: float) -> bool:

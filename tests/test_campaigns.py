@@ -2,6 +2,7 @@
 and the trial driver that spreads a campaign over worker processes."""
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -98,6 +99,15 @@ class TestSamplers:
         pc = sample_purified_comb(8)
         assert isinstance(pc, PurifiedComb)
         assert pc.order in ("AB", "BA")
+
+    @pytest.mark.parametrize("order", ["XY", "A", "ab", "ABA"])
+    @pytest.mark.parametrize("sampler", [sample_purified_comb, sample_fixed_order_comb])
+    def test_unknown_order_rejected_by_name(self, sampler, order):
+        # unknown wires, one party, lower case, three parties: the sampler
+        # checks the order before it looks up any wire
+        with pytest.raises(ValueError, match=re.escape(
+                f"order must be one of ('AB', 'BA'), got {order!r}")):
+            sampler(0, order=order)
 
     def test_purified_comb_deterministic(self):
         a = sample_purified_comb(9, order="AB")

@@ -1,6 +1,7 @@
 """Entropy families: formulas, ordering, duality, SSA."""
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from qcausal import (
 )
 from qcausal import cli
 from qcausal.entropy import RENYI_VN_EPS
-from qcausal.labeled import RANK_REL_TOL
+from qcausal.labeled import RANK_REL_TOL, TRACE_TOL
 
 # the package exports a function named entropy, which hides the module
 entropy_module = sys.modules["qcausal.entropy"]
@@ -118,6 +119,15 @@ class TestSpectrumFormulas:
         # spectrum), and +inf gave -inf or NaN; a RuntimeWarning fails too
         with pytest.raises(ValueError):
             entropy_from_spectrum(lam, spec)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS + (renyi(2000.0),), ids=lambda s: s.label)
+    def test_weight_above_one_rejected(self, spec):
+        # a validated state's trace is within TRACE_TOL of 1; far above it
+        # s * log2(s) overflows, from about 1.8e305
+        assert abs(entropy_from_spectrum([1 + TRACE_TOL], spec)) < 1e-7
+        for lam in ([1 + 2 * TRACE_TOL], [1e306, 0.5], [0.5, 1e306]):
+            with pytest.raises(ValueError, match=re.escape(f"eigenvalue {max(lam):.12g} > 1")):
+                entropy_from_spectrum(lam, spec)
 
     def test_alpha_near_one_continuity(self):
         for _ in range(20):
@@ -262,7 +272,7 @@ STACK_SPECS = (VON_NEUMANN, MIN_ENTROPY, MAX_ENTROPY, renyi(0.5), renyi(2.0),
                renyi(1100.0), renyi(1e300))
 BAD_SPECTRA = {"nan": [0.5, np.nan, 0.5], "negative": [0.6, 0.5, -0.1],
                "no_support": [1e-13, 0.0, -1e-17], "inf": [0.5, np.inf, 0.5],
-               "minus_inf": [0.5, 0.5, -np.inf]}
+               "minus_inf": [0.5, 0.5, -np.inf], "above_one": [1e306, 0.5, 0.0]}
 
 
 def _spectra(rng, d: int, n: int, order: str) -> np.ndarray:

@@ -10,6 +10,8 @@ import pytest
 
 from qcausal import (
     FUTURE_MODES,
+    ORDERS,
+    SLOTS,
     TAU_LABELS,
     DensityOperator,
     FixedOrderComb,
@@ -205,6 +207,17 @@ class TestFixedOrderComb:
         comb = sample_fixed_order_comb(1)
         with pytest.raises(ValueError):
             FixedOrderComb("XY", comb.rho, comb.lambda1, comb.lambda2)
+
+    def test_slots_name_each_orders_wires(self):
+        assert ORDERS == tuple(SLOTS) == ("AB", "BA")
+        for order, (x0, x1, y0, y1) in SLOTS.items():
+            comb = sample_fixed_order_comb(4, order=order)
+            assert comb.rho.labels == (x0, "E0")
+            assert (comb.lambda1.in_dims.labels, comb.lambda1.out_dims.labels) == \
+                ((x1, "E0"), (y0, "E1"))
+            assert comb.lambda2.in_dims.labels == (y1, "E1")
+            pc = purify_comb(comb)
+            assert pc.psi.labels == (x0, "Q0") and list(pc.dims)[:5] == [x0, x1, y0, y1, "F"]
 
     @pytest.mark.parametrize("seed,order", [(10, "AB"), (11, "BA")])
     def test_apply_matches_dense_route(self, seed, order):

@@ -1,5 +1,6 @@
 """Witnesses: bounds, closed-form anchors, verdict logic, report plumbing."""
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,25 +9,32 @@ import pytest
 from qcausal import (
     MAX_ENTROPY,
     MIN_ENTROPY,
+    ORDERS,
+    SLOTS,
     VERDICT_BEYOND,
     VERDICT_NONE,
     VERDICT_NOT_AB,
     VERDICT_NOT_BA,
     VON_NEUMANN,
     DensityOperator,
+    PureState,
+    PurifiedComb,
     SwitchSpec,
     dp_witness,
     entropy,
     entropy_from_spectrum,
     evaluate,
+    haar_unitary,
     interventional_state,
     is_violated,
     marginal_witnesses,
     renyi,
+    sample_fixed_order_comb,
     sample_purified_comb,
     trace_distance,
     verdict_token,
 )
+from qcausal.campaigns import DP_FAMILIES
 from qcausal.cli import _FUTURE_OF, BACKEND_AGREE_TOL
 
 FIVE_QUBITS = [("A0", 2), ("A1", 2), ("B0", 2), ("B1", 2), ("F", 2)]
@@ -284,3 +292,52 @@ class TestSharedSpectra:
         assert len(calls) == 10
         evaluate(state, spec=renyi(2.0))
         assert len(calls) == 10
+
+
+ORACLE_TOL = 1e-12
+# swapping the parties relabels each order's slot wires as the other order's
+SWAP = dict(zip(SLOTS["AB"], SLOTS["BA"]))
+OTHER = dict(zip(ORDERS, ORDERS[::-1]))
+
+
+def mirrored(pc):
+    """The comb of the other order that is ``pc`` with parties A and B
+    swapped: the same amplitudes and unitaries on the relabeled wires."""
+    psi = PureState(pc.psi.amplitudes, [(SWAP.get(l, l), d) for l, d in pc.psi.dims])
+    return PurifiedComb(OTHER[pc.order], psi, pc.u1, pc.u2,
+                        {SWAP.get(l, l): d for l, d in pc.dims.items()})
+
+
+def assert_same_witnesses(tau, other, orders):
+    """``tau``'s DP witness in every campaign family and its marginal
+    witnesses for each order equal ``other``'s for ``orders[order]``, the
+    values within ORACLE_TOL and the bounds exactly."""
+    for order in ORDERS:
+        for spec in DP_FAMILIES:
+            (value, bound), (want, want_bound) = (dp_witness(tau, order, spec),
+                                                  dp_witness(other, orders[order], spec))
+            assert abs(value - want) <= ORACLE_TOL and bound == want_bound, (order, spec.label)
+        *values, bound = marginal_witnesses(tau, order)
+        *wants, want_bound = marginal_witnesses(other, orders[order])
+        assert np.abs(np.subtract(values, wants)).max() <= ORACLE_TOL and bound == want_bound
+
+
+class TestMetamorphicOracles:
+    """Relations that hold whatever the two backends share: a party swap
+    maps each order's witnesses to the other order's, and a unitary on each
+    wire changes no witness."""
+
+    def test_party_swap_gives_the_other_orders_witnesses(self):
+        for seed in range(40):
+            pc = sample_purified_comb(seed)
+            assert_same_witnesses(interventional_state(pc, "statevector"),
+                                  interventional_state(mirrored(pc), "contraction"), OTHER)
+
+    def test_witnesses_invariant_under_a_unitary_on_each_wire(self):
+        for seed in range(40):
+            comb = (sample_purified_comb if seed % 2 else sample_fixed_order_comb)(seed)
+            tau = interventional_state(comb)
+            rng = np.random.default_rng(10_000 + seed)
+            u = functools.reduce(np.kron, [haar_unitary(d, rng) for _, d in tau.dims])
+            rotated = DensityOperator(u @ tau.matrix @ u.conj().T, tau.dims)
+            assert_same_witnesses(tau, rotated, dict(zip(ORDERS, ORDERS)))
