@@ -15,14 +15,14 @@ divided by the BLAS threads per process).  Each block returns the ``_fold``
 of its own pairs, folded again in block order; the fold keeps the first of
 equal minima and NaN once seen, so a summary is the same bit for bit
 whatever the cut and the number of workers; only ``elapsed_s``, the wall
-time, differs.  The CLI maps the sub-grids of its sweeps with the same
-driver.
+time, differs.  The CLI maps its sub-grids of at most ``BLOCK_ITEMS``
+control weights with the same driver.
 
 ``lemma1``, ``lemma3`` and ``crosscheck`` run a block's trials one by one
 (``_one_by_one``), in ``BLOCKS_PER_WORKER`` or more blocks per worker: a few
 lemma3 trials take seconds, and idle workers take over the rest.  ``thm1``,
 ``ssa`` and ``marginal_bounds`` spend most of a trial in Python overhead on
-a small state, so a block of at most ``BLOCK_TRIALS`` trials samples each
+a small state, so a block of at most ``BLOCK_ITEMS`` trials samples each
 from its own seed as a trial alone would, groups them by order and labeled
 dimensions, and validates and evaluates each group as one stack
 (``_stacked``), which gives every trial's values bit for bit.  A block's
@@ -89,8 +89,9 @@ DP_FAMILIES = (VON_NEUMANN, renyi(0.5), renyi(0.8), renyi(2.0), MIN_ENTROPY)
 # trials take seconds each, so blocks stay small enough for idle workers to
 # take over the rest
 BLOCKS_PER_WORKER = 16
-# most trials per block of a campaign whose trials run as same-shape stacks
-BLOCK_TRIALS = 64
+# most items per stack: trials per block of a stacked campaign and control
+# weights per CLI sub-grid; on 2 CPUs 64 ran as fast as any smaller size for both
+BLOCK_ITEMS = 64
 
 # default trial count of each campaign, read by its runner and by the CLI
 DEFAULT_TRIALS = {
@@ -344,17 +345,19 @@ def sample_fixed_order_comb(seed, order: str | None = None) -> FixedOrderComb:
     d_rho = dims[x0] * de0
     rho = random_density(d_rho, rank=int(rng.integers(1, d_rho + 1)), seed=rng,
                          dims=[(x0, dims[x0]), ("E0", de0)])
-
-    def chan(in_pairs, out_pairs):
-        din = math.prod(d for _, d in in_pairs)
-        dout = math.prod(d for _, d in out_pairs)
-        rank = max(int(rng.integers(1, 4)), -(-din // dout))
-        return random_channel(in_pairs, out_pairs, kraus_rank=rank, seed=rng)
-
-    lam1 = chan([(x1, dims[x1]), ("E0", de0)], [(y0, dims[y0]), ("E1", de1)])
-    lam2 = chan([(y1, dims[y1]), ("E1", de1)],
-                [("F", dims["F"]), ("E2", de2)])
+    lam1 = _random_slot_channel(rng, [(x1, dims[x1]), ("E0", de0)],
+                                [(y0, dims[y0]), ("E1", de1)])
+    lam2 = _random_slot_channel(rng, [(y1, dims[y1]), ("E1", de1)],
+                                [("F", dims["F"]), ("E2", de2)])
     return FixedOrderComb(order, rho, lam1, lam2)
+
+
+def _random_slot_channel(rng, in_pairs, out_pairs):
+    """Random channel of Kraus rank drawn from 1 to 3, or the least the dims allow."""
+    din = math.prod(d for _, d in in_pairs)
+    dout = math.prod(d for _, d in out_pairs)
+    rank = max(int(rng.integers(1, 4)), -(-din // dout))
+    return random_channel(in_pairs, out_pairs, kraus_rank=rank, seed=rng)
 
 
 class _Draw(NamedTuple):
@@ -417,7 +420,7 @@ def _thm1_block(seed: int, ts: range) -> list[tuple[float, int]]:
 def run_thm1(trials: int = DEFAULT_TRIALS["thm1"], seed: int = 0) -> dict:
     """Matching-order DP witness >= its dimension bound on random purified
     combs, across all validated entropy families (shared spectra)."""
-    return _run("thm1", _thm1_block, trials, seed, cap=BLOCK_TRIALS)
+    return _run("thm1", _thm1_block, trials, seed, cap=BLOCK_ITEMS)
 
 
 def _lemma1_trial(seed: int, t: int) -> tuple[float, int]:
@@ -451,13 +454,8 @@ def _lemma3_trial(seed: int, t: int) -> tuple[float, int]:
     rng = ensure_rng(seed + t)
     comb = sample_fixed_order_comb(rng)
     flat = as_fixed_order(purify_comb(comb))
-
-    def slot(x0, x1):
-        din, dout = comb.dims[x0], comb.dims[x1]
-        rank = max(int(rng.integers(1, 4)), -(-din // dout))
-        return random_channel([(x0, din)], [(x1, dout)], kraus_rank=rank, seed=rng)
-
-    a, b = slot("A0", "A1"), slot("B0", "B1")
+    a, b = (_random_slot_channel(rng, [(x0, comb.dims[x0])], [(x1, comb.dims[x1])])
+            for x0, x1 in (("A0", "A1"), ("B0", "B1")))
     diff = comb_apply(comb, a, b).matrix - comb_apply(flat, a, b).matrix
     return _check(-float(np.max(np.abs(diff))))
 
@@ -485,7 +483,7 @@ def _ssa_block(seed: int, ts: range) -> list[tuple[float, int]]:
 
 def run_ssa(trials: int = DEFAULT_TRIALS["ssa"], seed: int = 0) -> dict:
     """Strong subadditivity gap >= 0 on random three-qubit states."""
-    return _run("ssa", _ssa_block, trials, seed, cap=BLOCK_TRIALS)
+    return _run("ssa", _ssa_block, trials, seed, cap=BLOCK_ITEMS)
 
 
 # crosscheck's first trial indices: the switch over every future mode and
@@ -549,7 +547,7 @@ def run_marginal_bounds(trials: int = DEFAULT_TRIALS["marginal_bounds"], seed: i
     and meet the dimension bound of the matching order on random fixed-order
     processes (trial ``trials + t`` draws from ``seed + 500_000 + t``)."""
     return _run("marginal_bounds", partial(_marginal_bounds_block, trials), trials, seed,
-                n=2 * trials, cap=BLOCK_TRIALS)
+                n=2 * trials, cap=BLOCK_ITEMS)
 
 
 RUNNERS = {

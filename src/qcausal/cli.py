@@ -9,13 +9,14 @@ Three subcommands:
 * ``reproduce``  write the CSV data behind the standard sweep figures.
 
 ``sweep`` and ``reproduce`` cut their grid of control weights into
-contiguous sub-grids of at most ``SUB_GRID_POINTS`` weights.  Each sub-grid
-is built, validated and evaluated as one stack of states, which gives every
-point's values bit for bit, and the sub-grids run on the campaigns' worker
-driver.
+contiguous sub-grids of at most ``campaigns.BLOCK_ITEMS`` weights, the
+campaigns' block size.  Each sub-grid is built, validated and evaluated as
+one stack of states, which gives every point's values bit for bit, and the
+sub-grids run on the campaigns' worker driver.
 
-Output goes to ``--out`` (or stdout); diagnostics go to stderr, among them
-each distinct warning of a sweep's witness reports, once.  Identical
+Output goes to ``--out`` (or stdout); an output that cannot be written,
+stdout among them, exits 2.  Diagnostics go to stderr, among them each
+distinct warning of a sweep's witness reports, once.  Identical
 command lines produce byte-identical files at a fixed BLAS thread count:
 sweeps are deterministic and campaigns derive every sample from explicit
 per-trial seeds.  Another thread count can move the last bits of a result;
@@ -47,13 +48,8 @@ _FUTURE_OF = {
     "upsilon2": "trace_target",
 }
 PROCESS_TAGS = tuple(_FUTURE_OF)
-FIGURES = ("3a", "3b", "3c", "4", "5a", "5b")
 BACKEND_AGREE_TOL = 1e-9
-# Largest number of grid points evaluated as one stack.  On 2 CPUs a figure
-# grid of 101 points ran fastest as 6 to 12 sub-grids on two workers; more
-# points per stack save little Python work and cost memory.
-SUB_GRID_POINTS = 16
-
+# "lambda", then the witness report field of each later name
 CSV_COLUMNS = ("lambda", "dp_ab", "bound_ab", "dp_ba", "bound_ba",
                "violated_ab", "violated_ba", "i1_ab", "i2_ab", "i1_ba", "i2_ba",
                "verdict")
@@ -118,15 +114,15 @@ def _grid_reports(process: str, lams, specs, backend: str = "statevector"):
     """``(lambda, [report per family of specs])`` at each control weight, in
     grid order.
 
-    The grid is cut into contiguous sub-grids of at most ``SUB_GRID_POINTS``
-    weights, as many as fill every worker equally, which run on the
-    campaigns' worker driver.  A sub-grid's stack is bounded, so memory does
-    not grow with the grid.
+    The grid is cut into contiguous sub-grids of at most
+    ``campaigns.BLOCK_ITEMS`` weights, as many as fill every worker equally,
+    which run on the campaigns' worker driver.  A sub-grid's stack is
+    bounded, so memory does not grow with the grid.
     """
     lams = [float(lam) for lam in lams]
     if not lams:
         return []
-    parts, workers = campaigns._blocks(len(lams), SUB_GRID_POINTS)
+    parts, workers = campaigns._blocks(len(lams), campaigns.BLOCK_ITEMS)
     sub_grids = [lams[part.start:part.stop] for part in parts]
     work = partial(_sub_grid, process, tuple(specs), backend)
     reports = campaigns._map(work, sub_grids, workers)
@@ -144,6 +140,8 @@ def sweep_reports(process: str, lams, spec: EntropySpec,
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     return "%.12g" % value
@@ -152,13 +150,8 @@ def _fmt(value) -> str:
 def csv_text(rows) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for lam, r in rows:
-        lines.append(",".join((
-            _fmt(lam),
-            _fmt(r.dp_ab), _fmt(r.bound_ab), _fmt(r.dp_ba), _fmt(r.bound_ba),
-            _fmt(r.violated_ab), _fmt(r.violated_ba),
-            _fmt(r.i1_ab), _fmt(r.i2_ab), _fmt(r.i1_ba), _fmt(r.i2_ba),
-            r.verdict,
-        )))
+        lines.append(",".join([_fmt(lam)] + [_fmt(getattr(r, name))
+                                             for name in CSV_COLUMNS[1:]]))
     return "\n".join(lines) + "\n"
 
 
@@ -173,13 +166,18 @@ def _write_after(outs: list | None, work) -> int:
 
     Every file is created before the work, which can take seconds, so a
     path that cannot be written exits 2 at once, after an error message on
-    stderr.  The files are closed again before ``work`` runs, since the work
-    may fork, and an existing file is not emptied until the texts are
-    ready.  The files created here are removed if the command ends without
-    writing them all, also when ``work`` raises.  Returns the exit status.
+    stderr; so does a failed write of stdout, after the work.  The files
+    are closed again before ``work`` runs, since the work may fork, and an
+    existing file is not emptied until the texts are ready.  The files
+    created here are removed if the command ends without writing them all,
+    also when ``work`` raises.  Returns the exit status.
     """
     if outs is None:
-        sys.stdout.write("".join(work()))
+        text = "".join(work())
+        try:
+            print(text, end="", flush=True)
+        except OSError as exc:
+            return _cannot_write("<stdout>", exc)
         return 0
     created = [out for out in outs if not os.path.lexists(out)]
     try:
@@ -266,6 +264,7 @@ _FIGURE_PLAN = {
                         ("fig5b_alpha4.csv", renyi(4.0)),
                         ("fig5b_alphainf.csv", MIN_ENTROPY)]),
 }
+FIGURES = tuple(_FIGURE_PLAN)
 
 
 def cmd_reproduce(args) -> int:

@@ -388,18 +388,18 @@ class TestReproduce:
             assert got == files, figure
 
 
-def _run_in_pool(monkeypatch, workers, argv, points=cli.SUB_GRID_POINTS):
+def _run_in_pool(monkeypatch, workers, argv, points=camp.BLOCK_ITEMS):
     """``main(argv)`` with ``workers`` capped per run of the driver and at
     most ``points`` control weights per sub-grid."""
     monkeypatch.setattr(camp, "_workers", lambda n: min(workers, n))
-    monkeypatch.setattr(cli, "SUB_GRID_POINTS", points)
+    monkeypatch.setattr(camp, "BLOCK_ITEMS", points)
     return main(argv)
 
 
 # (workers, points per sub-grid): one point per stack in this process, as
 # grids were evaluated before they were stacked; the default cut on two
 # workers; the whole grid as one stack
-GRID_CUTS = ((1, 1), (2, cli.SUB_GRID_POINTS), (1, 101))
+GRID_CUTS = ((1, 1), (2, camp.BLOCK_ITEMS), (1, 101))
 
 
 class TestGridPool:
@@ -431,7 +431,7 @@ class TestGridPool:
         assert len(set(text.values())) == 1
 
     def test_one_point_builds_no_pool(self, monkeypatch):
-        # a grid of at most SUB_GRID_POINTS weights is one sub-grid, run here
+        # a grid of at most BLOCK_ITEMS weights is one sub-grid, run here
         def no_fork():
             raise AssertionError("a sweep of one sub-grid forked a worker")
 
@@ -441,7 +441,7 @@ class TestGridPool:
         assert camp._workers(2) == 2
         [(lam, report)] = sweep_reports("switch_full", [0.3], VON_NEUMANN)
         assert lam == 0.3 and report.tag == "switch_full@0.3"
-        n = cli.SUB_GRID_POINTS
+        n = camp.BLOCK_ITEMS
         rows = sweep_reports("switch_full", np.linspace(0.0, 1.0, n), VON_NEUMANN)
         assert [r.tag for _, r in rows[::n - 1]] == ["switch_full@0", "switch_full@1"]
         with pytest.raises(AssertionError, match="forked a worker"):
@@ -452,9 +452,9 @@ class TestGridPool:
         # starts no thread
         code = ("import sys, threading\n"
                 "from qcausal import VON_NEUMANN\n"
-                "from qcausal.campaigns import _map\n"
-                "from qcausal.cli import SUB_GRID_POINTS, sweep_reports\n"
-                "lams = [k / 40 for k in range(2 * SUB_GRID_POINTS + 1)]\n"
+                "from qcausal.campaigns import BLOCK_ITEMS, _map\n"
+                "from qcausal.cli import sweep_reports\n"
+                "lams = [k / (2 * BLOCK_ITEMS) for k in range(2 * BLOCK_ITEMS + 1)]\n"
                 "assert len(sweep_reports('switch_full', lams, VON_NEUMANN)) == len(lams)\n"
                 "threads = threading.active_count()\n"
                 "assert _map(abs, [-1, -2, -3], 2) == [1, 2, 3]\n"
@@ -489,8 +489,10 @@ class TestGridPool:
         parent = os.getpid()
         monkeypatch.setattr(cli, "trace_distance", lambda a, b: np.full(
             a.matrix.shape[0], 0.0 if os.getpid() == parent else 1.0))
+        # two sub-grids, one in each of two workers
+        steps = str(2 * camp.BLOCK_ITEMS)
         rc = _run_in_pool(monkeypatch, 2, ["sweep", "--process", "upsilon1",
-                                           "--lambda-steps", "40", "--backend", "both"])
+                                           "--lambda-steps", steps, "--backend", "both"])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -532,6 +534,25 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma1", "--trials", "3"],
+    SWEEP_ARGS,
+    ["sweep", "--process", "upsilon1", "--lambda-steps", "2001"],
+], ids=["verify", "short sweep", "long sweep"])
+def test_stdout_write_failure_exits_2(argv):
+    # every write to /dev/full fails; exit 1 would mean a tolerance failure
+    # of verify or a backend mismatch of sweep
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "qcausal.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert done.returncode == 2, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: cannot write <stdout>: ")
 
 
 def test_sweep_reports_rejects_unknown_process():

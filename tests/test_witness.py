@@ -148,6 +148,35 @@ class TestSwitchClosedForms:
                 assert abs(dp_witness(tau, "BA", spec)[0] - closed(lam, spec)) <= 1e-9
                 assert abs(dp_witness(tau, "AB", spec)[0] - closed(1.0 - lam, spec)) <= 1e-9
 
+    def test_switch_full_marginal_witnesses_from_closed_spectra(self):
+        # the nonzero spectra of every marginal that i1 and i2 take, with
+        # q = 1 - lam; measured at most 1.0e-14 from the program
+        def roots(s, p):
+            root = math.sqrt(max(s * s - 4.0 * p, 0.0))
+            return [(s + root) / 2.0, (s - root) / 2.0]
+
+        def h(spectrum):
+            return entropy_from_spectrum(np.array(spectrum), VON_NEUMANN)
+
+        for lam in GRID:
+            q = 1.0 - lam
+            h_pair = h([0.25] * 4)  # A1 B1
+            h_pair_f = h([0.5, q / 2.0, lam / 2.0])  # A1 B1 F
+            h_four = h([q / 2.0, lam / 2.0] + roots(0.5, 3.0 * lam * q / 16.0))  # A0 A1 B0 B1
+            closed = {  # order: (past x0 x1 y0, x0 x1 y1 F, A1 B1 y0)
+                "AB": (h([q / 4.0] * 3 + roots(1.0 - 0.75 * q, lam * q / 8.0)),
+                       h([1.0 - lam / 2.0, lam / 2.0]),
+                       h([q / 4.0] * 2 + roots((1.0 + lam) / 4.0, lam * q / 16.0) * 2)),
+                "BA": (h([lam / 4.0] * 3 + roots(1.0 - 0.75 * lam, lam * q / 8.0)),
+                       h([(1.0 + lam) / 2.0, q / 2.0]),
+                       h([lam / 4.0] * 2 + roots((2.0 - lam) / 4.0, lam * q / 16.0) * 2)),
+            }
+            tau = switch_state(lam, "full")
+            for order, (h_past, h_tail, h_mid) in closed.items():
+                i1, i2, _ = marginal_witnesses(tau, order)
+                assert abs(i1 - (h_four - h_past + h_pair_f - h_pair)) <= 1e-9, (lam, order)
+                assert abs(i2 - (h_tail + h_mid - h_pair - h_past)) <= 1e-9, (lam, order)
+
     def test_upsilon1_full_state_closed_form(self):
         # with the control traced the five-part state has rank 2 and
         # eigenvalues (1 ± r) / 2, r = sqrt(1 - 15 lam (1 - lam) / 4); each
