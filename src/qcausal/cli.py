@@ -48,6 +48,7 @@ _FUTURE_OF = {
     "upsilon2": "trace_target",
 }
 PROCESS_TAGS = tuple(_FUTURE_OF)
+_NAMED_ENTROPIES = {"vn": VON_NEUMANN, "min": MIN_ENTROPY, "max": MAX_ENTROPY}
 BACKEND_AGREE_TOL = 1e-9
 # "lambda", then the witness report field of each later name
 CSV_COLUMNS = ("lambda", "dp_ab", "bound_ab", "dp_ba", "bound_ba",
@@ -61,12 +62,8 @@ class BackendMismatch(Exception):
 
 def parse_entropy(text: str) -> EntropySpec:
     """Parse ``vn``, ``renyi:<alpha>`` (``inf`` allowed), ``min`` or ``max``."""
-    if text == "vn":
-        return VON_NEUMANN
-    if text == "min":
-        return MIN_ENTROPY
-    if text == "max":
-        return MAX_ENTROPY
+    if text in _NAMED_ENTROPIES:
+        return _NAMED_ENTROPIES[text]
     if text.startswith("renyi:"):
         raw = text.split(":", 1)[1]
         try:
@@ -177,6 +174,10 @@ def _write_after(outs: list | None, work) -> int:
         try:
             print(text, end="", flush=True)
         except OSError as exc:
+            # the unwritten text stays in stdout's buffer: point stdout at the
+            # null device, or the flush at exit fails again
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
             return _cannot_write("<stdout>", exc)
         return 0
     created = [out for out in outs if not os.path.lexists(out)]
@@ -228,9 +229,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    trials = args.trials
-    if trials is None:
-        trials = campaigns.DEFAULT_TRIALS[args.campaign]
+    trials = args.trials or campaigns.DEFAULT_TRIALS[args.campaign]
     summary = {}
 
     def run() -> list[str]:

@@ -397,9 +397,10 @@ def _run_in_pool(monkeypatch, workers, argv, points=camp.BLOCK_ITEMS):
 
 
 # (workers, points per sub-grid): one point per stack in this process, as
-# grids were evaluated before they were stacked; the default cut on two
-# workers; the whole grid as one stack
-GRID_CUTS = ((1, 1), (2, camp.BLOCK_ITEMS), (1, 101))
+# grids were evaluated before they were stacked; several sub-grids per
+# worker, joined back in grid order; the default cut on two workers; the
+# whole grid as one stack
+GRID_CUTS = ((1, 1), (2, 16), (2, camp.BLOCK_ITEMS), (1, 101))
 
 
 class TestGridPool:
@@ -544,9 +545,11 @@ class TestConsoleScript:
 ], ids=["verify", "short sweep", "long sweep"])
 def test_stdout_write_failure_exits_2(argv):
     # every write to /dev/full fails; exit 1 would mean a tolerance failure
-    # of verify or a backend mismatch of sweep
+    # of verify or a backend mismatch of sweep.  Stdout is buffered, as in a
+    # shell: a short text then stays in the buffer after the failed flush
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    env.pop("PYTHONUNBUFFERED", None)
     with open("/dev/full", "w") as full:
         done = subprocess.run([sys.executable, "-m", "qcausal.cli", *argv], stdout=full,
                               stderr=subprocess.PIPE, text=True, env=env, timeout=120)
