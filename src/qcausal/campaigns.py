@@ -56,7 +56,7 @@ from .channels import (
     random_density,
     random_pure,
 )
-from .entropy import MIN_ENTROPY, VON_NEUMANN, entropy_from_spectrum, renyi, ssa_gap
+from .entropy import MIN_ENTROPY, VON_NEUMANN, entropy, renyi, ssa_gap
 from .process import (
     FUTURE_MODES,
     ORDERS,
@@ -437,11 +437,8 @@ def _lemma1_trial(seed: int, t: int) -> tuple[float, int]:
     rho = random_density(din, rank=int(rng.integers(1, din + 1)), seed=rng,
                          dims=[("Q1", din)])
     out = apply_channel(chan, rho)
-    lam_in = rho.spectrum()
-    lam_out = out.spectrum()
     bound = math.log2(dout / din)
-    return _fold(_check(entropy_from_spectrum(lam_out, spec)
-                        - entropy_from_spectrum(lam_in, spec) - bound)
+    return _fold(_check(entropy(out, spec=spec) - entropy(rho, spec=spec) - bound)
                  for spec in DP_FAMILIES)
 
 

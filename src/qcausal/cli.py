@@ -87,8 +87,7 @@ def _sub_grid(process: str, specs, backend: str, lams: list[float]) -> list[list
     The states of all the weights are built, validated and evaluated as one
     stack, which gives each point's values bit for bit.  ``backend="both"``
     builds the stack with both backends, checks that they agree at every
-    weight and evaluates the statevector one.  A module-level function, so
-    the worker driver can send it to forked processes.
+    weight and evaluates the statevector one.
     """
     s = SwitchSpec(lams, future_mode=_FUTURE_OF[process])
     if backend == "both":

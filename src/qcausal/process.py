@@ -292,10 +292,11 @@ def _switch_pair_out(s: SwitchSpec, ka: np.ndarray, la: np.ndarray,
     ctrl = np.array([[lam, amp], [amp, 1.0 - lam]], dtype=complex)
 
     def branches(a, b):
-        # branch 0 (control |0>): B_i A_j ; branch 1: A_j B_i
-        ba = np.einsum("...izw,...jwy->...ijzy", b, a, optimize=True)
-        ab = np.einsum("...jzw,...iwy->...ijzy", a, b, optimize=True)
-        return np.stack(np.broadcast_arrays(ba, ab), axis=-3)
+        # branch 0 (control |0>): B_i A_j; branch 1, its party swap A_j B_i, is the
+        # same product with the operands exchanged and the axes i, j put back
+        product = lambda x, y: np.einsum("...izw,...jwy->...ijzy", x, y, optimize=True)
+        return np.stack(np.broadcast_arrays(product(b, a), product(a, b).swapaxes(-4, -3)),
+                        axis=-3)
 
     brk, brl = branches(ka, kb), branches(la, lb)
     out = np.einsum("...ijczy,yw,...ijdvw,cd->...zcvd", brk, rho_t, brl.conj(), ctrl,
@@ -552,22 +553,14 @@ def _tau_statevector_switch(s: SwitchSpec) -> InterventionalState:
     tpure = purify(s.target, "G")
     t_arr = tpure.amplitudes.reshape(2, -1)
     pair = np.eye(2) / np.sqrt(2.0)
-
-    def branch(first_store: str, mid_store: str, mid_pair: str, last_pair: str):
-        arr = np.multiply.outer(np.multiply.outer(t_arr, pair), pair)
-        labels = [first_store, "G", mid_store, mid_pair, "T1", last_pair]
-        order = ["A0", "A1", "B0", "B1", "T1", "G"]
-        return arr.transpose([labels.index(l) for l in order])
-
-    # control |0>: A acts first (stores the target), B stores A's pair half
-    b0 = branch("A0", "B0", "A1", "B1")
-    # control |1>: B acts first, A stores B's pair half
-    b1 = branch("B0", "A0", "B1", "A1")
+    # control |0>: A acts first and stores the target, B stores A's pair half;
+    # the outer product's axes (A0, G, B0, A1, T1, B1) go to A0 A1 B0 B1 T1 G
+    b0 = np.multiply.outer(np.multiply.outer(t_arr, pair), pair).transpose(0, 3, 2, 5, 4, 1)
+    # control |1>: the party swap of control |0>
+    b1 = b0.transpose(2, 3, 0, 1, 4, 5)
     stack = np.shape(s.lam)
     lam = np.reshape(s.lam, stack + (1,) * b0.ndim)
-    v = np.zeros(stack + b0.shape + (2,), dtype=complex)
-    v[..., 0] = np.sqrt(lam) * b0
-    v[..., 1] = np.sqrt(1.0 - lam) * b1
+    v = np.stack([np.sqrt(lam) * b0, np.sqrt(1.0 - lam) * b1], axis=-1)
     labels = ["A0", "A1", "B0", "B1", "T1", "G", "C1"]
     keep = ["A0", "A1", "B0", "B1", *FUTURE_MODES[s.future_mode]]
     return _interventional(_rdm(v, labels, keep), [(l, s.dims[l]) for l in TAU_LABELS])

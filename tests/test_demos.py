@@ -1,4 +1,6 @@
-"""Smoke test: every demo script runs to completion with its default options."""
+"""Smoke test: every demo script runs to completion with its default options,
+in Python's development mode with every warning an error (pytest's own
+warning filters do not reach a subprocess)."""
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ def test_all_four_demos_present():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
-                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
