@@ -195,8 +195,11 @@ class DensityOperator(LabeledOperator):
     Construction enforces Hermiticity (within ``HERM_TOL``, then symmetrizes),
     unit trace (within ``TRACE_TOL``) and positivity: eigenvalues in
     ``[-PSD_TOL, 0)`` are clipped to zero and the spectrum renormalized, while
-    anything more negative is a hard error.  In a stack each check holds per
-    slice, and only the slices with a negative eigenvalue are rebuilt.
+    anything more negative is a hard error.  Each slice is decomposed once,
+    by ``eigh``: its smallest eigenvalue decides the check and the clip, and
+    its eigenpairs rebuild it.  In a stack each check holds per slice, a
+    failing slice raises before it is rebuilt or a later slice decomposed,
+    and only the slices with a negative eigenvalue are rebuilt.
 
     The stored matrix is read-only, so the marginal spectra that
     :meth:`spectrum` memoizes, and the entropies that
@@ -209,14 +212,17 @@ class DensityOperator(LabeledOperator):
     def __init__(self, matrix: np.ndarray, dims: LabeledDims | Iterable[tuple[str, int]]):
         super().__init__(matrix, dims)
         m = _hermitian_with_trace(self.matrix, 1)
-        lam_min = np.linalg.eigvalsh(m)[..., 0]
-        _require(lam_min >= -PSD_TOL, lam_min,
-                 lambda low: f"matrix is not positive semidefinite: min eigenvalue {low:.3e}")
-        # slice by slice, so a stack allocates no stack-sized eigenvectors;
-        # a single matrix is the one slice of this view of m
+        # one eigh per slice, so a stack allocates no stack-sized
+        # eigenvectors; a single matrix is the one slice of this view of m
         slices = m.reshape(-1, *m.shape[-2:])
-        for k in np.flatnonzero(lam_min < 0.0):
-            _clip_rebuild(slices[k])
+        for k, s in enumerate(slices):
+            lam, v = np.linalg.eigh(s)
+            if not lam[0] >= -PSD_TOL:  # NaN fails too
+                where = f"slice {k}: " if m.ndim == 3 else ""
+                raise ValueError(f"{where}matrix is not positive semidefinite: "
+                                 f"min eigenvalue {float(lam[0]):.3e}")
+            if lam[0] < 0.0:
+                _clip_rebuild(s, lam, v)
         m.flags.writeable = False
         self.matrix = m
         self._spectra: dict[frozenset[str], np.ndarray] = {}
@@ -239,10 +245,12 @@ class DensityOperator(LabeledOperator):
         return lam
 
 
-def _clip_rebuild(m: np.ndarray) -> None:
-    """Clip the eigenvalues of ``m`` at zero and renormalize them to unit
-    trace, in place."""
-    lam, v = np.linalg.eigh(m)
+def _clip_rebuild(m: np.ndarray, lam: np.ndarray, v: np.ndarray) -> None:
+    """Clip the eigenvalues ``lam`` of ``m`` at zero, renormalize them to unit
+    trace and write ``m`` back from them and the eigenvectors ``v``, in place.
+
+    ``lam, v`` is ``np.linalg.eigh(m)``; ``v`` is overwritten.
+    """
     lam = np.clip(lam, 0.0, None)
     lam /= lam.sum()
     # m = (v * lam) @ v.conj().T, without a conjugate copy of v or a new result

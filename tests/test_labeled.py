@@ -1,6 +1,7 @@
 """Labeled tensor core: dims bookkeeping, permutation, traces, purification."""
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import qcausal.labeled as labeled
 from qcausal import (
     HERM_TOL,
+    VON_NEUMANN,
     DensityOperator,
     LabeledDims,
     LabeledOperator,
@@ -19,6 +21,8 @@ from qcausal import (
     purify,
     trace_distance,
 )
+from qcausal.campaigns import BLOCK_ITEMS, TAU_DIM_CAP
+from qcausal.cli import sweep_reports
 
 RNG = np.random.default_rng(7)
 
@@ -212,7 +216,7 @@ class TestDensityOperator:
         m = np.diag([1.5, -0.5])
         with pytest.raises(ValueError):
             DensityOperator(m, [("A", 2)])
-        # unit trace with NaN off the diagonal: eigvalsh returns NaN, which
+        # unit trace with NaN off the diagonal: eigh returns NaN, which
         # the positivity check rejects once the Hermiticity check is bypassed
         monkeypatch.setattr(labeled, "_hermitian", lambda m, what="matrix": m)
         with pytest.raises(ValueError, match="not positive semidefinite"):
@@ -233,22 +237,107 @@ class TestDensityOperator:
 
     @pytest.mark.parametrize("d", [8, 64, 512])
     def test_clip_rebuild_is_the_conjugate_copy_bit_for_bit(self, d):
-        # rank d/4: the zero eigenvalues come out of eigvalsh with rounding
-        # of either sign, so some matrices are clipped and rebuilt
+        # rank d/4: the zero eigenvalues come out of eigh with rounding of
+        # either sign, so some matrices are clipped and rebuilt
         rng = np.random.default_rng(d)
         g = rng.normal(size=(4, d, d // 4)) + 1j * rng.normal(size=(4, d, d // 4))
         m = g @ g.conj().swapaxes(-1, -2)
         m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
         h = labeled._hermitian(m)
-        clip = np.linalg.eigvalsh(h)[:, 0] < 0.0
+        clip = np.linalg.eigh(h)[0][:, 0] < 0.0
         assert clip.any()
         expected = np.stack([clip_rebuild_reference(x) if c else x for x, c in zip(h, clip)])
         k = int(np.argmax(clip))
         single = h[k].copy()
-        labeled._clip_rebuild(single)
+        labeled._clip_rebuild(single, *np.linalg.eigh(single))
         assert np.array_equal(single, expected[k])
         assert np.array_equal(DensityOperator(m[k], [("X", d)]).matrix, expected[k])
         assert np.array_equal(DensityOperator(m, [("X", d)]).matrix, expected)
+
+
+def count_eigensolves(monkeypatch) -> dict[str, int]:
+    """Count the calls of ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` from
+    here on; the counts are read from the returned dict."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestOneEigensolvePerSlice:
+    """Validation decomposes each slice once, with eigh: the eigenvalue that
+    decides the clip comes from the decomposition that rebuilds it."""
+
+    @staticmethod
+    def mixed_stack():
+        """Six unit-trace matrices of side 8, the first three of rank 2, and
+        which of them validation clips: rounding leaves zero eigenvalues of
+        either sign, and full rank leaves none."""
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=(6, 8, 8)) + 1j * rng.normal(size=(6, 8, 8))
+        g[:3, :, 2:] = 0.0
+        m = g @ g.conj().swapaxes(-1, -2)
+        m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+        clip = np.linalg.eigh(labeled._hermitian(m))[0][:, 0] < 0.0
+        assert clip.any() and not clip.all()
+        return m, clip
+
+    @pytest.mark.parametrize("clipped", [True, False])
+    def test_single_matrix(self, monkeypatch, clipped):
+        m, clip = self.mixed_stack()
+        counts = count_eigensolves(monkeypatch)
+        DensityOperator(m[np.flatnonzero(clip == clipped)[0]], [("X", 8)])
+        assert counts == {"eigh": 1, "eigvalsh": 0}
+
+    def test_stack(self, monkeypatch):
+        m, _ = self.mixed_stack()
+        counts = count_eigensolves(monkeypatch)
+        DensityOperator(m, [("X", 8)])
+        assert counts == {"eigh": len(m), "eigvalsh": 0}
+
+    def test_first_failing_slice_raises_before_it_is_rebuilt(self, monkeypatch):
+        # slices 1 and 3 have only negative eigenvalues, which the trace
+        # check would catch first, so it is bypassed. Clipped, such a slice
+        # sums to zero, and renormalizing it would warn (an error here)
+        monkeypatch.setattr(labeled, "_hermitian_with_trace",
+                            lambda m, target, what="matrix": labeled._hermitian(m, what))
+        m = np.stack([rand_density_matrix(8, rank=2) for _ in range(5)])
+        m[1] = -np.eye(8) / 2
+        m[3] = -np.eye(8) / 4
+        counts = count_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=r"^slice 1: matrix is not positive semidefinite: "
+                                             r"min eigenvalue -5\.000e-01$"):
+            DensityOperator(m, [("X", 8)])
+        # no slice after the failing one is decomposed
+        assert counts == {"eigh": 2, "eigvalsh": 0}
+
+    def test_stack_memory_is_per_slice(self):
+        # a full sub-grid of the largest campaign states: the traced peak
+        # stays well below the 2x of decomposing the stack in one eigh
+        rng = np.random.default_rng(3)
+        shape = (BLOCK_ITEMS, TAU_DIM_CAP, TAU_DIM_CAP)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        m = g @ g.conj().swapaxes(-1, -2)
+        m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+        del g
+        tracemalloc.start()
+        try:
+            DensityOperator(m, [("X", TAU_DIM_CAP)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * m.nbytes, peak / m.nbytes
+
+    def test_one_switch_point(self, monkeypatch):
+        # three validations (the switch's target, then the state as a
+        # DensityOperator and as an InterventionalState), the purification
+        # of the target and the ten marginal spectra; no eigvalsh at all
+        counts = count_eigensolves(monkeypatch)
+        sweep_reports("switch_full", [0.3], VON_NEUMANN)
+        assert counts == {"eigh": 14, "eigvalsh": 0}
 
 
 class TestSpectrumMemo:
