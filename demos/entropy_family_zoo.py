@@ -1,8 +1,8 @@
 """One process, many entropies: how the certification region moves with alpha.
 
-The data-processing witness works for the whole validated Renyi range.  Small
-alpha widens the certified region of the control-traced switch well past the
-von Neumann one; large alpha narrows it until, at the min-entropy end, this
+The data-processing witness certifies in every Renyi order.  Small alpha
+widens the certified region of the control-traced switch well past the von
+Neumann one; large alpha narrows it until, at the min-entropy end, this
 particular process escapes detection entirely.
 """
 import argparse

@@ -15,8 +15,7 @@ one stack of states, which gives every point's values bit for bit, and the
 sub-grids run on the campaigns' worker driver.
 
 Output goes to ``--out`` (or stdout); an output that cannot be written,
-stdout among them, exits 2.  Diagnostics go to stderr, among them each
-distinct warning of a sweep's witness reports, once.  Identical
+stdout among them, exits 2.  Diagnostics go to stderr.  Identical
 command lines produce byte-identical files at a fixed BLAS thread count:
 sweeps are deterministic and campaigns derive every sample from explicit
 per-trial seeds.  Another thread count can move the last bits of a result;
@@ -215,10 +214,7 @@ def cmd_sweep(args) -> int:
         return 2
 
     def work() -> str:
-        rows = sweep_reports(args.process, lams, args.entropy, args.backend)
-        for warning in dict.fromkeys(w for _, report in rows for w in report.warnings):
-            print(f"warning: {warning}", file=sys.stderr)
-        return [csv_text(rows)]
+        return [csv_text(sweep_reports(args.process, lams, args.entropy, args.backend))]
 
     try:
         return _write_after(None if args.out is None else [args.out], work)

@@ -24,13 +24,7 @@ _TOP_MAX = 1.0 + TRACE_TOL + PSD_TOL  # above any marginal of a validated state
 
 @dataclass(frozen=True)
 class EntropySpec:
-    """Selects an entropy family; ``alpha`` is used by the Renyi family only.
-
-    ``validated`` is True when the family is covered by the monotonicity
-    argument behind the causal-order bounds: von Neumann, Renyi with
-    ``alpha ∈ [1/2, 1) ∪ (1, ∞)``, min, and max.  The max-entropy case rests on
-    an external citation and is flagged as such by the witness reports.
-    """
+    """Selects an entropy family; ``alpha`` is used by the Renyi family only."""
 
     kind: str
     alpha: float | None = None
@@ -43,12 +37,6 @@ class EntropySpec:
                 raise ValueError(f"Renyi entropy needs alpha > 0, got {self.alpha!r}")
         elif self.alpha is not None:
             raise ValueError(f"{self.kind} entropy takes no alpha")
-
-    @property
-    def validated(self) -> bool:
-        if self.kind != "renyi":
-            return True
-        return self.alpha >= 0.5
 
     @property
     def label(self) -> str:

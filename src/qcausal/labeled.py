@@ -335,12 +335,19 @@ def herm_eig(a: LabeledOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[..., ::-1].copy(), v[..., ::-1].copy()
 
 
+def _one_state(rho: DensityOperator, what: str) -> None:
+    """Raise ``ValueError`` naming the shape if ``rho`` is a stack of states."""
+    if rho.matrix.ndim != 2:
+        raise ValueError(f"{what} must be one state, not a stack of shape {rho.matrix.shape}")
+
+
 def purify(rho: DensityOperator, purifier_label: str = "REF") -> PureState:
     """Purification with a purifier of dimension equal to ``rank(rho)``.
 
     The reduced state on the original labels reproduces ``rho`` (after clipping
-    eigenvalues below ``RANK_REL_TOL * lambda_max``).
+    eigenvalues below ``RANK_REL_TOL * lambda_max``); a stack raises ``ValueError``.
     """
+    _one_state(rho, "the state to purify")
     if purifier_label in rho.labels:
         raise ValueError(f"purifier label {purifier_label!r} collides with {rho.labels}")
     lam, v = herm_eig(rho)

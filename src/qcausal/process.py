@@ -29,6 +29,7 @@ from .labeled import (
     LabeledOperator,
     PureState,
     _hermitian_with_trace,
+    _one_state,
     _require,
     as_dims,
     partial_trace,
@@ -62,10 +63,10 @@ def _slots(order: str) -> tuple[str, str, str, str]:
 class FixedOrderComb:
     """Two-slot comb: state, link channel, and closing channel in a fixed order.
 
-    With slot wires ``x0, x1, y0, y1 = SLOTS[order]`` the pieces are a
-    density operator on ``(x0, E0)``, a channel ``(x1, E0) -> (y0, E1)`` and
-    a channel ``(y1, E1) -> (F, E2)``.  ``dims`` maps each of
-    ``A0 A1 B0 B1 F E0 E1 E2`` to its dimension.
+    With slot wires ``x0, x1, y0, y1 = SLOTS[order]`` the pieces are one
+    density operator on ``(x0, E0)`` (not a stack), a channel
+    ``(x1, E0) -> (y0, E1)`` and a channel ``(y1, E1) -> (F, E2)``.  ``dims``
+    maps each of ``A0 A1 B0 B1 F E0 E1 E2`` to its dimension.
     """
 
     __slots__ = ("order", "rho", "lambda1", "lambda2", "dims")
@@ -76,6 +77,7 @@ class FixedOrderComb:
         want_rho = (x0, "E0")
         if rho.labels != want_rho:
             raise ValueError(f"comb state must live on {want_rho}, got {rho.labels}")
+        _one_state(rho, "the comb state")
         for name, chan, want_in, want_out in (
                 ("link", lambda1, (x1, "E0"), (y0, "E1")),
                 ("closing", lambda2, (y1, "E1"), ("F", "E2"))):
@@ -175,6 +177,7 @@ class SwitchSpec:
             target = DensityOperator(m, [("T0", 2)])
         if target.labels != ("T0",) or target.dim("T0") != 2:
             raise ValueError(f"target must be a qubit state on ('T0',), got {target.labels}")
+        _one_state(target, "the switch target")
         if lams.ndim:
             lams.flags.writeable = False
         self.lam = float(lams) if lams.ndim == 0 else lams

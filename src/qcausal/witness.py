@@ -4,13 +4,15 @@ The data-processing witness compares the entropy of the full five-system
 interventional state with the entropy of the subsystems that are already
 fixed once the first party has acted.  For a process where A acts before B,
 
-    DP_AB = H(A0 A1 B0 B1 F) - H(A0 A1 B0) >= log2(dim B1 / dim F),
+    DP_AB = H(A0 A1 B0 B1 F) - H(A0 A1 B0) >= log2(dim B1 / dim F)
 
-because everything after the first slot is one trace-preserving channel from
-``(B0, env)`` into ``(B0, B1, F)`` and such a channel cannot decrease entropy
-by more than the log-dimension offset.  Mirrored for B before A.  A process
-violating the bound for BOTH orders is beyond fixed causal order; violating
-one order only excludes that order, and satisfying both is inconclusive.
+in every entropy family here: von Neumann, Renyi of every order, min and
+max.  The witness is a difference of unconditional entropies, and the proof
+at :func:`dp_witness` uses only purification, a twirl on ``F``,
+Schur-concavity and additivity on products.  Mirrored for B before A.  A
+process violating the bound for BOTH orders is beyond fixed causal order;
+violating one order only excludes that order, and satisfying both is
+inconclusive.
 
 The marginal witnesses trade tightness for locality: strong subadditivity
 applied with the retained entangled partners ``(A1, B1)`` as the middle
@@ -29,7 +31,7 @@ fixed-order processes and certifies through the same dimension bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .labeled import DensityOperator
 from .entropy import VON_NEUMANN, EntropySpec, entropy
@@ -73,7 +75,22 @@ def dp_witness(state: InterventionalState | DensityOperator, order: str,
     the first party's past, in the requested entropy family (an array over
     the stack axis for a stack of states) and ``bound = log2(dim y1 / dim F)``,
     where ``x0, x1, y0, y1 = SLOTS[order]``.  Every process with the given
-    fixed order satisfies ``value >= bound``; ``value < bound`` excludes it.
+    fixed order satisfies ``value >= bound`` in every family; ``value < bound``
+    excludes it.  With ``X = x0 x1 y0`` and ``E1`` the comb's memory after
+    the first slot:
+
+    1. Purify the state on ``X E1`` with ``R``; send ``E1`` and ``y1'``, the
+       partner of ``y1`` in a maximally entangled pair, through a Stinespring
+       isometry ``y1' E1 -> F E2`` of the closing channel.  ``X R y1 F E2``
+       is then pure.
+    2. So ``H(X y1 F) = H(R E2)``: complementary marginals of a pure state
+       share their nonzero spectrum.
+    3. ``H(R E2) + log2 d_F = H(rho_RE2 ⊗ 1/d_F) >= H(R F E2)``: the middle
+       state is a mixed-unitary twirl of ``rho_RFE2`` on ``F``, so its spectrum
+       is majorized by ``rho_RFE2``'s; every family is Schur-concave and additive.
+    4. ``H(R F E2) = H(R E1 y1') = H(R E1) + log2 d_y1``: the isometry keeps
+       the spectrum, and ``y1'`` is maximally mixed and uncorrelated.
+    5. ``H(R E1) = H(X)``, as in step 2.  Hence ``value >= bound``.
     """
     x0, x1, y0, y1 = _slots(order)
     tau = _as_tau(state)
@@ -122,10 +139,7 @@ class WitnessReport:
 
     ``i1_*``/``i2_*`` are the von Neumann marginal witnesses, which
     :func:`evaluate` fills whatever the DP family; a report built by hand may
-    leave them ``None``, which writes empty CSV cells.  A verdict of
-    ``Inconclusive`` with a range warning means the entropy family sits
-    outside the monotonicity-validated range and the raw values carry no
-    certification weight.
+    leave them ``None``, which writes empty CSV cells.
     """
     tag: str
     family: EntropySpec
@@ -140,7 +154,6 @@ class WitnessReport:
     i2_ab: float | None = None
     i1_ba: float | None = None
     i2_ba: float | None = None
-    warnings: tuple[str, ...] = field(default=())
 
 
 def evaluate(state: InterventionalState | DensityOperator,
@@ -159,17 +172,6 @@ def evaluate(state: InterventionalState | DensityOperator,
     tau = _as_tau(state)
     dp_ab, bound_ab = dp_witness(tau, "AB", spec)
     dp_ba, bound_ba = dp_witness(tau, "BA", spec)
-    warnings: list[str] = []
-    if not spec.validated:
-        warnings.append(
-            f"entropy family {spec.label} is outside the validated range "
-            f"(Renyi alpha >= 1/2); verdict withheld"
-        )
-    if spec.kind == "max":
-        warnings.append(
-            "max-entropy monotonicity is externally justified and not "
-            "exercised by the property campaigns"
-        )
     i1_ab, i2_ab, _ = marginal_witnesses(tau, "AB")
     i1_ba, i2_ba, _ = marginal_witnesses(tau, "BA")
     columns = [dp_ab, dp_ba, i1_ab, i2_ab, i1_ba, i2_ba]
@@ -177,13 +179,12 @@ def evaluate(state: InterventionalState | DensityOperator,
     def report(dp_ab, dp_ba, i1_ab, i2_ab, i1_ba, i2_ba):
         violated_ab = is_violated(dp_ab, bound_ab)
         violated_ba = is_violated(dp_ba, bound_ba)
-        verdict = verdict_token(violated_ab, violated_ba) if spec.validated else VERDICT_NONE
         return WitnessReport(
             tag=tag, family=spec,
             dp_ab=dp_ab, bound_ab=bound_ab, dp_ba=dp_ba, bound_ba=bound_ba,
-            violated_ab=violated_ab, violated_ba=violated_ba, verdict=verdict,
+            violated_ab=violated_ab, violated_ba=violated_ba,
+            verdict=verdict_token(violated_ab, violated_ba),
             i1_ab=i1_ab, i2_ab=i2_ab, i1_ba=i1_ba, i2_ba=i2_ba,
-            warnings=tuple(warnings),
         )
 
     if tau.matrix.ndim == 2:

@@ -138,25 +138,24 @@ class TestSweep:
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == digest, backend
 
-    @pytest.mark.parametrize("family, warning", [
-        ("renyi:0.3", "warning: entropy family renyi(0.3) is outside the validated range "
-                      "(Renyi alpha >= 1/2); verdict withheld"),
-        ("max", "warning: max-entropy monotonicity is externally justified and not "
-                "exercised by the property campaigns"),
-    ], ids=["renyi:0.3", "max"])
-    def test_report_warnings_reach_stderr_once(self, family, warning, capsys):
+    @pytest.mark.parametrize("family", ["vn", "renyi:0.3", "renyi:2", "min", "max"])
+    def test_every_family_prints_nothing_on_stderr(self, family, capsys):
         assert main(SWEEP_ARGS + ["--entropy", family]) == 0
         out, err = capsys.readouterr()
-        assert err.splitlines() == [warning]
+        assert err == ""
         rows = sweep_reports("upsilon1", np.linspace(0.0, 1.0, 3), parse_entropy(family))
-        assert all(warning == f"warning: {w}" for _, r in rows for w in r.warnings)
         assert out == csv_text(rows)
-        if family == "renyi:0.3":
-            assert {r.verdict for _, r in rows} == {"Inconclusive"}
 
-    def test_validated_family_prints_no_warning(self, capsys):
-        assert main(SWEEP_ARGS) == 0
+    @pytest.mark.parametrize("process", PROCESS_TAGS)
+    def test_small_alpha_sweep_gets_verdicts(self, process, tmp_path, capsys):
+        # Renyi 0.3 certifies at every interior point and excludes one order
+        # at each end, as the other families do
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--process", process, "--entropy", "renyi:0.3",
+                     "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
+        verdicts = [row["verdict"] for row in read_csv(out)[1]]
+        assert verdicts == ["ExcludesOnlyAB"] + ["BeyondFixedOrder"] * 99 + ["ExcludesOnlyBA"]
 
     def test_bad_range_exits_2(self, capsys):
         rc = main(["sweep", "--process", "upsilon1", "--lambda-min", "0.8",

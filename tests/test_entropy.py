@@ -44,12 +44,6 @@ class TestSpec:
         assert MIN_ENTROPY.label == "min"
         assert MAX_ENTROPY.label == "max"
 
-    def test_validated_range(self):
-        assert renyi(0.5).validated
-        assert renyi(7.0).validated
-        assert not renyi(0.3).validated
-        assert VON_NEUMANN.validated and MIN_ENTROPY.validated
-
     def test_renyi_inf_is_min(self):
         assert renyi(math.inf) is MIN_ENTROPY
 

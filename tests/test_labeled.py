@@ -402,6 +402,11 @@ class TestPurify:
         with pytest.raises(ValueError):
             purify(rho, "A")
 
+    def test_stack_rejected(self):
+        rho = DensityOperator(np.stack([rand_density_matrix(2)] * 3), [("A", 2)])
+        with pytest.raises(ValueError, match=re.escape("stack of shape (3, 2, 2)")):
+            purify(rho)
+
 
 class TestMisc:
     def test_trace_distance_commuting_oracle(self):

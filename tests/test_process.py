@@ -208,6 +208,12 @@ class TestFixedOrderComb:
         with pytest.raises(ValueError):
             FixedOrderComb("XY", comb.rho, comb.lambda1, comb.lambda2)
 
+    def test_stacked_state_rejected(self):
+        comb = sample_fixed_order_comb(0, order="AB")
+        stack = DensityOperator(np.stack([comb.rho.matrix] * 2), comb.rho.dims)
+        with pytest.raises(ValueError, match=re.escape(f"stack of shape {stack.matrix.shape}")):
+            FixedOrderComb("AB", stack, comb.lambda1, comb.lambda2)
+
     def test_slots_name_each_orders_wires(self):
         assert ORDERS == tuple(SLOTS) == ("AB", "BA")
         for order, (x0, x1, y0, y1) in SLOTS.items():
@@ -305,6 +311,11 @@ class TestSwitch:
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
         expect = np.kron(np.diag([1.0, 0.0]), np.outer(plus, plus))
         assert np.allclose(out.matrix, expect)
+
+    def test_stacked_target_rejected(self):
+        stack = DensityOperator(np.stack([KET0.matrix] * 2), KET0.dims)
+        with pytest.raises(ValueError, match=re.escape("stack of shape (2, 2, 2)")):
+            SwitchSpec(0.5, target=stack)
 
     def test_future_mode_dims(self):
         assert SwitchSpec(0.3).dims["F"] == 4
