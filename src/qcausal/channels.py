@@ -14,6 +14,7 @@ from .labeled import (
     DensityOperator,
     LabeledDims,
     LabeledOperator,
+    _one_state,
     as_dims,
     permute,
 )
@@ -107,8 +108,9 @@ def apply_channel(c: KrausChannel, rho: LabeledOperator) -> LabeledOperator:
     ride along unchanged.  The output labels replace the input labels at the
     position of the first consumed label, so an identity channel returns the
     state unchanged.  A :class:`DensityOperator` maps to a
-    :class:`DensityOperator`.
+    :class:`DensityOperator`; a stack raises ``ValueError``.
     """
+    _one_state(rho, "the state to apply a channel to")
     consumed = list(c.in_dims.labels)
     for l in consumed:
         if l not in rho.labels:

@@ -208,7 +208,9 @@ def cmd_sweep(args) -> int:
         return 2
     try:
         lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
-    except MemoryError as exc:
+    # with the bounds checked, numpy raises each of these for a grid too
+    # large to allocate: ValueError from 2**60 - 64 weights, IndexError at 2**63
+    except (MemoryError, ValueError, IndexError) as exc:
         print(f"error: no memory for {args.lambda_steps} control weights: {exc}",
               file=sys.stderr)
         return 2

@@ -104,8 +104,6 @@ def entropy_from_spectrum(lam: Sequence[float] | np.ndarray,
 
 def _row_sums(term, rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Sum of ``term`` over each row's support ``rows[i][keep[i]]``, one pass per size."""
-    if len(rows) == 1:
-        return term(rows[keep]).sum(keepdims=True)
     size = keep.sum(axis=1)
     out = np.empty(len(rows))
     for k in set(size.tolist()):
@@ -118,23 +116,15 @@ def entropy(rho: DensityOperator, subsystem: Sequence[str] | None = None,
             spec: EntropySpec = VON_NEUMANN):
     """Entropy of the state ``rho``, or of its marginal on ``subsystem`` if given.
 
-    A float for a single state; for a stack of states, a read-only array
-    with one entropy per slice, from one :func:`entropy_from_spectrum` pass
-    over the stack's spectra: each slice's own float, bit for bit.
-    Each marginal is decomposed once and served from the state's memo of
-    spectra in every family; each entropy is computed once per label set and
-    family, and a repeat, in any label order, returns the same value.
+    A float for a single state; for a stack of states, an array with one
+    entropy per slice, from one :func:`entropy_from_spectrum` pass over the
+    stack's spectra: each slice's own float, bit for bit.  The spectrum
+    comes from the state's memo, so each marginal is decomposed once and
+    shared by every entropy family.
     """
     if not isinstance(rho, DensityOperator):
         raise TypeError(f"entropy needs a DensityOperator, got {type(rho).__name__}")
-    key = (frozenset(rho.labels if subsystem is None else subsystem), spec)
-    value = rho._entropies.get(key)
-    if value is None:
-        value = entropy_from_spectrum(rho.spectrum(subsystem), spec)
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        rho._entropies[key] = value
-    return value
+    return entropy_from_spectrum(rho.spectrum(subsystem), spec)
 
 
 def ssa_gap(rho: DensityOperator,

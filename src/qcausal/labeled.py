@@ -202,12 +202,10 @@ class DensityOperator(LabeledOperator):
     and only the slices with a negative eigenvalue are rebuilt.
 
     The stored matrix is read-only, so the marginal spectra that
-    :meth:`spectrum` memoizes, and the entropies that
-    :func:`qcausal.entropy.entropy` memoizes in ``_entropies`` per label set
-    and entropy family, can never go stale.
+    :meth:`spectrum` memoizes can never go stale.
     """
 
-    __slots__ = ("_spectra", "_entropies")
+    __slots__ = ("_spectra",)
 
     def __init__(self, matrix: np.ndarray, dims: LabeledDims | Iterable[tuple[str, int]]):
         super().__init__(matrix, dims)
@@ -226,7 +224,6 @@ class DensityOperator(LabeledOperator):
         m.flags.writeable = False
         self.matrix = m
         self._spectra: dict[frozenset[str], np.ndarray] = {}
-        self._entropies: dict[tuple, float | np.ndarray] = {}
 
     def spectrum(self, keep: Sequence[str] | None = None) -> np.ndarray:
         """Descending spectrum of the marginal on ``keep`` (all labels if None),
@@ -335,7 +332,7 @@ def herm_eig(a: LabeledOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[..., ::-1].copy(), v[..., ::-1].copy()
 
 
-def _one_state(rho: DensityOperator, what: str) -> None:
+def _one_state(rho: LabeledOperator, what: str) -> None:
     """Raise ``ValueError`` naming the shape if ``rho`` is a stack of states."""
     if rho.matrix.ndim != 2:
         raise ValueError(f"{what} must be one state, not a stack of shape {rho.matrix.shape}")
@@ -365,9 +362,12 @@ def purify(rho: DensityOperator, purifier_label: str = "REF") -> PureState:
 
 def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float | np.ndarray:
     """Half the trace norm of ``a - b`` after aligning label order: a float,
-    or an array over the stack axis for stacks."""
+    or an array over the stack axis for stacks.  Both must have the same
+    labels, each with the same dimension."""
     if set(a.labels) != set(b.labels):
         raise ValueError(f"label sets differ: {a.labels} vs {b.labels}")
+    if any(b.dim(l) != d for l, d in a.dims):
+        raise ValueError(f"dimensions differ: {a.dims} vs {b.dims}")
     diff = a.matrix - permute(b, a.labels).matrix
     # 0.5 * (diff + diff†) in place; diff is let go before the eigensolve
     h = np.conjugate(diff.swapaxes(-1, -2), order="C")

@@ -1,4 +1,6 @@
 """Channels: Kraus representation, application, random ensembles."""
+import re
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,12 @@ class TestApply:
         out = apply_channel(ident, rho)
         assert out.labels == rho.labels
         assert np.allclose(out.matrix, rho.matrix)
+
+    def test_stack_rejected(self):
+        rho = DensityOperator(np.stack([np.eye(2) / 2] * 3), [("A", 2)])
+        ident = KrausChannel.from_unitary(np.eye(2), [("A", 2)], [("A", 2)])
+        with pytest.raises(ValueError, match=re.escape("stack of shape (3, 2, 2)")):
+            apply_channel(ident, rho)
 
     def test_tni_refused(self):
         # a truncated Kraus list never reaches apply_channel: it is no channel

@@ -166,14 +166,18 @@ class TestSweep:
     def test_bad_steps_exits_2(self):
         assert main(["sweep", "--process", "upsilon1", "--lambda-steps", "1"]) == 2
 
-    def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
-        # numpy refuses 10**12 weights (7.28 TiB) before touching any memory
+    # numpy refuses 10**12 weights (7.28 TiB) with MemoryError before
+    # touching any memory, 2**61 and 10**20 with ValueError and 2**63 with
+    # IndexError
+    @pytest.mark.parametrize("steps", [10**12, 2**61, 2**63, 10**20])
+    def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys, steps):
         out = tmp_path / "s.csv"
-        rc = main(["sweep", "--process", "upsilon1", "--lambda-steps", str(10**12),
+        rc = main(["sweep", "--process", "upsilon1", "--lambda-steps", str(steps),
                    "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: no memory for 1000000000000 control weights")
+        assert err.startswith(f"error: no memory for {steps} control weights")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
 

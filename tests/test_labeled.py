@@ -9,6 +9,8 @@ import pytest
 import qcausal.labeled as labeled
 from qcausal import (
     HERM_TOL,
+    MAX_ENTROPY,
+    MIN_ENTROPY,
     VON_NEUMANN,
     DensityOperator,
     LabeledDims,
@@ -19,10 +21,11 @@ from qcausal import (
     partial_trace,
     permute,
     purify,
+    renyi,
     trace_distance,
 )
 from qcausal.campaigns import BLOCK_ITEMS, TAU_DIM_CAP
-from qcausal.cli import sweep_reports
+from qcausal.cli import _grid_reports
 
 RNG = np.random.default_rng(7)
 
@@ -331,12 +334,20 @@ class TestOneEigensolvePerSlice:
             tracemalloc.stop()
         assert peak <= 1.6 * m.nbytes, peak / m.nbytes
 
-    def test_one_switch_point(self, monkeypatch):
+    @pytest.mark.parametrize("specs", [
+        (VON_NEUMANN,),
+        (VON_NEUMANN, renyi(0.5), renyi(0.65), renyi(0.8)),
+        (VON_NEUMANN, renyi(2.0), renyi(3.0), renyi(4.0), MIN_ENTROPY, MAX_ENTROPY),
+    ], ids=["vn", "renyi_below_1", "renyi_above_1_min_max"])
+    @pytest.mark.parametrize("process", ["switch_full", "upsilon2"])
+    def test_one_switch_point(self, monkeypatch, process, specs):
         # three validations (the switch's target, then the state as a
         # DensityOperator and as an InterventionalState), the purification
-        # of the target and the ten marginal spectra; no eigvalsh at all
+        # of the target and the ten marginal spectra, which every entropy
+        # family shares; no eigvalsh at all
         counts = count_eigensolves(monkeypatch)
-        sweep_reports("switch_full", [0.3], VON_NEUMANN)
+        (_, reports), = _grid_reports(process, [0.3], specs)
+        assert [r.family for r in reports] == list(specs)
         assert counts == {"eigh": 14, "eigvalsh": 0}
 
 
@@ -421,3 +432,21 @@ class TestMisc:
         b = DensityOperator(np.eye(2) / 2, [("B", 2)])
         with pytest.raises(ValueError):
             trace_distance(a, b)
+
+    @pytest.mark.parametrize("a_dims, b_dims", [
+        ([("A", 2), ("B", 3)], [("A", 3), ("B", 2)]),  # same total dimension
+        ([("A", 2)], [("A", 3)]),
+    ], ids=["same_total", "other_total"])
+    def test_trace_distance_dimension_mismatch(self, a_dims, b_dims):
+        a_dims, b_dims = LabeledDims(a_dims), LabeledDims(b_dims)
+        a = DensityOperator(np.eye(a_dims.total) / a_dims.total, a_dims)
+        b = DensityOperator(np.eye(b_dims.total) / b_dims.total, b_dims)
+        with pytest.raises(ValueError, match=re.escape(f"dimensions differ: {a_dims} vs {b_dims}")):
+            trace_distance(a, b)
+
+    def test_trace_distance_stack_against_one_state(self):
+        dims = [("A", 2), ("B", 3)]
+        states = [rand_density_matrix(6) for _ in range(3)]
+        one = DensityOperator(rand_density_matrix(6), dims)
+        got = trace_distance(DensityOperator(np.stack(states), dims), one)
+        assert got.tolist() == [trace_distance(DensityOperator(m, dims), one) for m in states]
