@@ -133,8 +133,6 @@ def sweep_reports(process: str, lams, spec: EntropySpec,
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):

@@ -74,7 +74,10 @@ class LabeledDims:
             raise KeyError(f"no subsystem labeled {label!r} in {self._labels}") from None
 
     def restrict(self, labels: Sequence[str]) -> "LabeledDims":
-        """Sub-collection containing ``labels``, kept in this object's order."""
+        """Sub-collection containing ``labels``, kept in this object's order;
+        a bare string raises ``TypeError`` and a missing label ``KeyError``."""
+        if isinstance(labels, str):
+            raise TypeError(f"expected a sequence of labels, got the string {labels!r}")
         wanted = set(labels)
         missing = wanted - set(self._labels)
         if missing:
@@ -223,16 +226,16 @@ class DensityOperator(LabeledOperator):
                 _clip_rebuild(s, lam, v)
         m.flags.writeable = False
         self.matrix = m
-        self._spectra: dict[frozenset[str], np.ndarray] = {}
+        self._spectra: dict[tuple[str, ...], np.ndarray] = {}
 
     def spectrum(self, keep: Sequence[str] | None = None) -> np.ndarray:
         """Descending spectrum of the marginal on ``keep`` (all labels if None),
         one row per slice of a stack.
 
-        Each label set is decomposed once; later calls, in any label order,
-        return the same read-only array.
+        Each label set, checked by :meth:`LabeledDims.restrict`, is decomposed
+        once; later calls, in any label order, return the same read-only array.
         """
-        key = frozenset(self.labels if keep is None else keep)
+        key = self.labels if keep is None else self.dims.restrict(keep).labels
         lam = self._spectra.get(key)
         if lam is None:
             # the eigenvalues of herm_eig, without its eigenvector copy
@@ -304,18 +307,14 @@ def permute(a: LabeledOperator, order: Sequence[str]) -> LabeledOperator:
 
 def partial_trace(a: LabeledOperator, keep: Sequence[str]) -> LabeledOperator:
     """Trace out everything except ``keep`` (result keeps a's original label order)."""
-    kept = set(keep)
-    missing = kept - set(a.labels)
-    if missing:
-        raise KeyError(f"labels {sorted(missing)} not present in {a.labels}")
-    if kept == set(a.labels):
+    dims = a.dims.restrict(keep)
+    if len(dims) == len(a.dims):
         return LabeledOperator(a.matrix, a.dims)
     n = len(a.dims)
     row = list(range(n))
-    col = [n + i if a.labels[i] in kept else i for i in range(n)]
-    out = [i for i in range(n) if a.labels[i] in kept]
+    col = [n + i if a.labels[i] in dims.labels else i for i in range(n)]
+    out = [i for i in range(n) if a.labels[i] in dims.labels]
     out_axes = out + [n + i for i in out]
-    dims = a.dims.restrict(keep)
     reduced = np.einsum(a.tensor(), [...] + row + col, [...] + out_axes)
     return LabeledOperator(reduced.reshape(a.matrix.shape[:-2] + (dims.total, dims.total)), dims)
 

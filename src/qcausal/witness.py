@@ -137,9 +137,8 @@ def verdict_token(violated_ab: bool, violated_ba: bool) -> str:
 class WitnessReport:
     """Both-order witness values, violation flags, and the verdict.
 
-    ``i1_*``/``i2_*`` are the von Neumann marginal witnesses, which
-    :func:`evaluate` fills whatever the DP family; a report built by hand may
-    leave them ``None``, which writes empty CSV cells.
+    ``i1_*``/``i2_*`` are the von Neumann marginal witnesses, which every
+    report carries whatever the DP family.
     """
     tag: str
     family: EntropySpec
@@ -150,10 +149,10 @@ class WitnessReport:
     violated_ab: bool
     violated_ba: bool
     verdict: str
-    i1_ab: float | None = None
-    i2_ab: float | None = None
-    i1_ba: float | None = None
-    i2_ba: float | None = None
+    i1_ab: float
+    i2_ab: float
+    i1_ba: float
+    i2_ba: float
 
 
 def evaluate(state: InterventionalState | DensityOperator,
@@ -169,11 +168,10 @@ def evaluate(state: InterventionalState | DensityOperator,
     subadditivity derives them for von Neumann entropy only, and with them
     in every report the CSV columns do not depend on the family.
     """
-    tau = _as_tau(state)
-    dp_ab, bound_ab = dp_witness(tau, "AB", spec)
-    dp_ba, bound_ba = dp_witness(tau, "BA", spec)
-    i1_ab, i2_ab, _ = marginal_witnesses(tau, "AB")
-    i1_ba, i2_ba, _ = marginal_witnesses(tau, "BA")
+    dp_ab, bound_ab = dp_witness(state, "AB", spec)
+    dp_ba, bound_ba = dp_witness(state, "BA", spec)
+    i1_ab, i2_ab, _ = marginal_witnesses(state, "AB")
+    i1_ba, i2_ba, _ = marginal_witnesses(state, "BA")
     columns = [dp_ab, dp_ba, i1_ab, i2_ab, i1_ba, i2_ba]
 
     def report(dp_ab, dp_ba, i1_ab, i2_ab, i1_ba, i2_ba):
@@ -187,6 +185,6 @@ def evaluate(state: InterventionalState | DensityOperator,
             i1_ab=i1_ab, i2_ab=i2_ab, i1_ba=i1_ba, i2_ba=i2_ba,
         )
 
-    if tau.matrix.ndim == 2:
+    if state.matrix.ndim == 2:
         return report(*columns)
     return [report(*map(float, values)) for values in zip(*columns)]

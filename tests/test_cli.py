@@ -66,13 +66,21 @@ class TestParseEntropy:
 
 
 class TestCsvFormat:
-    def test_none_serializes_empty(self):
+    def test_full_report_row(self):
         r = WitnessReport(tag="t", family=MIN_ENTROPY, dp_ab=0.5, bound_ab=0.0,
                           dp_ba=-1.0, bound_ba=0.0, violated_ab=False,
-                          violated_ba=True, verdict="ExcludesOnlyBA")
+                          violated_ba=True, verdict="ExcludesOnlyBA",
+                          i1_ab=1 / 3, i2_ab=2.0, i1_ba=-0.25, i2_ba=1e-13)
         text = csv_text([(0.5, r)])
         line = text.splitlines()[1]
-        assert line == "0.5,0.5,0,-1,0,0,1,,,,,ExcludesOnlyBA"
+        assert line == ("0.5,0.5,0,-1,0,0,1,0.333333333333,2,-0.25,1e-13,"
+                        "ExcludesOnlyBA")
+
+    def test_report_needs_its_marginals(self):
+        with pytest.raises(TypeError, match="i1_ab"):
+            WitnessReport(tag="t", family=MIN_ENTROPY, dp_ab=0.5, bound_ab=0.0,
+                          dp_ba=-1.0, bound_ba=0.0, violated_ab=False,
+                          violated_ba=True, verdict="ExcludesOnlyBA")
 
     def test_header(self):
         assert csv_text([]).splitlines()[0] == ",".join(CSV_COLUMNS)

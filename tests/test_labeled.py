@@ -17,6 +17,7 @@ from qcausal import (
     LabeledOperator,
     PureState,
     as_dims,
+    entropy,
     herm_eig,
     partial_trace,
     permute,
@@ -84,6 +85,49 @@ class TestLabeledDims:
         d = LabeledDims([("A", 2)])
         assert as_dims(d) is d
         assert as_dims([("A", 2)]).labels == ("A",)
+
+
+class TestLabelSetContract:
+    """Every label set is checked once, by ``LabeledDims.restrict``."""
+
+    TAU_DIMS = [("A0", 2), ("A1", 2), ("B0", 2), ("B1", 2), ("F", 2)]
+
+    @pytest.mark.parametrize("call, labels", [
+        (entropy, "A0"),
+        (DensityOperator.spectrum, "A0"),
+        (partial_trace, "F"),
+        (lambda tau, s: tau.dims.restrict(s), "A0"),
+    ], ids=["entropy", "spectrum", "partial_trace", "restrict"])
+    def test_bare_string_raises_type_error(self, call, labels):
+        tau = DensityOperator(rand_density_matrix(32), self.TAU_DIMS)
+        with pytest.raises(TypeError, match=f"string '{labels}'"):
+            call(tau, labels)
+
+    def test_string_of_labels_is_not_a_label_set(self):
+        # once read as the set {"A", "B"}
+        rho = DensityOperator(rand_density_matrix(8), [("A", 2), ("B", 2), ("C", 2)])
+        with pytest.raises(TypeError, match="string 'AB'"):
+            rho.dims.restrict("AB")
+        with pytest.raises(TypeError, match="string 'AB'"):
+            entropy(rho, "AB")
+
+    @pytest.mark.parametrize("call", [
+        partial_trace,
+        DensityOperator.spectrum,
+        entropy,
+        lambda rho, keep: rho.dims.restrict(keep),
+    ], ids=["partial_trace", "spectrum", "entropy", "restrict"])
+    @pytest.mark.parametrize("keep", [["Z"], ["X", "Z"]])
+    def test_missing_label_raises_key_error(self, call, keep):
+        rho = DensityOperator(rand_density_matrix(6), [("X", 2), ("Y", 3)])
+        with pytest.raises(KeyError, match=re.escape("labels ['Z'] not present in ('X', 'Y')")):
+            call(rho, keep)
+
+    def test_full_label_set_is_the_operator_itself(self):
+        rho = DensityOperator(rand_density_matrix(6), [("X", 2), ("Y", 3)])
+        kept = partial_trace(rho, ["Y", "X", "Y"])
+        assert kept.dims == rho.dims
+        assert kept.matrix is rho.matrix
 
 
 class TestPermute:

@@ -398,6 +398,19 @@ class TestEvaluatePlumbing:
             assert np.array_equal(i1, i1_want), order
             assert np.array_equal(i2, i2_want), order
 
+    @pytest.mark.parametrize("call", [
+        lambda state: evaluate(state),
+        lambda state: dp_witness(state, "AB"),
+        lambda state: marginal_witnesses(state, "BA"),
+    ], ids=["evaluate", "dp_witness", "marginal_witnesses"])
+    def test_state_checked(self, call):
+        tau = upsilon1(0.5).tau
+        with pytest.raises(TypeError, match="got ndarray"):
+            call(tau.matrix)
+        wrong = DensityOperator(tau.matrix, [("A0", 2), ("A1", 2), ("B0", 2), ("B1", 2), ("G", 2)])
+        with pytest.raises(ValueError, match="witnesses need the labels"):
+            call(wrong)
+
     def test_order_token_checked(self):
         with pytest.raises(ValueError):
             dp_witness(upsilon1(0.5), "CA")
