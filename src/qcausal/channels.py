@@ -43,28 +43,26 @@ def _check_unitary(u: np.ndarray, name: str = "matrix") -> None:
 class KrausChannel:
     """CPTP map given by a list of Kraus operators.
 
-    ``sum_t K_t† K_t`` must equal the identity within ``TRACE_TOL``; every
-    channel is trace preserving, so nothing downstream checks it again.
-    ``kraus`` holds the operators as one ``(r, d_out, d_in)`` array.
+    ``kraus`` is anything ``np.array`` reads as ``(r, d_out, d_in)``, r >= 1;
+    ``self.kraus`` is a copy, never the caller's array.  ``sum_t K_t† K_t``
+    must equal the identity within ``TRACE_TOL``; every channel is trace
+    preserving, so nothing downstream checks it again.
     """
 
     __slots__ = ("in_dims", "out_dims", "kraus")
 
-    def __init__(self, in_dims, out_dims, kraus: Sequence[np.ndarray]):
+    def __init__(self, in_dims, out_dims, kraus: Sequence[np.ndarray] | np.ndarray):
         in_dims = as_dims(in_dims)
         out_dims = as_dims(out_dims)
-        if len(kraus) == 0:
+        # a C-ordered copy, as np.stack of the operators would give
+        ks = np.array(kraus, dtype=complex, order="C")
+        if ks.size == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        ops = []
-        for k in kraus:
-            k = np.asarray(k, dtype=complex)
-            if k.shape != (out_dims.total, in_dims.total):
-                raise ValueError(
-                    f"Kraus operator shape {k.shape} does not match "
-                    f"{out_dims.total} x {in_dims.total} for {in_dims} -> {out_dims}"
-                )
-            ops.append(k)
-        ks = np.stack(ops)
+        if ks.ndim != 3 or ks.shape[1:] != (out_dims.total, in_dims.total):
+            raise ValueError(
+                f"Kraus array of shape {ks.shape} is not (r, {out_dims.total}, "
+                f"{in_dims.total}) for {in_dims} -> {out_dims}"
+            )
         dev = _gram_deviation(ks.reshape(-1, in_dims.total))
         if not dev <= TRACE_TOL:
             raise ValueError(
@@ -104,23 +102,20 @@ class KrausChannel:
 def apply_channel(c: KrausChannel, rho: LabeledOperator) -> LabeledOperator:
     """Apply a CPTP channel to a state, possibly on a subsystem of it.
 
-    The channel's input labels must all appear in ``rho``; untouched labels
-    ride along unchanged.  The output labels replace the input labels at the
-    position of the first consumed label, so an identity channel returns the
-    state unchanged.  A :class:`DensityOperator` maps to a
-    :class:`DensityOperator`; a stack raises ``ValueError``.
+    The channel's input ``(label, dim)`` pairs must all appear in ``rho``:
+    a missing label raises ``KeyError`` from :meth:`LabeledDims.restrict`, a
+    wrong dimension one ``ValueError``.  Untouched labels ride along; the
+    output labels replace the input labels at the position of the first
+    consumed label, so an identity channel returns the state unchanged.  A
+    :class:`DensityOperator` maps to a :class:`DensityOperator`; a stack
+    raises ``ValueError``.
     """
     _one_state(rho, "the state to apply a channel to")
+    on = rho.dims.restrict(c.in_dims.labels)
+    if dict(on) != dict(c.in_dims):
+        raise ValueError(f"channel input {c.in_dims} does not match the state's {on}")
     consumed = list(c.in_dims.labels)
-    for l in consumed:
-        if l not in rho.labels:
-            raise KeyError(f"channel input label {l!r} not present in state labels {rho.labels}")
-        if rho.dim(l) != c.in_dims.dim(l):
-            raise ValueError(
-                f"dimension mismatch on {l!r}: state has {rho.dim(l)}, "
-                f"channel expects {c.in_dims.dim(l)}"
-            )
-    rest = [l for l in rho.labels if l not in set(consumed)]
+    rest = [l for l in rho.labels if l not in on.labels]
     collide = set(c.out_dims.labels) & set(rest)
     if collide:
         raise ValueError(f"channel output labels {sorted(collide)} collide with untouched labels")
@@ -132,11 +127,9 @@ def apply_channel(c: KrausChannel, rho: LabeledOperator) -> LabeledOperator:
     dout = c.out_dims.total
     out_dims = LabeledDims(list(c.out_dims) + [(l, rho.dim(l)) for l in rest])
     out_op = LabeledOperator(out4.reshape(dout * drest, dout * drest), out_dims)
-    # splice the output labels where the consumed block began
-    pos = min(rho.dims.index(l) for l in consumed)
-    before = [l for l in rho.labels[:pos] if l not in set(consumed)]
-    after = [l for l in rho.labels[pos:] if l not in set(consumed)]
-    out_op = permute(out_op, before + list(c.out_dims.labels) + after)
+    # splice the output labels into rest where the consumed block began
+    pos = rho.dims.index(on.labels[0])
+    out_op = permute(out_op, rest[:pos] + list(c.out_dims.labels) + rest[pos:])
     if isinstance(rho, DensityOperator):
         return DensityOperator(out_op.matrix, out_op.dims)
     return out_op
@@ -198,7 +191,7 @@ def random_channel(in_dims, out_dims, kraus_rank: int,
     u = haar_unitary(dout * kraus_rank, seed)
     v = u[:, :din]
     ks = v.reshape(dout, kraus_rank, din).transpose(1, 0, 2)
-    return KrausChannel(in_dims, out_dims, list(ks))
+    return KrausChannel(in_dims, out_dims, ks)
 
 
 def completely_factorizable(u2: np.ndarray, dim_noise: int, dim_in: int,

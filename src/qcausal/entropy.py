@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .labeled import PSD_TOL, RANK_REL_TOL, TRACE_TOL, DensityOperator
+from .labeled import PSD_TOL, RANK_REL_TOL, TRACE_TOL, DensityOperator, _label_list
 # not called here: bench/test_bench.py checks that the counting shim rebinds
 # this module's copy of a function imported from .labeled
 from .labeled import partial_trace  # noqa: F401
@@ -129,8 +129,9 @@ def entropy(rho: DensityOperator, subsystem: Sequence[str] | None = None,
 
 def ssa_gap(rho: DensityOperator,
             x: Sequence[str], y: Sequence[str], z: Sequence[str]) -> float:
-    """Strong-subadditivity gap ``H(XY) + H(YZ) - H(XYZ) - H(Y)`` (von Neumann)."""
-    x, y, z = list(x), list(y), list(z)
+    """Strong-subadditivity gap ``H(XY) + H(YZ) - H(XYZ) - H(Y)`` (von Neumann)
+    of pairwise disjoint label lists; a bare string raises ``TypeError``."""
+    x, y, z = _label_list(x), _label_list(y), _label_list(z)
     groups = x + y + z
     if len(set(groups)) != len(groups):
         raise ValueError(f"x={x}, y={y}, z={z} must be pairwise disjoint")

@@ -76,9 +76,7 @@ class LabeledDims:
     def restrict(self, labels: Sequence[str]) -> "LabeledDims":
         """Sub-collection containing ``labels``, kept in this object's order;
         a bare string raises ``TypeError`` and a missing label ``KeyError``."""
-        if isinstance(labels, str):
-            raise TypeError(f"expected a sequence of labels, got the string {labels!r}")
-        wanted = set(labels)
+        wanted = set(_label_list(labels))
         missing = wanted - set(self._labels)
         if missing:
             raise KeyError(f"labels {sorted(missing)} not present in {self._labels}")
@@ -101,6 +99,13 @@ class LabeledDims:
     def __repr__(self) -> str:
         inner = ", ".join(f"{l}:{d}" for l, d in self)
         return f"LabeledDims({inner})"
+
+
+def _label_list(labels: Sequence[str]) -> list[str]:
+    """``labels`` as a list; a bare string raises ``TypeError``, not one label per character."""
+    if isinstance(labels, str):
+        raise TypeError(f"expected a sequence of labels, got the string {labels!r}")
+    return list(labels)
 
 
 def as_dims(entries: LabeledDims | Iterable[tuple[str, int]]) -> LabeledDims:
@@ -290,9 +295,11 @@ class PureState:
 
 
 def permute(a: LabeledOperator, order: Sequence[str]) -> LabeledOperator:
-    """Reorder subsystems; ``order`` must be a permutation of the labels."""
+    """Reorder subsystems; ``order`` must be a permutation of the labels,
+    and a bare string raises ``TypeError``."""
+    order = _label_list(order)
     if sorted(order) != sorted(a.labels):
-        raise ValueError(f"{list(order)} is not a permutation of {a.labels}")
+        raise ValueError(f"{order} is not a permutation of {a.labels}")
     if tuple(order) == a.labels:
         return LabeledOperator(a.matrix, a.dims)
     n = len(a.dims)
@@ -347,14 +354,11 @@ def purify(rho: DensityOperator, purifier_label: str = "REF") -> PureState:
     if purifier_label in rho.labels:
         raise ValueError(f"purifier label {purifier_label!r} collides with {rho.labels}")
     lam, v = herm_eig(rho)
-    cut = RANK_REL_TOL * float(lam[0]) if lam.size else 0.0
-    support = lam > cut
-    lam = np.clip(lam[support], 0.0, None)
-    lam /= lam.sum()
-    vecs = v[:, support]
-    rank = int(lam.size)
+    # lam[0] > 0 for a state, and the support is a prefix of the descending lam
+    rank = int(np.count_nonzero(lam > RANK_REL_TOL * float(lam[0])))
+    lam = lam[:rank] / lam[:rank].sum()
     # sum_i sqrt(lam_i) |v_i> ⊗ |i>, row-major with the purifier least significant
-    amp = (vecs * np.sqrt(lam)).reshape(-1)
+    amp = (v[:, :rank] * np.sqrt(lam)).reshape(-1)
     dims = LabeledDims(list(rho.dims) + [(purifier_label, rank)])
     return PureState(amp, dims)
 
@@ -362,11 +366,10 @@ def purify(rho: DensityOperator, purifier_label: str = "REF") -> PureState:
 def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float | np.ndarray:
     """Half the trace norm of ``a - b`` after aligning label order: a float,
     or an array over the stack axis for stacks.  Both must have the same
-    labels, each with the same dimension."""
-    if set(a.labels) != set(b.labels):
-        raise ValueError(f"label sets differ: {a.labels} vs {b.labels}")
-    if any(b.dim(l) != d for l, d in a.dims):
-        raise ValueError(f"dimensions differ: {a.dims} vs {b.dims}")
+    ``(label, dim)`` pairs, in any order, else one ``ValueError`` names both
+    label sets."""
+    if dict(a.dims) != dict(b.dims):
+        raise ValueError(f"labels or dimensions differ: {a.dims} vs {b.dims}")
     diff = a.matrix - permute(b, a.labels).matrix
     # 0.5 * (diff + diff†) in place; diff is let go before the eigensolve
     h = np.conjugate(diff.swapaxes(-1, -2), order="C")

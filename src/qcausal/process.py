@@ -118,10 +118,9 @@ class PurifiedComb:
         needed = {"A0", "A1", "B0", "B1", "F", "Q0", "Q1", "Q2"}
         if set(dims) != needed:
             raise ValueError(f"dims must have keys {sorted(needed)}, got {sorted(dims)}")
-        if psi.labels != (x0, "Q0"):
-            raise ValueError(f"psi must live on ({x0}, Q0), got {psi.labels}")
-        if psi.dims.dim(x0) != dims[x0] or psi.dims.dim("Q0") != dims["Q0"]:
-            raise ValueError("psi dimensions disagree with the dims table")
+        want = LabeledDims([(x0, dims[x0]), ("Q0", dims["Q0"])])
+        if psi.dims != want:
+            raise ValueError(f"psi must live on {want}, got {psi.dims}")
         d1 = dims[x1] * dims["Q0"]
         d2 = dims[y0] * dims["Q1"]
         if d1 != d2:
@@ -171,12 +170,13 @@ class SwitchSpec:
         if future_mode not in FUTURE_MODES:
             raise ValueError(f"future_mode must be one of {tuple(FUTURE_MODES)}, "
                              f"got {future_mode!r}")
+        qubit = LabeledDims([("T0", 2)])
         if target is None:
             m = np.zeros((2, 2), dtype=complex)
             m[0, 0] = 1.0
-            target = DensityOperator(m, [("T0", 2)])
-        if target.labels != ("T0",) or target.dim("T0") != 2:
-            raise ValueError(f"target must be a qubit state on ('T0',), got {target.labels}")
+            target = DensityOperator(m, qubit)
+        if target.dims != qubit:
+            raise ValueError(f"target must be a state on {qubit}, got {target.dims}")
         _one_state(target, "the switch target")
         if lams.ndim:
             lams.flags.writeable = False

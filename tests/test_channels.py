@@ -65,6 +65,18 @@ class TestKrausChannel:
         again = KrausChannel([("A", 2)], [("A", 2)], c.kraus)
         assert np.array_equal(again.kraus, c.kraus)
 
+    @pytest.mark.parametrize("kraus", [[np.eye(2), np.eye(3)], np.eye(2), [np.eye(2)[0]]],
+                             ids=["ragged", "one_matrix", "rows"])
+    def test_kraus_list_not_one_array_rejected(self, kraus):
+        with pytest.raises(ValueError):
+            KrausChannel([("A", 2)], [("A", 2)], kraus)
+
+    def test_kraus_is_a_copy(self):
+        ks = np.stack(damp_kraus(0.3))
+        c = KrausChannel([("A", 2)], [("A", 2)], ks)
+        ks[:] = np.nan
+        assert np.array_equal(c.kraus, np.stack(damp_kraus(0.3)))
+
     @pytest.mark.parametrize("empty", [[], (), np.zeros((0, 2, 2))])
     def test_empty_kraus_list_rejected(self, empty):
         with pytest.raises(ValueError, match="needs at least one Kraus operator"):
@@ -128,6 +140,19 @@ class TestApply:
         rho = DensityOperator(np.stack([np.eye(2) / 2] * 3), [("A", 2)])
         ident = KrausChannel.from_unitary(np.eye(2), [("A", 2)], [("A", 2)])
         with pytest.raises(ValueError, match=re.escape("stack of shape (3, 2, 2)")):
+            apply_channel(ident, rho)
+
+    def test_missing_input_label_raises_key_error(self):
+        rho = random_density(4, 4, 7, dims=[("A", 2), ("B", 2)])
+        ident = KrausChannel.from_unitary(np.eye(2), [("X", 2)], [("X", 2)])
+        with pytest.raises(KeyError, match=re.escape("labels ['X'] not present in ('A', 'B')")):
+            apply_channel(ident, rho)
+
+    def test_input_dimension_mismatch_names_both(self):
+        rho = random_density(6, 6, 8, dims=[("A", 2), ("B", 3)])
+        ident = KrausChannel.from_unitary(np.eye(2), [("B", 2)], [("B", 2)])
+        with pytest.raises(ValueError, match=re.escape(
+                "channel input LabeledDims(B:2) does not match the state's LabeledDims(B:3)")):
             apply_channel(ident, rho)
 
     def test_tni_refused(self):

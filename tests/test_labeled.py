@@ -23,6 +23,7 @@ from qcausal import (
     permute,
     purify,
     renyi,
+    ssa_gap,
     trace_distance,
 )
 from qcausal.campaigns import BLOCK_ITEMS, TAU_DIM_CAP
@@ -110,6 +111,31 @@ class TestLabelSetContract:
             rho.dims.restrict("AB")
         with pytest.raises(TypeError, match="string 'AB'"):
             entropy(rho, "AB")
+
+    def test_permute_rejects_a_string(self):
+        # once sorted into ["A", "B"], a permutation of the labels
+        op = LabeledOperator(rand_herm(4), [("A", 2), ("B", 2)])
+        with pytest.raises(TypeError, match="string 'AB'"):
+            permute(op, "AB")
+        with pytest.raises(ValueError, match="not a permutation"):
+            permute(op, ["A", "C"])
+
+    @pytest.mark.parametrize("groups, string", [
+        (("AB", "C", "D"), "AB"),  # once the gap for labels A and B
+        (("A0", ["B"], ["C"]), "A0"),  # once KeyError: labels ['0']
+    ], ids=["AB", "A0"])
+    def test_ssa_gap_rejects_a_string(self, groups, string):
+        rho = DensityOperator(rand_density_matrix(16),
+                              [("A", 2), ("B", 2), ("C", 2), ("D", 2)])
+        with pytest.raises(TypeError, match=f"string '{string}'"):
+            ssa_gap(rho, *groups)
+
+    def test_ssa_gap_missing_label_and_overlap(self):
+        rho = DensityOperator(rand_density_matrix(8), [("X", 2), ("Y", 2), ("Z", 2)])
+        with pytest.raises(KeyError, match=re.escape("labels ['W'] not present")):
+            ssa_gap(rho, ["X"], ["Y"], ["W"])
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            ssa_gap(rho, ["X", "Y"], ["Y"], ["Z"])
 
     @pytest.mark.parametrize("call", [
         partial_trace,

@@ -281,6 +281,18 @@ class TestPurifiedComb:
             tau_dim = int(np.prod([dims[l] for l in ("A0", "A1", "B0", "B1", "F")]))
             assert tau_dim <= 64
 
+    @pytest.mark.parametrize("psi_dims", [
+        [("X", 2), ("Q0", 2)],  # wrong label
+        [("Q0", 2), ("A0", 2)],  # right labels, wrong order
+        [("A0", 4), ("Q0", 1)],  # right labels, wrong dimensions
+    ], ids=["label", "order", "dims"])
+    def test_psi_dims_checked_once(self, psi_dims):
+        pc = purified_comb_of_shape("AB", (2, 2, 2, 2, 2), 30)
+        psi = PureState(pc.psi.amplitudes, psi_dims)
+        message = f"psi must live on LabeledDims(A0:2, Q0:2), got {psi.dims}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PurifiedComb("AB", psi, pc.u1, pc.u2, pc.dims)
+
     def test_unitaries_match_dense_permutation(self):
         # the index gather equals right-multiplying by the permutation matrix
         for seed in range(50):
@@ -360,8 +372,10 @@ class TestSwitch:
             SwitchSpec(1.5)
         with pytest.raises(ValueError):
             SwitchSpec(0.5, future_mode="partial")
-        with pytest.raises(ValueError):
-            SwitchSpec(0.5, target=DensityOperator(np.eye(3) / 3, [("T0", 3)]))
+        for dims in ([("T0", 3)], [("T1", 3)]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"target must be a state on LabeledDims(T0:2), got {LabeledDims(dims)}")):
+                SwitchSpec(0.5, target=DensityOperator(np.eye(3) / 3, dims))
 
 
 class TestProcessMatrix:
