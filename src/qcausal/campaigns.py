@@ -1,22 +1,22 @@
 """Seeded property campaigns behind the ``verify`` command.
 
-Each campaign returns a summary dict with a uniform slack convention: a trial
-fails when its slack drops below ``-tolerance`` or is NaN.  For inequality
-campaigns the slack is ``value - bound``; for agreement campaigns it is minus
-the observed distance.  All randomness derives from per-trial seeds
-``seed + t`` so trials are order-independent and reproducible.
+Each campaign returns a summary dict with a uniform slack convention: a check
+fails when its slack drops below ``-tolerance`` or is NaN, and ``failures``
+counts failing checks, not trials.  An inequality's slack is ``value - bound``
+and an agreement's minus the observed distance.  All randomness derives from
+per-trial seeds ``seed + t``: trials are order-independent and reproducible.
 
-Every trial gives a ``(worst slack, failures)`` pair.  A campaign hands
-``_run`` a block function ``block(seed, ts)``, the pairs of the trials in
-the range ``ts``.  ``_run`` cuts the trials into contiguous blocks once
-(``_blocks``) and maps them with the package's one worker driver, ``_map``,
-over ``_workers`` processes (as many as the CPUs this process may use
-divided by the BLAS threads per process).  Each block returns the ``_fold``
-of its own pairs, folded again in block order; the fold keeps the first of
-equal minima and NaN once seen, so a summary is the same bit for bit
-whatever the cut and the number of workers; only ``elapsed_s``, the wall
-time, differs.  The CLI maps its sub-grids of at most ``BLOCK_ITEMS``
-control weights with the same driver.
+Every trial gives the raw slacks of its checks.  A campaign hands ``_run`` a
+block function ``block(seed, ts)``, the slacks of each trial in ``ts``, and
+``_run`` alone applies the fail rule (``_check``) and the fold (``_fold``).
+It cuts the trials into contiguous blocks once (``_blocks``) and maps them
+with the package's one worker driver, ``_map``, over ``_workers`` processes
+(as many as the CPUs this process may use divided by the BLAS threads per
+process).  Each block's checked slacks are folded where it runs, and those
+folds again in block order; the fold keeps the first of equal minima and
+NaN once seen, so a summary is the same bit for bit whatever the cut and
+the number of workers; only ``elapsed_s`` differs.  The CLI maps its
+sub-grids of at most ``BLOCK_ITEMS`` control weights with the same driver.
 
 ``lemma1``, ``lemma3`` and ``crosscheck`` run a block's trials one by one
 (``_one_by_one``), in ``BLOCKS_PER_WORKER`` or more blocks per worker: a few
@@ -25,7 +25,7 @@ lemma3 trials take seconds, and idle workers take over the rest.  ``thm1``,
 a small state, so a block of at most ``BLOCK_ITEMS`` trials samples each
 from its own seed as a trial alone would, groups them by order and labeled
 dimensions, and validates and evaluates each group as one stack
-(``_stacked``), which gives every trial's values bit for bit.  A block's
+(``_stacked``), which gives every trial's slacks bit for bit.  A block's
 stacks are bounded, so memory does not grow with the trial count.
 """
 from __future__ import annotations
@@ -272,7 +272,7 @@ def _run(campaign: str, block, trials: int, seed: int, n: int | None = None,
          cap: int | None = None) -> dict:
     """Summary of the trials ``t`` in ``range(n)`` (default ``trials``).
 
-    ``block(seed, ts)`` gives the pairs of the trials in ``ts``.  The blocks
+    ``block(seed, ts)`` gives the slacks of each trial in ``ts``.  The blocks
     hold at most ``cap`` trials; without a cap they are cut for
     ``BLOCKS_PER_WORKER`` blocks or more on each of ``_workers(trials)``.
     """
@@ -283,7 +283,8 @@ def _run(campaign: str, block, trials: int, seed: int, n: int | None = None,
         blocks, workers = _blocks(n, max(1, n // (workers * BLOCKS_PER_WORKER)), workers)
     else:
         blocks, workers = _blocks(n, cap)
-    worst, failures = _fold(_map(lambda ts: _fold(block(seed, ts)), blocks, workers))
+    worst, failures = _fold(_map(lambda ts: _fold(_check(s) for trial in block(seed, ts)
+                                                  for s in trial), blocks, workers))
     return {
         "campaign": campaign,
         "trials": n,
@@ -296,7 +297,7 @@ def _run(campaign: str, block, trials: int, seed: int, n: int | None = None,
 
 
 def _one_by_one(trial, seed: int, ts: range):
-    """The pairs of the trials in ``ts``, run one by one as ``trial(seed, t)``."""
+    """The slacks of the trials in ``ts``, run one by one as ``trial(seed, t)``."""
     return map(partial(trial, seed), ts)
 
 
@@ -363,9 +364,10 @@ def _random_slot_channel(rng, in_pairs, out_pairs):
 
 
 class _Draw(NamedTuple):
-    """One trial of a block: its index ``t``, the seed it was sampled from,
-    the order its witnesses are evaluated in (None if the evaluation does
-    not take one), and its state's labeled dims and unvalidated matrix."""
+    """One trial of a stacked block, before its slacks: its index ``t``, the
+    seed it was sampled from, the order its witnesses are evaluated in (None
+    if the evaluation does not take one), and its state's labeled dims and
+    unvalidated matrix."""
     t: int
     sample_seed: int
     order: str | None
@@ -374,18 +376,18 @@ class _Draw(NamedTuple):
 
 
 def _stacked(campaign: str, seed: int, draws: list[_Draw], build, evaluate) -> list:
-    """``(worst slack, failures)`` of each of ``draws``, in order.
+    """The slacks of each of ``draws``, in order: one tuple per trial.
 
     The draws of one order and dims form one stack: ``build(stack, dims)``
-    validates it into a state and ``evaluate(state, order)`` gives one pair
-    per slice.  When a stack fails validation its matrices are validated one
-    by one, and the first that fails raises a ``ValueError`` that names the
-    campaign, the seed and the trial.
+    validates it into a state, and the slack arrays of ``evaluate(state,
+    order)``, one per check, are zipped into a tuple per slice.  A stack that
+    fails validation is validated matrix by matrix, and the first that fails
+    raises a ``ValueError`` that names the campaign, the seed and the trial.
     """
     groups: dict[tuple, list[_Draw]] = {}
     for draw in draws:
         groups.setdefault((draw.order, draw.dims), []).append(draw)
-    pairs = {}
+    slacks = {}
     for (order, dims), group in groups.items():
         try:
             state = build(np.stack([draw.matrix for draw in group]), dims)
@@ -397,8 +399,8 @@ def _stacked(campaign: str, seed: int, draws: list[_Draw], build, evaluate) -> l
                     raise ValueError(f"{campaign} campaign, seed {seed}, trial {draw.t} "
                                      f"(sample seed {draw.sample_seed}): {exc}") from exc
             raise
-        pairs.update(zip((draw.t for draw in group), evaluate(state, order)))
-    return [pairs[draw.t] for draw in draws]
+        slacks.update(zip((draw.t for draw in group), zip(*evaluate(state, order))))
+    return [slacks[draw.t] for draw in draws]
 
 
 def _comb_draw(t: int, sample_seed: int, order: str) -> _Draw:
@@ -408,15 +410,14 @@ def _comb_draw(t: int, sample_seed: int, order: str) -> _Draw:
                  _wire_purified(pc))
 
 
-def _dp_pairs(tau: InterventionalState, order: str) -> list[tuple[float, int]]:
-    slacks = [value - bound for value, bound in (dp_witness(tau, order, spec)
-                                                 for spec in DP_FAMILIES)]
-    return [_fold(map(_check, trial)) for trial in zip(*slacks)]
+def _dp_slacks(tau: InterventionalState, order: str) -> list[np.ndarray]:
+    return [value - bound for value, bound in (dp_witness(tau, order, spec)
+                                               for spec in DP_FAMILIES)]
 
 
-def _thm1_block(seed: int, ts: range) -> list[tuple[float, int]]:
+def _thm1_block(seed: int, ts: range) -> list[tuple]:
     draws = [_comb_draw(t, seed + t, ORDERS[t % 2]) for t in ts]
-    return _stacked("thm1", seed, draws, _interventional, _dp_pairs)
+    return _stacked("thm1", seed, draws, _interventional, _dp_slacks)
 
 
 def run_thm1(trials: int = DEFAULT_TRIALS["thm1"], seed: int = 0) -> dict:
@@ -425,7 +426,7 @@ def run_thm1(trials: int = DEFAULT_TRIALS["thm1"], seed: int = 0) -> dict:
     return _run("thm1", _thm1_block, trials, seed, cap=BLOCK_ITEMS)
 
 
-def _lemma1_trial(seed: int, t: int) -> tuple[float, int]:
+def _lemma1_trial(seed: int, t: int) -> list[float]:
     rng = ensure_rng(seed + t)
     while True:
         dn = _pick(rng, (2, 3))
@@ -440,8 +441,7 @@ def _lemma1_trial(seed: int, t: int) -> tuple[float, int]:
                          dims=[("Q1", din)])
     out = apply_channel(chan, rho)
     bound = math.log2(dout / din)
-    return _fold(_check(entropy(out, spec=spec) - entropy(rho, spec=spec) - bound)
-                 for spec in DP_FAMILIES)
+    return [entropy(out, spec=spec) - entropy(rho, spec=spec) - bound for spec in DP_FAMILIES]
 
 
 def run_lemma1(trials: int = DEFAULT_TRIALS["lemma1"], seed: int = 0) -> dict:
@@ -449,14 +449,14 @@ def run_lemma1(trials: int = DEFAULT_TRIALS["lemma1"], seed: int = 0) -> dict:
     return _run("lemma1", partial(_one_by_one, _lemma1_trial), trials, seed)
 
 
-def _lemma3_trial(seed: int, t: int) -> tuple[float, int]:
+def _lemma3_trial(seed: int, t: int) -> list[float]:
     rng = ensure_rng(seed + t)
     comb = sample_fixed_order_comb(rng)
     flat = as_fixed_order(purify_comb(comb))
     a, b = (_random_slot_channel(rng, [(x0, comb.dims[x0])], [(x1, comb.dims[x1])])
             for x0, x1 in (("A0", "A1"), ("B0", "B1")))
     diff = comb_apply(comb, a, b).matrix - comb_apply(flat, a, b).matrix
-    return _check(-float(np.max(np.abs(diff))))
+    return [-float(np.max(np.abs(diff)))]
 
 
 def run_lemma3(trials: int = DEFAULT_TRIALS["lemma3"], seed: int = 0) -> dict:
@@ -467,17 +467,17 @@ def run_lemma3(trials: int = DEFAULT_TRIALS["lemma3"], seed: int = 0) -> dict:
 _SSA_DIMS = (("X", 2), ("Y", 2), ("Z", 2))
 
 
-def _ssa_pairs(rho: DensityOperator, order: None) -> list[tuple[float, int]]:
-    return [_check(gap) for gap in ssa_gap(rho, ["X"], ["Y"], ["Z"])]
+def _ssa_slacks(rho: DensityOperator, order: None) -> list[np.ndarray]:
+    return [ssa_gap(rho, ["X"], ["Y"], ["Z"])]
 
 
-def _ssa_block(seed: int, ts: range) -> list[tuple[float, int]]:
+def _ssa_block(seed: int, ts: range) -> list[tuple]:
     draws = []
     for t in ts:
         rng = ensure_rng(seed + t)
         draws.append(_Draw(t, seed + t, None, _SSA_DIMS,
                            _wishart(8, int(rng.integers(1, 9)), rng)))
-    return _stacked("ssa", seed, draws, DensityOperator, _ssa_pairs)
+    return _stacked("ssa", seed, draws, DensityOperator, _ssa_slacks)
 
 
 def run_ssa(trials: int = DEFAULT_TRIALS["ssa"], seed: int = 0) -> dict:
@@ -490,7 +490,7 @@ def run_ssa(trials: int = DEFAULT_TRIALS["ssa"], seed: int = 0) -> dict:
 _SWITCH_GRID = tuple((mode, lam) for mode in FUTURE_MODES for lam in (0.0, 0.3, 0.7, 1.0))
 
 
-def _crosscheck_trial(seed: int, t: int) -> tuple[float, int]:
+def _crosscheck_trial(seed: int, t: int) -> list[float]:
     if t < len(_SWITCH_GRID):
         mode, lam = _SWITCH_GRID[t]
         source = SwitchSpec(lam, future_mode=mode)
@@ -498,7 +498,7 @@ def _crosscheck_trial(seed: int, t: int) -> tuple[float, int]:
         source = sample_purified_comb(seed + t - len(_SWITCH_GRID))
     sv = interventional_state(source, "statevector")
     ct = interventional_state(source, "contraction")
-    return _check(-trace_distance(sv, ct))
+    return [-trace_distance(sv, ct)]
 
 
 def run_crosscheck(trials: int = DEFAULT_TRIALS["crosscheck"], seed: int = 0) -> dict:
@@ -518,30 +518,29 @@ def _state_draw(t: int, sample_seed: int) -> _Draw:
     return _Draw(t, sample_seed, None, tuple(dims.items()), matrix)
 
 
-def _dominance_pairs(rho: DensityOperator, order: None) -> list[tuple[float, int]]:
+def _dominance_slacks(rho: DensityOperator, order: None) -> list[np.ndarray]:
     slacks = []
     for order in ORDERS:
         dp, _ = dp_witness(rho, order)
-        i1, i2, _ = marginal_witnesses(rho, order)
-        slacks.append([min(a, b) for a, b in zip(i1 - dp, i2 - dp)])
-    return [_fold(map(_check, trial)) for trial in zip(*slacks)]
+        slacks += [i - dp for i in marginal_witnesses(rho, order)[:2]]
+    return slacks
 
 
-def _bound_pairs(tau: InterventionalState, order: str) -> list[tuple[float, int]]:
+def _bound_slacks(tau: InterventionalState, order: str) -> list[np.ndarray]:
     i1, i2, bound = marginal_witnesses(tau, order)
-    return [_check(min(a, b)) for a, b in zip(i1 - bound, i2 - bound)]
+    return [i1 - bound, i2 - bound]
 
 
-def _marginal_bounds_block(trials: int, seed: int, ts: range) -> list[tuple[float, int]]:
+def _marginal_bounds_block(trials: int, seed: int, ts: range) -> list[tuple]:
     states = [_state_draw(t, seed + t) for t in ts if t < trials]
     combs = [_comb_draw(t, seed + 500_000 + t - trials, ORDERS[(t - trials) % 2])
              for t in ts if t >= trials]
-    return (_stacked("marginal_bounds", seed, states, DensityOperator, _dominance_pairs)
-            + _stacked("marginal_bounds", seed, combs, _interventional, _bound_pairs))
+    return (_stacked("marginal_bounds", seed, states, DensityOperator, _dominance_slacks)
+            + _stacked("marginal_bounds", seed, combs, _interventional, _bound_slacks))
 
 
 def run_marginal_bounds(trials: int = DEFAULT_TRIALS["marginal_bounds"], seed: int = 0) -> dict:
-    """Two-part soundness of the marginal witnesses: I1 and I2 upper-bound
+    """Two-part soundness of the marginal witnesses: I1 and I2 each upper-bound
     the DP witness on arbitrary five-system states (trials ``0 .. trials-1``),
     and meet the dimension bound of the matching order on random fixed-order
     processes (trial ``trials + t`` draws from ``seed + 500_000 + t``)."""

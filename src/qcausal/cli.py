@@ -264,7 +264,8 @@ FIGURES = tuple(_FIGURE_PLAN)
 def cmd_reproduce(args) -> int:
     outdir = Path(args.out or ".")
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        with contextlib.suppress(FileExistsError):  # a file: its CSVs are "Not a directory"
+            outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _cannot_write(outdir, exc)
     process, files = _FIGURE_PLAN[args.figure]

@@ -288,13 +288,13 @@ def _ref_marginal_bounds(trials, seed, t):
         for order in ORDERS:
             dp, _ = dp_witness(rho, order)
             i1, i2, _ = marginal_witnesses(rho, order)
-            slacks.append(min(i1 - dp, i2 - dp))
+            slacks += [i1 - dp, i2 - dp]
         return slacks
     t -= trials
     order = ORDERS[t % 2]
     tau = interventional_state(sample_purified_comb(seed + 500_000 + t, order=order))
     i1, i2, bound = marginal_witnesses(tau, order)
-    return [min(i1 - bound, i2 - bound)]
+    return [i1 - bound, i2 - bound]
 
 
 # campaign -> (reference trial, trial indices of a run with `trials` trials)
@@ -313,13 +313,17 @@ DRIVER_TRIALS = {"thm1": (1, 9, 130), "lemma1": (9,), "lemma3": (4,), "ssa": (1,
 
 
 def _signed_zero_trial(seed, t):
-    return camp._check(0.0 if t % 2 == 0 else -0.0)
+    return [0.0 if t % 2 == 0 else -0.0]
 
 
 def _raising_trial(seed, t):
     if t == 5:
         raise ValueError(f"trial {t} failed")
-    return camp._check(1.0)
+    return [1.0]
+
+
+def _two_failing_checks_trial(seed, t):
+    return [-1.0, 0.5, -2.0] if t == 3 else [1.0]
 
 
 @pytest.fixture
@@ -400,14 +404,55 @@ class TestDriver:
     @pytest.mark.parametrize("name", ["marginal_bounds", "ssa", "thm1"])
     def test_block_pairs_in_trial_order(self, name):
         # at 6 trials, marginal_bounds trials 2-5 are random states and 6-10
-        # combs: the block stacks them apart and returns them in trial order
+        # combs: the block stacks them apart and returns each trial's slacks,
+        # in check order, bit for bit and in trial order
         trials, ts = 6, range(2, 11)
         reference, _ = REFERENCES[name]
         block = getattr(camp, f"_{name}_block")
         if name == "marginal_bounds":
             block = partial(block, trials)
-        assert block(7, ts) == [camp._fold(map(camp._check, reference(trials, 7, t)))
-                                for t in ts]
+        assert block(7, ts) == [tuple(reference(trials, 7, t)) for t in ts]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_failing_check_of_a_trial_counts(self, monkeypatch, workers):
+        monkeypatch.setattr(camp, "_workers", lambda k: min(workers, k))
+        summary = camp._run("two_fail", partial(camp._one_by_one, _two_failing_checks_trial),
+                            trials=8, seed=0)
+        assert (summary["worst_slack"], summary["failures"]) == (-2.0, 2)
+
+    @pytest.mark.parametrize("nan_in, failures", [((0,), 12), ((1,), 12), ((0, 1), 24)],
+                             ids=["i1", "i2", "both"])
+    def test_nan_marginal_witness_fails_every_check(self, monkeypatch, nan_in, failures):
+        # each witness is checked alone, so a NaN in either one fails: 4
+        # states x 2 orders and 4 combs give 12 checks per witness
+        witnesses = camp.marginal_witnesses
+
+        def nan_witnesses(state, order):
+            values = list(witnesses(state, order))
+            for k in nan_in:
+                values[k] = values[k] * math.nan
+            return tuple(values)
+
+        monkeypatch.setattr(camp, "marginal_witnesses", nan_witnesses)
+        summary = run_marginal_bounds(trials=4, seed=0)
+        assert summary["failures"] == failures
+        assert math.isnan(summary["worst_slack"])
+
+    def test_thm1_detects_a_bound_raised_by_1e_5(self, monkeypatch):
+        # thm1's seed-0 worst slack is 2.57e-6, so raising every bound by
+        # 1e-5 fails the trials within 1e-5 of theirs.  A shift of 1e-3 is
+        # not seen at seed 0 by lemma1 (worst slack 0.0329), ssa (0.128) or
+        # marginal_bounds (0.358)
+        dp = camp.dp_witness
+
+        def raised(state, order, spec):
+            value, bound = dp(state, order, spec)
+            return value, bound + 1e-5
+
+        monkeypatch.setattr(camp, "dp_witness", raised)
+        summary = run_thm1(seed=0)
+        assert summary["failures"] == 3
+        assert summary["worst_slack"] == pytest.approx(2.572851643067864e-06 - 1e-5, abs=1e-12)
 
     def test_blocks_are_bounded_and_fill_the_workers(self, monkeypatch):
         monkeypatch.setattr(camp, "_workers", lambda k: min(2, k))

@@ -351,8 +351,10 @@ class TestReproduce:
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         taken = tmp_path / "taken"  # a file where the directory should go
         taken.write_text("")
-        assert main(["reproduce", "4", "--out", str(taken)]) == 2
-        assert f"cannot write {taken}" in capsys.readouterr().err
+        for out, unwritable in ((taken, taken / "fig4.csv"), (taken / "sub", taken / "sub")):
+            assert main(["reproduce", "4", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: cannot write {unwritable}: Not a directory\n"
+        assert taken.read_text() == ""
         (tmp_path / "fig4.csv").mkdir()  # a directory where a CSV should go
         assert main(["reproduce", "4", "--out", str(tmp_path)]) == 2
         assert f"cannot write {tmp_path / 'fig4.csv'}" in capsys.readouterr().err
