@@ -276,6 +276,8 @@ def _run(campaign: str, block, trials: int, seed: int, n: int | None = None,
     hold at most ``cap`` trials; without a cap they are cut for
     ``BLOCKS_PER_WORKER`` blocks or more on each of ``_workers(trials)``.
     """
+    if trials < 1 or seed < 0:
+        raise ValueError(f"need trials >= 1 and seed >= 0, got trials={trials}, seed={seed}")
     t0 = time.perf_counter()
     n = trials if n is None else n
     if cap is None:

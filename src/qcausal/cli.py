@@ -4,9 +4,15 @@ Three subcommands:
 
 * ``sweep``      one CSV row of witness values per control weight, for one of
                  the switch case studies;
-* ``verify``     run a seeded property campaign and emit a JSON summary, exit
-                 status 1 on any tolerance failure;
+* ``verify``     run a seeded property campaign and emit a JSON summary;
 * ``reproduce``  write the CSV data behind the standard sweep figures.
+
+The exit status is the verdict: 0 when every check held; 1 when one did
+not, a campaign's tolerance or the backends' agreement in ``sweep --backend
+both``; 2 when the command could not run or write: a usage error, a bad
+value, not enough memory, or an output that cannot be written, stdout among
+them, also when closed.  Commands raise ``Failure`` for 1 and 2, and
+``main`` alone prints the one ``error:`` line and returns the status.
 
 ``sweep`` and ``reproduce`` cut their grid of control weights into
 contiguous sub-grids of at most ``campaigns.BLOCK_ITEMS`` weights, the
@@ -14,8 +20,7 @@ campaigns' block size.  Each sub-grid is built, validated and evaluated as
 one stack of states, which gives every point's values bit for bit, and the
 sub-grids run on the campaigns' worker driver.
 
-Output goes to ``--out`` (or stdout); an output that cannot be written,
-stdout among them, exits 2.  Diagnostics go to stderr.  Identical
+Output goes to ``--out`` (or stdout), diagnostics to stderr.  Identical
 command lines produce byte-identical files at a fixed BLAS thread count:
 sweeps are deterministic and campaigns derive every sample from explicit
 per-trial seeds.  Another thread count can move the last bits of a result;
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -55,8 +61,15 @@ CSV_COLUMNS = ("lambda", "dp_ab", "bound_ab", "dp_ba", "bound_ba",
                "verdict")
 
 
-class BackendMismatch(Exception):
-    """The two interventional-state backends disagreed beyond tolerance."""
+class Failure(Exception):
+    """The command could not run or could not write: exit status 2."""
+    status = 2
+
+
+class BackendMismatch(Failure):
+    """A check did not hold, such as the two interventional-state backends'
+    agreement or a campaign's tolerance: exit status 1."""
+    status = 1
 
 
 def parse_entropy(text: str) -> EntropySpec:
@@ -148,24 +161,24 @@ def csv_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cannot_write(path: str | Path, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return 2
+def _cannot_write(path: str | Path, exc: OSError) -> Failure:
+    return Failure(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _write_after(outs: list | None, work) -> int:
+def _write_after(outs: list | None, work) -> None:
     """Write the texts returned by ``work()`` to the files ``outs``, one
     each in order, or their one text to stdout if ``outs`` is None.
 
     Every file is created before the work, which can take seconds, so a
-    path that cannot be written exits 2 at once, after an error message on
-    stderr; so does a failed write of stdout, after the work.  The files
-    are closed again before ``work`` runs, since the work may fork, and an
-    existing file is not emptied until the texts are ready.  The files
-    created here are removed if the command ends without writing them all,
-    also when ``work`` raises.  Returns the exit status.
+    path that cannot be written raises ``Failure`` at once, as does a closed
+    stdout; a failed write of stdout raises it after the work.  The files
+    are closed before ``work`` runs, since the work may fork, and an existing
+    file is not emptied until the texts are ready.  Files created here are
+    removed unless the command writes them all, also when ``work`` raises.
     """
     if outs is None:
+        if sys.stdout is None:  # Python starts with no stdout when fd 1 is closed
+            raise _cannot_write("<stdout>", OSError(errno.EBADF, os.strerror(errno.EBADF)))
         text = "".join(work())
         try:
             print(text, end="", flush=True)
@@ -174,56 +187,48 @@ def _write_after(outs: list | None, work) -> int:
             # null device, or the flush at exit fails again
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())
-            return _cannot_write("<stdout>", exc)
-        return 0
+            raise _cannot_write("<stdout>", exc) from None
+        return
     created = [out for out in outs if not os.path.lexists(out)]
     try:
         for out in outs:
             try:
                 open(out, "a").close()
             except OSError as exc:
-                return _cannot_write(out, exc)
+                raise _cannot_write(out, exc) from None
         for out, text in zip(outs, work()):
             try:
                 with open(out, "w", newline="\n") as fh:
                     fh.write(text)
             except OSError as exc:
-                return _cannot_write(out, exc)
+                raise _cannot_write(out, exc) from None
         created = []
-        return 0
     finally:
         for out in created:
             with contextlib.suppress(OSError):
                 os.remove(out)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     if not 0.0 <= args.lambda_min <= args.lambda_max <= 1.0:
-        print("error: need 0 <= lambda-min <= lambda-max <= 1", file=sys.stderr)
-        return 2
+        raise Failure("need 0 <= lambda-min <= lambda-max <= 1")
     if args.lambda_steps < 2:
-        print("error: lambda-steps must be at least 2", file=sys.stderr)
-        return 2
+        raise Failure("lambda-steps must be at least 2")
     try:
         lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
     # with the bounds checked, numpy raises each of these for a grid too
     # large to allocate: ValueError from 2**60 - 64 weights, IndexError at 2**63
     except (MemoryError, ValueError, IndexError) as exc:
-        print(f"error: no memory for {args.lambda_steps} control weights: {exc}",
-              file=sys.stderr)
-        return 2
-
-    def work() -> str:
-        return [csv_text(sweep_reports(args.process, lams, args.entropy, args.backend))]
-
-    try:
-        return _write_after(None if args.out is None else [args.out], work)
-    except BackendMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise Failure(f"no memory for {args.lambda_steps} control weights: {exc}") from None
+    _write_after(None if args.out is None else [args.out], lambda: [
+        csv_text(sweep_reports(args.process, lams, args.entropy, args.backend))])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
+    if args.trials is not None and args.trials < 1:
+        raise Failure("trials must be at least 1")
+    if args.seed < 0:
+        raise Failure("seed must be non-negative")
     trials = args.trials or campaigns.DEFAULT_TRIALS[args.campaign]
     summary = {}
 
@@ -231,15 +236,10 @@ def cmd_verify(args) -> int:
         summary.update(campaigns.RUNNERS[args.campaign](trials=trials, seed=args.seed))
         return [json.dumps(summary, indent=2, sort_keys=True) + "\n"]
 
-    status = _write_after(None if args.out is None else [args.out], run)
-    if status:
-        return status
+    _write_after(None if args.out is None else [args.out], run)
     if summary["failures"]:
-        print(f"error: campaign {args.campaign} had {summary['failures']} "
-              f"tolerance failures (worst slack {summary['worst_slack']:.3e})",
-              file=sys.stderr)
-        return 1
-    return 0
+        raise BackendMismatch(f"campaign {args.campaign} had {summary['failures']} tolerance "
+                              f"failures (worst slack {summary['worst_slack']:.3e})")
 
 
 # figure tag -> (process, [(file name, entropy spec)])
@@ -261,13 +261,13 @@ _FIGURE_PLAN = {
 FIGURES = tuple(_FIGURE_PLAN)
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> None:
     outdir = Path(args.out or ".")
     try:
         with contextlib.suppress(FileExistsError):  # a file: its CSVs are "Not a directory"
             outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        return _cannot_write(outdir, exc)
+        raise _cannot_write(outdir, exc) from None
     process, files = _FIGURE_PLAN[args.figure]
     paths = [outdir / name for name, _ in files]
 
@@ -276,11 +276,9 @@ def cmd_reproduce(args) -> int:
         grid = _grid_reports(process, np.linspace(0.0, 1.0, 101), [spec for _, spec in files])
         return [csv_text((lam, reports[k]) for lam, reports in grid) for k in range(len(files))]
 
-    status = _write_after(paths, work)
-    if not status:
-        for path in paths:
-            print(f"wrote {path}", file=sys.stderr)
-    return status
+    _write_after(paths, work)
+    for path in paths:
+        print(f"wrote {path}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,13 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "trials", None) is not None and args.trials < 1:
-        print("error: trials must be at least 1", file=sys.stderr)
+    try:
+        args.func(args)
+    except Failure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.status
+    except MemoryError:  # its message is often empty
+        print(f"error: not enough memory to run {args.command}", file=sys.stderr)
         return 2
-    if getattr(args, "seed", 0) < 0:
-        print("error: seed must be non-negative", file=sys.stderr)
-        return 2
-    return args.func(args)
+    return 0
 
 
 if __name__ == "__main__":

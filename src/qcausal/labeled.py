@@ -364,10 +364,11 @@ def purify(rho: DensityOperator, purifier_label: str = "REF") -> PureState:
 
 
 def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float | np.ndarray:
-    """Half the trace norm of ``a - b`` after aligning label order: a float,
-    or an array over the stack axis for stacks.  Both must have the same
-    ``(label, dim)`` pairs, in any order, else one ``ValueError`` names both
-    label sets."""
+    """Half the trace norm of the Hermitian part of ``a - b``, which is
+    ``a - b`` itself for Hermitian inputs, after aligning label order: a
+    float, or an array over the stack axis for stacks.  Both must have the
+    same ``(label, dim)`` pairs, in any order, else one ``ValueError`` names
+    both label sets."""
     if dict(a.dims) != dict(b.dims):
         raise ValueError(f"labels or dimensions differ: {a.dims} vs {b.dims}")
     diff = a.matrix - permute(b, a.labels).matrix

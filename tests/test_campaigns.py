@@ -80,6 +80,20 @@ def test_small_scale_clean(runner, trials):
     assert out["trials"] >= trials  # crosscheck and marginals count checks
 
 
+@pytest.mark.parametrize("name", CAMPAIGNS)
+@pytest.mark.parametrize("trials, seed, bad", [
+    (0, 0, "trials=0"), (-3, 0, "trials=-3"), (1, -1, "seed=-1"),
+], ids=["trials 0", "trials -3", "seed -1"])
+def test_runners_reject_bad_trials_and_seed(name, trials, seed, bad, monkeypatch):
+    # rejected before any block is cut: at trials 0 _blocks divided by zero,
+    # and at trials -3 a run summed no trials, or 9 of crosscheck's 12
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("blocks were cut")
+    monkeypatch.setattr(camp, "_blocks", no_blocks)
+    with pytest.raises(ValueError, match=bad):
+        RUNNERS[name](trials=trials, seed=seed)
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self):
         a = run_thm1(trials=10, seed=3)

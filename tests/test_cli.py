@@ -551,24 +551,47 @@ class TestConsoleScript:
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("argv", [
-    ["verify", "lemma1", "--trials", "3"],
-    SWEEP_ARGS,
-    ["sweep", "--process", "upsilon1", "--lambda-steps", "2001"],
-], ids=["verify", "short sweep", "long sweep"])
-def test_stdout_write_failure_exits_2(argv):
+@pytest.mark.parametrize("argv, closed", [
+    (["verify", "lemma1", "--trials", "3"], False),
+    (SWEEP_ARGS, False),
+    (["sweep", "--process", "upsilon1", "--lambda-steps", "2001"], False),
+    (["verify", "ssa", "--trials", "2"], True),
+    (SWEEP_ARGS, True),
+], ids=["verify", "short sweep", "long sweep", "verify, stdout closed",
+        "sweep, stdout closed"])
+def test_stdout_write_failure_exits_2(argv, closed):
     # every write to /dev/full fails; exit 1 would mean a tolerance failure
     # of verify or a backend mismatch of sweep.  Stdout is buffered, as in a
-    # shell: a short text then stays in the buffer after the failed flush
+    # shell: a short text then stays in the buffer after the failed flush.
+    # A child started with stdout closed, as by the shell's >&-, has no
+    # sys.stdout, and print to it writes nothing without an error
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
     env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, "-m", "qcausal.cli", *argv]
+    if closed:
+        command = ["sh", "-c", 'exec "$0" "$@" >&-', *command]
     with open("/dev/full", "w") as full:
-        done = subprocess.run([sys.executable, "-m", "qcausal.cli", *argv], stdout=full,
-                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        done = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
     assert done.returncode == 2, done.stderr
     [line] = done.stderr.splitlines()
     assert line.startswith("error: cannot write <stdout>: ")
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["verify", "ssa", "--trials", "2"], camp, "_blocks"),
+    (SWEEP_ARGS, cli, "_grid_reports"),
+], ids=["verify", "sweep"])
+def test_no_memory_exits_2(argv, module, name, monkeypatch, tmp_path, capsys):
+    # a trial count or grid too large to plan; exit 1 would mean a failed check
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(module, name, no_memory)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: not enough memory to run {argv[0]}\n"
+    assert not out.exists()
 
 
 def test_sweep_reports_rejects_unknown_process():
