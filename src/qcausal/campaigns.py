@@ -107,6 +107,10 @@ DEFAULT_TRIALS = {
 CAMPAIGNS = tuple(DEFAULT_TRIALS)
 
 
+class WorkerDied(RuntimeError):
+    """A worker of ``_map`` exited before reporting its results."""
+
+
 def _check(slack) -> tuple[float, int]:
     """One slack as a ``(worst slack, failures)`` pair; NaN is a failure."""
     slack = float(slack)
@@ -167,7 +171,8 @@ def _map(fn, items, workers: int) -> list:
     send their pickled ``(index, ok, value)`` triples back on a pipe each,
     which is read to its end one worker after another.  The exception of
     the first failing item is re-raised here; a worker that exits without
-    reporting is a ``RuntimeError``.
+    reporting is ``WorkerDied``.  Workers ignore SIGINT: an interrupt raises
+    ``KeyboardInterrupt`` here alone, and every worker is killed and reaped.
     """
     if workers <= 1:
         return list(map(fn, items))
@@ -177,6 +182,7 @@ def _map(fn, items, workers: int) -> list:
     # a forked worker must not write out this process's buffered output again
     sys.stdout.flush()
     sys.stderr.flush()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # until pids holds all
     try:
         for _ in range(workers):
             out_r, out_w = os.pipe()
@@ -187,6 +193,7 @@ def _map(fn, items, workers: int) -> list:
             os.close(out_w)
             fds.discard(out_w)
             pids[out_r] = pid
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(tasks_r)
         fds.discard(tasks_r)
         # every item number is 4 bytes and a write of at most PIPE_BUF
@@ -209,8 +216,8 @@ def _map(fn, items, workers: int) -> list:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del pids[out_r]
             if status != 0 or not report:
-                raise RuntimeError(f"worker {pid} exited with status {status} "
-                                   "before reporting its results")
+                raise WorkerDied(f"worker {pid} exited with status {status} "
+                                 "before reporting its results")
             results += pickle.loads(report)
     finally:
         for pid in pids.values():
@@ -221,6 +228,7 @@ def _map(fn, items, workers: int) -> list:
             os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     results.sort(key=lambda r: r[0])
     for _, ok, value in results:
         if not ok:
@@ -234,6 +242,7 @@ def _work(fn, items, tasks: int, out: int, inherited) -> None:
     and closed, then writes the pickled triples to ``out``."""
     status = 1
     try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent has it blocked until then
         for fd in inherited:
             os.close(fd)
         results = []

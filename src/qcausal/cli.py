@@ -10,9 +10,10 @@ Three subcommands:
 The exit status is the verdict: 0 when every check held; 1 when one did
 not, a campaign's tolerance or the backends' agreement in ``sweep --backend
 both``; 2 when the command could not run or write: a usage error, a bad
-value, not enough memory, or an output that cannot be written, stdout among
-them, also when closed.  Commands raise ``Failure`` for 1 and 2, and
-``main`` alone prints the one ``error:`` line and returns the status.
+value, not enough memory, a worker that died before reporting, or an output
+that cannot be written, stdout among them, also when closed; 130 on SIGINT
+(Ctrl-C).  Commands raise ``Failure`` for 1 and 2, and ``main`` alone
+prints the one ``error:`` line and returns the status.
 
 ``sweep`` and ``reproduce`` cut their grid of control weights into
 contiguous sub-grids of at most ``campaigns.BLOCK_ITEMS`` weights, the
@@ -36,7 +37,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -91,50 +91,40 @@ def parse_entropy(text: str) -> EntropySpec:
     )
 
 
-def _sub_grid(process: str, specs, backend: str, lams: list[float]) -> list[list]:
-    """Witness reports of one case study at each control weight of ``lams``:
-    per weight, one report per entropy family in ``specs``, all evaluated on
-    the same state.
-
-    The states of all the weights are built, validated and evaluated as one
-    stack, which gives each point's values bit for bit.  ``backend="both"``
-    builds the stack with both backends, checks that they agree at every
-    weight and evaluates the statevector one.
-    """
-    s = SwitchSpec(lams, future_mode=_FUTURE_OF[process])
-    if backend == "both":
-        tau = interventional_state(s, "statevector")
-        other = interventional_state(s, "contraction")
-        for lam, dist in zip(lams, trace_distance(tau, other)):
-            if dist > BACKEND_AGREE_TOL:
-                raise BackendMismatch(
-                    f"backends disagree at {process} lambda={lam:.6g}: "
-                    f"trace distance {dist:.3e} > {BACKEND_AGREE_TOL}"
-                )
-    else:
-        tau = interventional_state(s, backend)
-    families = [evaluate(tau, spec=spec) for spec in specs]
-    return [[replace(r, tag=f"{process}@{lam:.6g}") for r in reports]
-            for lam, reports in zip(lams, zip(*families))]
-
-
 def _grid_reports(process: str, lams, specs, backend: str = "statevector"):
     """``(lambda, [report per family of specs])`` at each control weight, in
     grid order.
 
     The grid is cut into contiguous sub-grids of at most
     ``campaigns.BLOCK_ITEMS`` weights, as many as fill every worker equally,
-    which run on the campaigns' worker driver.  A sub-grid's stack is
-    bounded, so memory does not grow with the grid.
+    which run on the campaigns' worker driver, each as one stack of states;
+    ``backend="both"`` builds each stack with both backends, checks that they
+    agree at every weight and evaluates the statevector one.  Only a
+    sub-grid's stack is bounded: the weights and one report per point and
+    family stay in memory until the caller writes them.
     """
     lams = [float(lam) for lam in lams]
     if not lams:
         return []
+
+    def sub_grid(part: range) -> list[tuple]:
+        sub = lams[part.start:part.stop]
+        s = SwitchSpec(sub, future_mode=_FUTURE_OF[process])
+        if backend == "both":
+            tau = interventional_state(s, "statevector")
+            other = interventional_state(s, "contraction")
+            for lam, dist in zip(sub, trace_distance(tau, other)):
+                if dist > BACKEND_AGREE_TOL:
+                    raise BackendMismatch(f"backends disagree at {process} lambda={lam:.6g}: "
+                                          f"trace distance {dist:.3e} > {BACKEND_AGREE_TOL}")
+        else:
+            tau = interventional_state(s, backend)
+        families = [evaluate(tau, spec=spec) for spec in specs]
+        return [(lam, [replace(r, tag=f"{process}@{lam:.6g}") for r in reports])
+                for lam, reports in zip(sub, zip(*families))]
+
     parts, workers = campaigns._blocks(len(lams), campaigns.BLOCK_ITEMS)
-    sub_grids = [lams[part.start:part.stop] for part in parts]
-    work = partial(_sub_grid, process, tuple(specs), backend)
-    reports = campaigns._map(work, sub_grids, workers)
-    return list(zip(lams, (point for sub in reports for point in sub)))
+    return [point for sub in campaigns._map(sub_grid, parts, workers) for point in sub]
 
 
 def sweep_reports(process: str, lams, spec: EntropySpec,
@@ -326,9 +316,15 @@ def main(argv=None) -> int:
     except Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.status
+    except campaigns.WorkerDied as exc:  # no verdict without every result
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except MemoryError:  # its message is often empty
         print(f"error: not enough memory to run {args.command}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -685,6 +685,27 @@ class TestForkDriver:
         assert "exited with status 3 before reporting" in done.stdout
         assert done.stdout.count("\n") == 1
 
+    def test_dead_worker_in_verify_exits_2(self, tmp_path):
+        # a worker killed by a signal, as by the OOM killer, leaves the
+        # campaign without a verdict; exit 1 would mean a failed check
+        out = tmp_path / "s.json"
+        done = _python("import os, signal, sys\n"
+                       "from qcausal import campaigns, cli\n"
+                       "parent, trial = os.getpid(), campaigns._lemma1_trial\n"
+                       "def killed(seed, t):\n"
+                       "    if t == 7 and os.getpid() != parent:\n"
+                       "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                       "    return trial(seed, t)\n"
+                       "campaigns._lemma1_trial = killed\n"
+                       "campaigns._workers = lambda n: min(2, n)\n"
+                       f"rc = cli.main(['verify', 'lemma1', '--trials', '40', '--out', {str(out)!r}])\n"
+                       + NO_CHILD_LEFT + "sys.exit(rc)\n")
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert re.fullmatch(r"error: worker \d+ exited with status -9 before reporting "
+                            r"its results\n", done.stderr), done.stderr
+        assert not out.exists()
+
     def test_unflushed_stdout_is_written_once(self):
         # stdout is a pipe, so the parent's line stays in its buffer until
         # the map; a worker must not write it out a second time

@@ -5,8 +5,10 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -592,6 +594,39 @@ def test_no_memory_exits_2(argv, module, name, monkeypatch, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: not enough memory to run {argv[0]}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("blas_threads", ["1", None], ids=["forked", "in-process"])
+def test_interrupt_exits_130(blas_threads, tmp_path):
+    # Ctrl-C reaches the whole foreground group: the command and its workers
+    out = tmp_path / "s.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(var, None)
+    if blas_threads:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    with subprocess.Popen([sys.executable, "-m", "qcausal.cli", "verify", "lemma3",
+                           "--trials", "1000", "--out", str(out)], env=env,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.5)  # the campaign is under way
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGINT)
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            try:  # any process of the group left, a worker among them
+                os.killpg(proc.pid, signal.SIGKILL)
+                left = True
+            except ProcessLookupError:
+                left = False
+    assert proc.returncode == 130, err
+    assert err == "error: interrupted\n"
+    assert not out.exists()
+    assert not left
 
 
 def test_sweep_reports_rejects_unknown_process():
