@@ -7,9 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
-import tracemalloc
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +22,6 @@ from qcausal import (
     RUNNERS,
     TRACE_TOL,
     VON_NEUMANN,
-    PureState,
     PurifiedComb,
     SwitchSpec,
     apply_channel,
@@ -39,7 +36,6 @@ from qcausal import (
     purify_comb,
     random_channel,
     random_density,
-    random_pure,
     renyi,
     run_crosscheck,
     run_lemma1,
@@ -53,6 +49,8 @@ from qcausal import (
     trace_distance,
 )
 from qcausal.cli import BACKEND_AGREE_TOL
+
+from conftest import child_env, purified_comb_of_shape, traced_peak
 
 SUMMARY_KEYS = {"campaign", "trials", "failures", "worst_slack", "tolerance",
                 "seed", "elapsed_s"}
@@ -157,21 +155,6 @@ class TestSamplers:
             assert all(np.array_equal(k, k_ref) for k, k_ref in zip(chan.kraus, chan_ref.kraus))
 
 
-def comb_at_dims(order, dims, dq0, seed):
-    """Random purified comb of ``order`` on the given five-part ``dims``,
-    built the way ``sample_purified_comb`` builds one."""
-    rng = np.random.default_rng(seed)
-    first, second = order
-    dims = dict(dims, Q0=dq0)
-    dims["Q1"] = dims[f"{first}1"] * dq0 // dims[f"{second}0"]
-    dims["Q2"] = dims[f"{second}1"] * dims["Q1"] // dims["F"]
-    psi = PureState(random_pure(dims[f"{first}0"] * dq0, rng),
-                    [(f"{first}0", dims[f"{first}0"]), ("Q0", dq0)])
-    u1 = haar_unitary(dims[f"{first}1"] * dq0, rng)
-    u2 = haar_unitary(dims[f"{second}1"] * dims["Q1"], rng)
-    return PurifiedComb(order, psi, u1, u2, dims)
-
-
 class TestDimensionCap:
     def test_sampled_dims_never_exceed_cap(self):
         totals = set()
@@ -186,8 +169,7 @@ class TestDimensionCap:
     @pytest.mark.parametrize("dq0", [2, 4])
     @pytest.mark.parametrize("order", ["AB", "BA"])
     def test_comb_at_cap(self, order, dq0):
-        dims = {"A0": 2, "A1": 2, "B0": 2, "B1": 2, "F": 4}
-        comb = comb_at_dims(order, dims, dq0, seed=64 + dq0)
+        comb = purified_comb_of_shape(order, (2, 2, 2, 2, 4), seed=64 + dq0, q0=dq0)
         sv = interventional_state(comb, "statevector")
         ct = interventional_state(comb, "contraction")
         assert sv.tau.dims.total == camp.TAU_DIM_CAP
@@ -526,12 +508,7 @@ class TestDriver:
             run(trials=sizes[0], seed=0)  # first-call allocations are not the trials'
             peaks = []
             for trials in sizes:
-                tracemalloc.start()
-                try:
-                    run(trials=trials, seed=0)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+                peaks.append(traced_peak(partial(run, trials=trials, seed=0)))
             assert peaks[1] < 1.2 * peaks[0], (run.__name__, peaks)
 
     @pytest.mark.parametrize("name", CAMPAIGNS)
@@ -568,9 +545,7 @@ def _python(code: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter on this source tree with BLAS on
     one thread and buffered stdout.  A hung worker or pipe fails the test at
     ``timeout``, and the interpreter's whole process group is killed."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = {**child_env(), "OPENBLAS_NUM_THREADS": "1"}
     env.pop("PYTHONUNBUFFERED", None)
     args = [sys.executable, "-c", code]
     with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,

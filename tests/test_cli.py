@@ -9,7 +9,6 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +26,8 @@ from qcausal.cli import (
     sweep_reports,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, child_env
+
 SWEEP_ARGS = ["sweep", "--process", "upsilon1", "--lambda-steps", "3"]
 # a path whose directory os.access reports writable to root, where no file
 # can be created
@@ -476,8 +476,7 @@ class TestGridPool:
                 "assert _map(abs, [-1, -2, -3], 2) == [1, 2, 3]\n"
                 "assert threading.active_count() == threads\n"
                 "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": "1"}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -493,8 +492,7 @@ class TestGridPool:
                 "cli.csv_text(cli.sweep_reports('switch_full', [0.3], VON_NEUMANN))\n"
                 "cli.csv_text(cli.sweep_reports('switch_full', [0.1, 0.3, 0.5], renyi(2.0)))\n"
                 "print(sorted(set(sys.modules) - before))\n")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": "1"}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -536,10 +534,9 @@ class TestConsoleScript:
             target = tomllib.load(f)["project"]["scripts"]["qcausal"]
         module, func = target.split(":")
         code = f"import sys; from {module} import {func}; sys.exit({func}())"
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", code, *SWEEP_ARGS], capture_output=True,
-            text=True, env={**os.environ, "PYTHONPATH": path})
+            text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
 
@@ -567,8 +564,7 @@ def test_stdout_write_failure_exits_2(argv, closed):
     # shell: a short text then stays in the buffer after the failed flush.
     # A child started with stdout closed, as by the shell's >&-, has no
     # sys.stdout, and print to it writes nothing without an error
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     command = [sys.executable, "-m", "qcausal.cli", *argv]
     if closed:
@@ -600,8 +596,7 @@ def test_no_memory_exits_2(argv, module, name, monkeypatch, tmp_path, capsys):
 def test_interrupt_exits_130(blas_threads, tmp_path):
     # Ctrl-C reaches the whole foreground group: the command and its workers
     out = tmp_path / "s.json"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    env = child_env()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         env.pop(var, None)
     if blas_threads:

@@ -1,14 +1,13 @@
 """Smoke test: every demo script runs to completion with its default options,
 in Python's development mode with every warning an error (pytest's own
 warning filters do not reach a subprocess)."""
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, child_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -18,8 +17,6 @@ def test_all_four_demos_present():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)], cwd=ROOT,
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, timeout=300, env=child_env())
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,6 @@
 """Labeled tensor core: dims bookkeeping, permutation, traces, purification."""
 import itertools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,8 @@ from qcausal import (
 )
 from qcausal.campaigns import BLOCK_ITEMS, TAU_DIM_CAP
 from qcausal.cli import _grid_reports
+
+from conftest import traced_peak
 
 RNG = np.random.default_rng(7)
 
@@ -396,12 +397,7 @@ class TestOneEigensolvePerSlice:
         m = g @ g.conj().swapaxes(-1, -2)
         m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
         del g
-        tracemalloc.start()
-        try:
-            DensityOperator(m, [("X", TAU_DIM_CAP)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: DensityOperator(m, [("X", TAU_DIM_CAP)]))
         assert peak <= 1.6 * m.nbytes, peak / m.nbytes
 
     @pytest.mark.parametrize("specs", [

@@ -3,7 +3,6 @@ import itertools
 import math
 import re
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +36,6 @@ from qcausal import (
     purify_comb,
     random_channel,
     random_density,
-    random_pure,
     sample_fixed_order_comb,
     sample_purified_comb,
     switch_apply,
@@ -48,6 +46,8 @@ import qcausal.campaigns as camp
 import qcausal.labeled as labeled
 import qcausal.process as process
 from qcausal.process import _dilation_unitary
+
+from conftest import purified_comb_of_shape, traced_peak
 
 KET0 = DensityOperator(np.diag([1.0, 0.0]), [("T0", 2)])
 
@@ -460,32 +460,6 @@ def one_shot_process_matrix(source):
     w = out.transpose(0, 2, 4, 1, 3, 5).reshape(na * nb * df, na * nb * df)
     dims = zip(TAU_LABELS, (da0, da1, db0, db1, df))
     return ProcessMatrix(w, dims).matrix
-
-
-def purified_comb_of_shape(order, shape, seed, q0=2):
-    """Random purified comb with slot dimensions ``(first0, first1, second0,
-    second1, F) = shape`` from the public samplers."""
-    first, second = order
-    rng = np.random.default_rng(seed)
-    d = dict(zip((f"{first}0", f"{first}1", f"{second}0", f"{second}1", "F"), shape))
-    d["Q0"] = q0
-    d["Q1"] = d[f"{first}1"] * q0 // d[f"{second}0"]
-    d["Q2"] = d[f"{second}1"] * d["Q1"] // d["F"]
-    psi = PureState(random_pure(d[f"{first}0"] * q0, rng),
-                    [(f"{first}0", d[f"{first}0"]), ("Q0", q0)])
-    u1 = haar_unitary(d[f"{first}1"] * q0, rng)
-    u2 = haar_unitary(d[f"{second}1"] * d["Q1"], rng)
-    return PurifiedComb(order, psi, u1, u2, d)
-
-
-def traced_peak(f):
-    """Traced allocation peak of ``f()``, in bytes."""
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestBlockedTomography:

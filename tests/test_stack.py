@@ -1,7 +1,5 @@
 """A stack of states is its slices, bit for bit: switch states, validation,
 marginal spectra and witness reports over a leading stack axis."""
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,8 @@ from qcausal import (
     renyi,
 )
 from qcausal.cli import sweep_reports
+
+from conftest import traced_peak
 
 # the 101 figure weights plus the edges of the control weight
 EDGE_LAMS = [0.0, 1e-15, 1e-9, 1.0 - 1e-9, 1.0]
@@ -96,12 +96,9 @@ class TestBadSlice:
 
 
 def _sweep_peak(points: int) -> int:
-    tracemalloc.start()
-    try:
-        rows = sweep_reports("switch_full", np.linspace(0.0, 1.0, points), VON_NEUMANN)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows = []
+    peak = traced_peak(lambda: rows.extend(
+        sweep_reports("switch_full", np.linspace(0.0, 1.0, points), VON_NEUMANN)))
     assert len(rows) == points
     return peak
 
