@@ -12,11 +12,13 @@ block function ``block(seed, ts)``, the slacks of each trial in ``ts``, and
 It cuts the trials into contiguous blocks once (``_blocks``) and maps them
 with the package's one worker driver, ``_map``, over ``_workers`` processes
 (as many as the CPUs this process may use divided by the BLAS threads per
-process).  Each block's checked slacks are folded where it runs, and those
-folds again in block order; the fold keeps the first of equal minima and
-NaN once seen, so a summary is the same bit for bit whatever the cut and
-the number of workers; only ``elapsed_s`` differs.  The CLI maps its
-sub-grids of at most ``BLOCK_ITEMS`` control weights with the same driver.
+process).  Workers inherit the SIGINT block that ``_map`` sets before
+forking and keep it, so Ctrl-C interrupts the calling process alone.  Each
+block's checked slacks are folded where it runs, and those folds again in
+block order; the fold keeps the first of equal minima and NaN once seen, so
+a summary is the same bit for bit whatever the cut and the number of
+workers; only ``elapsed_s`` differs.  The CLI maps its sub-grids of at most
+``BLOCK_ITEMS`` control weights with the same driver.
 
 ``lemma1``, ``lemma3`` and ``crosscheck`` run a block's trials one by one
 (``_one_by_one``), in ``BLOCKS_PER_WORKER`` or more blocks per worker: a few
@@ -171,8 +173,9 @@ def _map(fn, items, workers: int) -> list:
     send their pickled ``(index, ok, value)`` triples back on a pipe each,
     which is read to its end one worker after another.  The exception of
     the first failing item is re-raised here; a worker that exits without
-    reporting is ``WorkerDied``.  Workers ignore SIGINT: an interrupt raises
-    ``KeyboardInterrupt`` here alone, and every worker is killed and reaped.
+    reporting is ``WorkerDied``.  Workers inherit the SIGINT block set here
+    and keep it: an interrupt raises ``KeyboardInterrupt`` here alone, and
+    every worker is killed and reaped.
     """
     if workers <= 1:
         return list(map(fn, items))
@@ -239,10 +242,10 @@ def _map(fn, items, workers: int) -> list:
 def _work(fn, items, tasks: int, out: int, inherited) -> None:
     """Body of a forked worker of ``_map``; never returns.  Maps ``fn`` over
     each item whose number it reads from ``tasks``, until that pipe is empty
-    and closed, then writes the pickled triples to ``out``."""
+    and closed, then writes the pickled triples to ``out``.  It keeps the
+    SIGINT block it inherits from ``_map``."""
     status = 1
     try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent has it blocked until then
         for fd in inherited:
             os.close(fd)
         results = []
@@ -357,8 +360,8 @@ def sample_fixed_order_comb(seed, order: str | None = None) -> FixedOrderComb:
     dims = _sample_dims(rng)
     de0, de1, de2 = (_pick(rng, ENV_DIMS) for _ in range(3))
     d_rho = dims[x0] * de0
-    rho = random_density(d_rho, rank=int(rng.integers(1, d_rho + 1)), seed=rng,
-                         dims=[(x0, dims[x0]), ("E0", de0)])
+    rho = random_density([(x0, dims[x0]), ("E0", de0)],
+                         rank=int(rng.integers(1, d_rho + 1)), seed=rng)
     lam1 = _random_slot_channel(rng, [(x1, dims[x1]), ("E0", de0)],
                                 [(y0, dims[y0]), ("E1", de1)])
     lam2 = _random_slot_channel(rng, [(y1, dims[y1]), ("E1", de1)],
@@ -448,8 +451,7 @@ def _lemma1_trial(seed: int, t: int) -> list[float]:
     dout = dn * din // dtr
     u = haar_unitary(dn * din, rng)
     chan = completely_factorizable(u, dim_noise=dn, dim_in=din, dim_traced=dtr)
-    rho = random_density(din, rank=int(rng.integers(1, din + 1)), seed=rng,
-                         dims=[("Q1", din)])
+    rho = random_density([("Q1", din)], rank=int(rng.integers(1, din + 1)), seed=rng)
     out = apply_channel(chan, rho)
     bound = math.log2(dout / din)
     return [entropy(out, spec=spec) - entropy(rho, spec=spec) - bound for spec in DP_FAMILIES]

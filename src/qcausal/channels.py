@@ -99,7 +99,7 @@ class KrausChannel:
         return f"KrausChannel({self.in_dims} -> {self.out_dims}, {len(self.kraus)} Kraus)"
 
 
-def apply_channel(c: KrausChannel, rho: LabeledOperator) -> LabeledOperator:
+def apply_channel(c: KrausChannel, rho: LabeledOperator) -> DensityOperator:
     """Apply a CPTP channel to a state, possibly on a subsystem of it.
 
     The channel's input ``(label, dim)`` pairs must all appear in ``rho``:
@@ -107,8 +107,8 @@ def apply_channel(c: KrausChannel, rho: LabeledOperator) -> LabeledOperator:
     wrong dimension one ``ValueError``.  Untouched labels ride along; the
     output labels replace the input labels at the position of the first
     consumed label, so an identity channel returns the state unchanged.  A
-    :class:`DensityOperator` maps to a :class:`DensityOperator`; a stack
-    raises ``ValueError``.
+    state maps to a :class:`DensityOperator`, validated; an operator that is
+    not a state, or a stack, raises ``ValueError``.
     """
     _one_state(rho, "the state to apply a channel to")
     on = rho.dims.restrict(c.in_dims.labels)
@@ -130,9 +130,7 @@ def apply_channel(c: KrausChannel, rho: LabeledOperator) -> LabeledOperator:
     # splice the output labels into rest where the consumed block began
     pos = rho.dims.index(on.labels[0])
     out_op = permute(out_op, rest[:pos] + list(c.out_dims.labels) + rest[pos:])
-    if isinstance(rho, DensityOperator):
-        return DensityOperator(out_op.matrix, out_op.dims)
-    return out_op
+    return DensityOperator(out_op.matrix, out_op.dims)
 
 
 def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -163,18 +161,13 @@ def _wishart(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     return m
 
 
-def random_density(d: int, rank: int, seed: int | np.random.Generator,
-                   dims=None) -> DensityOperator:
-    """Wishart-distributed density operator of the given rank and dimension."""
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must lie in [1, {d}], got {rank}")
-    m = _wishart(d, rank, ensure_rng(seed))
-    if dims is None:
-        dims = [("S", d)]
+def random_density(dims, rank: int, seed: int | np.random.Generator) -> DensityOperator:
+    """Wishart-distributed density operator of the given rank on ``dims``,
+    of dimension ``dims.total``."""
     dims = as_dims(dims)
-    if dims.total != d:
-        raise ValueError(f"dims {dims} do not multiply to {d}")
-    return DensityOperator(m, dims)
+    if not 1 <= rank <= dims.total:
+        raise ValueError(f"rank must lie in [1, {dims.total}], got {rank}")
+    return DensityOperator(_wishart(dims.total, rank, ensure_rng(seed)), dims)
 
 
 def random_channel(in_dims, out_dims, kraus_rank: int,

@@ -138,8 +138,6 @@ def sweep_reports(process: str, lams, spec: EntropySpec,
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     return "%.12g" % value
 
 

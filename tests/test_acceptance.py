@@ -227,8 +227,7 @@ def test_criterion_09_entropy_suite():
     rng = np.random.default_rng(90)
     for t in range(30):
         d = int(rng.integers(2, 7))
-        rho = random_density(d, int(rng.integers(1, d + 1)), 9000 + t,
-                             dims=[("A", d)])
+        rho = random_density([("A", d)], int(rng.integers(1, d + 1)), 9000 + t)
         psi = purify(rho, "B").density()
         for spec in (VON_NEUMANN, renyi(0.5), renyi(2.0), MIN_ENTROPY,
                      MAX_ENTROPY):
@@ -255,8 +254,7 @@ def test_criterion_10_marginal_witnesses_dominate_dp_on_arbitrary_states():
         df = int(rng.choice((2, 3)))
         dims = [(l, 2) for l in labels[:4]] + [("F", df)]
         total = 16 * df
-        tau = random_density(total, int(rng.integers(1, total + 1)),
-                             10_000 + t, dims=dims)
+        tau = random_density(dims, int(rng.integers(1, total + 1)), 10_000 + t)
         for order in ("AB", "BA"):
             dp, _ = dp_witness(tau, order)
             i1, i2, _ = marginal_witnesses(tau, order)

@@ -235,7 +235,7 @@ def _ref_lemma1(trials, seed, t):
             break
     chan = completely_factorizable(haar_unitary(dn * din, rng), dim_noise=dn, dim_in=din,
                                    dim_traced=dtr)
-    rho = random_density(din, int(rng.integers(1, din + 1)), rng, dims=[("Q1", din)])
+    rho = random_density([("Q1", din)], int(rng.integers(1, din + 1)), rng)
     out = apply_channel(chan, rho)
     bound = math.log2(dn / dtr)
     return [entropy(out, spec=spec) - entropy(rho, spec=spec) - bound for spec in REF_FAMILIES]
@@ -258,7 +258,7 @@ def _ref_lemma3(trials, seed, t):
 
 def _ref_ssa(trials, seed, t):
     rng = np.random.default_rng(seed + t)
-    rho = random_density(8, int(rng.integers(1, 9)), rng, dims=[("X", 2), ("Y", 2), ("Z", 2)])
+    rho = random_density([("X", 2), ("Y", 2), ("Z", 2)], int(rng.integers(1, 9)), rng)
     return [ssa_gap(rho, ["X"], ["Y"], ["Z"])]
 
 
@@ -278,8 +278,7 @@ def _ref_marginal_bounds(trials, seed, t):
         rng = np.random.default_rng(seed + t)
         dims = _ref_dims(rng)
         total = math.prod(dims.values())
-        rho = random_density(total, int(rng.integers(1, total + 1)), rng,
-                             dims=list(dims.items()))
+        rho = random_density(list(dims.items()), int(rng.integers(1, total + 1)), rng)
         slacks = []
         for order in ORDERS:
             dp, _ = dp_witness(rho, order)
@@ -680,6 +679,18 @@ class TestForkDriver:
         assert re.fullmatch(r"error: worker \d+ exited with status -9 before reporting "
                             r"its results\n", done.stderr), done.stderr
         assert not out.exists()
+
+    def test_workers_keep_the_sigint_block(self):
+        # each worker runs with SIGINT blocked, as forked, and the caller's
+        # own mask is restored once the map returns
+        done = _python("import os, signal\n"
+                       "from qcausal.campaigns import _map\n"
+                       "held = lambda: signal.pthread_sigmask(signal.SIG_BLOCK, [])\n"
+                       "assert _map(lambda _: signal.SIGINT in held(), range(4), 2) == [True] * 4\n"
+                       "assert signal.SIGINT not in held()\n"
+                       + NO_CHILD_LEFT)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ""
 
     def test_unflushed_stdout_is_written_once(self):
         # stdout is a pipe, so the parent's line stays in its buffer until

@@ -8,6 +8,7 @@ from qcausal import (
     TRACE_TOL,
     DensityOperator,
     KrausChannel,
+    LabeledOperator,
     apply_channel,
     completely_factorizable,
     ensure_rng,
@@ -104,7 +105,7 @@ class TestChoi:
         mixed = [sum(u[s, t] * c.kraus[t] for t in range(3)) for s in range(3)]
         c2 = KrausChannel([("I", 3)], [("O", 2)], mixed)
         assert np.allclose(self.choi(c), self.choi(c2))
-        rho = random_density(3, 3, 13, dims=[("I", 3)])
+        rho = random_density([("I", 3)], 3, 13)
         assert np.allclose(apply_channel(c, rho).matrix, apply_channel(c2, rho).matrix)
 
     @pytest.mark.parametrize("seed, din, dout, rank", [
@@ -118,9 +119,9 @@ class TestChoi:
 
 class TestApply:
     def test_subsystem_splice(self):
-        a = random_density(2, 2, 1, dims=[("A", 2)])
-        b = random_density(2, 2, 2, dims=[("B", 2)])
-        c = random_density(2, 2, 3, dims=[("C", 2)])
+        a = random_density([("A", 2)], 2, 1)
+        b = random_density([("B", 2)], 2, 2)
+        c = random_density([("C", 2)], 2, 3)
         rho = DensityOperator(np.kron(np.kron(a.matrix, b.matrix), c.matrix),
                               [("A", 2), ("B", 2), ("C", 2)])
         flip = KrausChannel.from_unitary(X, [("B", 2)], [("B", 2)])
@@ -130,7 +131,7 @@ class TestApply:
         assert np.allclose(out.matrix, expect)
 
     def test_identity_is_noop(self):
-        rho = random_density(6, 4, 5, dims=[("A", 2), ("B", 3)])
+        rho = random_density([("A", 2), ("B", 3)], 4, 5)
         ident = KrausChannel.from_unitary(np.eye(3), [("B", 3)], [("B", 3)])
         out = apply_channel(ident, rho)
         assert out.labels == rho.labels
@@ -143,17 +144,30 @@ class TestApply:
             apply_channel(ident, rho)
 
     def test_missing_input_label_raises_key_error(self):
-        rho = random_density(4, 4, 7, dims=[("A", 2), ("B", 2)])
+        rho = random_density([("A", 2), ("B", 2)], 4, 7)
         ident = KrausChannel.from_unitary(np.eye(2), [("X", 2)], [("X", 2)])
         with pytest.raises(KeyError, match=re.escape("labels ['X'] not present in ('A', 'B')")):
             apply_channel(ident, rho)
 
     def test_input_dimension_mismatch_names_both(self):
-        rho = random_density(6, 6, 8, dims=[("A", 2), ("B", 3)])
+        rho = random_density([("A", 2), ("B", 3)], 6, 8)
         ident = KrausChannel.from_unitary(np.eye(2), [("B", 2)], [("B", 2)])
         with pytest.raises(ValueError, match=re.escape(
                 "channel input LabeledDims(B:2) does not match the state's LabeledDims(B:3)")):
             apply_channel(ident, rho)
+
+    def test_state_operator_maps_to_density_operator(self):
+        rho = random_density([("A", 2), ("B", 3)], 4, 5)
+        flip = KrausChannel.from_unitary(X, [("A", 2)], [("A", 2)])
+        out = apply_channel(flip, LabeledOperator(rho.matrix, rho.dims))
+        assert type(out) is DensityOperator
+        assert np.array_equal(out.matrix, apply_channel(flip, rho).matrix)
+
+    def test_operator_that_is_no_state_raises(self):
+        op = LabeledOperator(np.diag([1.5, -0.5]), [("A", 2)])
+        ident = KrausChannel.from_unitary(np.eye(2), [("A", 2)], [("A", 2)])
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            apply_channel(ident, op)
 
     def test_tni_refused(self):
         # a truncated Kraus list never reaches apply_channel: it is no channel
@@ -173,11 +187,15 @@ class TestRandomEnsembles:
         assert not np.allclose(haar_unitary(5, 1), haar_unitary(5, 2))
 
     def test_random_density_rank(self):
-        rho = random_density(6, 2, 7, dims=[("A", 6)])
+        rho = random_density([("A", 6)], 2, 7)
         lam = np.linalg.eigvalsh(rho.matrix)
         assert np.isclose(lam.sum(), 1.0)
         assert lam.min() > -1e-12
         assert (lam > 1e-10).sum() == 2
+
+    def test_random_density_rank_above_dimension_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("rank must lie in [1, 6], got 7")):
+            random_density([("A", 2), ("B", 3)], 7, 0)
 
     def test_random_pure_normalized(self):
         v = random_pure(4, 9)
@@ -186,7 +204,7 @@ class TestRandomEnsembles:
     def test_random_channel_tp(self):
         c = random_channel([("I", 2)], [("O", 3)], kraus_rank=2, seed=3)
         assert is_tp(c)
-        rho = random_density(2, 2, 4, dims=[("I", 2)])
+        rho = random_density([("I", 2)], 2, 4)
         assert np.isclose(apply_channel(c, rho).matrix.trace(), 1.0)
 
     def test_ensure_rng(self):

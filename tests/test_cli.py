@@ -624,6 +624,11 @@ def test_interrupt_exits_130(blas_threads, tmp_path):
     assert not left
 
 
+@pytest.mark.parametrize("process", PROCESS_TAGS)
+def test_sweep_reports_of_an_empty_grid_is_empty(process):
+    assert sweep_reports(process, [], VON_NEUMANN) == []
+
+
 def test_sweep_reports_rejects_unknown_process():
     with pytest.raises(ValueError):
         sweep_reports("sampler", np.array([0.5]), VON_NEUMANN)

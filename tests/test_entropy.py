@@ -177,20 +177,20 @@ class TestSpectrumFormulas:
 
 class TestStateEntropy:
     def test_subsystem_selection(self):
-        rho = random_density(12, 5, 3, dims=[("A", 3), ("B", 4)])
+        rho = random_density([("A", 3), ("B", 4)], 5, 3)
         ha = entropy(rho, ["A"])
         assert 0.0 <= ha <= math.log2(3) + 1e-12
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_pure_state_duality(self, spec):
         # both halves of a purification carry the same spectrum
-        rho = random_density(5, 3, 23, dims=[("A", 5)])
+        rho = random_density([("A", 5)], 3, 23)
         psi = purify(rho, "B").density()
         assert np.isclose(entropy(psi, ["A"], spec), entropy(psi, ["B"], spec),
                           atol=1e-9)
 
     def test_bare_labeled_operator_rejected(self):
-        rho = random_density(4, 2, 7, dims=[("A", 2), ("B", 2)])
+        rho = random_density([("A", 2), ("B", 2)], 2, 7)
         bare = LabeledOperator(rho.matrix, rho.dims)
         with pytest.raises(TypeError, match="DensityOperator"):
             entropy(bare)
@@ -204,7 +204,7 @@ class TestEntropyFromSpectra:
     """Each entropy is its family's value on the state's memoized spectrum."""
 
     def test_same_value_in_any_label_order(self):
-        rho = random_density(24, 6, 5, dims=[("A", 2), ("B", 3), ("C", 4)])
+        rho = random_density([("A", 2), ("B", 3), ("C", 4)], 6, 5)
         for spec in ALL_SPECS:
             first = entropy(rho, ["A", "C"], spec)
             for labels in (["C", "A"], ("A", "C"), ["C", "A", "C"]):
@@ -212,7 +212,7 @@ class TestEntropyFromSpectra:
             assert entropy(rho, spec=spec) == entropy(rho, ["C", "B", "A"], spec)
 
     def test_families_never_collide(self):
-        rho = random_density(24, 6, 9, dims=[("A", 2), ("B", 3), ("C", 4)])
+        rho = random_density([("A", 2), ("B", 3), ("C", 4)], 6, 9)
         specs = ALL_SPECS + (renyi(0.5000001), renyi(1.0), EntropySpec("renyi", math.inf))
         for labels in (["A", "B"], ["B", "C"], None):
             lam = rho.spectrum(labels)
@@ -278,7 +278,7 @@ class TestStackedSpectra:
 
     def test_stacked_state_gives_one_array(self):
         dims = [("A", 2), ("B", 4)]
-        matrices = [random_density(8, rank, 40 + rank, dims=dims).matrix for rank in (1, 3, 8)]
+        matrices = [random_density(dims, rank, 40 + rank).matrix for rank in (1, 3, 8)]
         stack = DensityOperator(np.stack(matrices), dims)
         slices = [DensityOperator(m, dims) for m in matrices]
         for spec in ALL_SPECS:
@@ -291,20 +291,19 @@ class TestStackedSpectra:
 class TestSSA:
     def test_gap_nonnegative_random(self):
         for s in range(50):
-            rho = random_density(8, int(RNG.integers(1, 9)), 1000 + s,
-                                 dims=[("X", 2), ("Y", 2), ("Z", 2)])
+            rho = random_density([("X", 2), ("Y", 2), ("Z", 2)], int(RNG.integers(1, 9)), 1000 + s)
             assert ssa_gap(rho, ["X"], ["Y"], ["Z"]) >= -1e-9
 
     def test_disjointness_enforced(self):
-        rho = random_density(8, 8, 2, dims=[("X", 2), ("Y", 2), ("Z", 2)])
+        rho = random_density([("X", 2), ("Y", 2), ("Z", 2)], 8, 2)
         with pytest.raises(ValueError):
             ssa_gap(rho, ["X"], ["X"], ["Z"])
 
     def test_product_state_gap(self):
         # X:Y product against Z product: gap collapses to zero
-        a = random_density(2, 2, 31, dims=[("X", 2)])
-        b = random_density(2, 2, 32, dims=[("Y", 2)])
-        c = random_density(2, 2, 33, dims=[("Z", 2)])
+        a = random_density([("X", 2)], 2, 31)
+        b = random_density([("Y", 2)], 2, 32)
+        c = random_density([("Z", 2)], 2, 33)
         rho = DensityOperator(
             np.kron(np.kron(a.matrix, b.matrix), c.matrix),
             [("X", 2), ("Y", 2), ("Z", 2)])

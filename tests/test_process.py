@@ -148,7 +148,7 @@ class TestLink:
 
     def test_state_through_choi(self):
         c = random_channel([("I", 2)], [("O", 3)], kraus_rank=2, seed=3)
-        rho = random_density(2, 2, 4, dims=[("I", 2)])
+        rho = random_density([("I", 2)], 2, 4)
         out = np.einsum("ij,iajb->ab", rho.matrix, choi(c))
         assert np.allclose(out, apply_channel(c, rho).matrix)
 
@@ -158,7 +158,7 @@ class TestValidatedOperatorsAreLabeled:
     algebra takes them as they are."""
 
     def operators(self):
-        rho = random_density(6, 3, 8, dims=[("X", 2), ("Y", 3)])
+        rho = random_density([("X", 2), ("Y", 3)], 3, 8)
         w = process_matrix_of(SwitchSpec(0.4))
         return rho, w
 
@@ -489,7 +489,7 @@ class TestBlockedTomography:
     def test_switch_equals_one_shot(self, mode, lam, target_seed):
         target = None
         if target_seed is not None:
-            target = random_density(2, 2, target_seed, dims=[("T0", 2)])
+            target = random_density([("T0", 2)], 2, target_seed)
         s = SwitchSpec(lam, target=target, future_mode=mode)
         assert np.array_equal(process_matrix_of(s).matrix, one_shot_process_matrix(s))
 
@@ -592,7 +592,7 @@ class TestInterventionalState:
         # no sweep varies and for which no closed form is pinned
         target = None
         if target_seed is not None:
-            target = random_density(2, 2, target_seed, dims=[("T0", 2)])
+            target = random_density([("T0", 2)], 2, target_seed)
         s = SwitchSpec(lam, target=target, future_mode=mode)
         sv = interventional_state(s, "statevector")
         ct = interventional_state(s, "contraction")

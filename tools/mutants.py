@@ -62,6 +62,12 @@ CORPUS = [
     ("campaigns.py", "sys.stdout.flush()\n    sys.stderr.flush()\n    mask", "mask", [
         "tests/test_campaigns.py::TestForkDriver::test_unflushed_stdout_is_written_once",
     ]),
+    # workers would take SIGINT as the caller does; test_interrupt_exits_130
+    # sees it only when a worker runs Python code before it is killed
+    ("campaigns.py", "signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})",
+     "signal.pthread_sigmask(signal.SIG_BLOCK, set())", [
+        "tests/test_campaigns.py::TestForkDriver::test_workers_keep_the_sigint_block",
+    ]),
     # after a failed stdout write the flush at exit fails again
     ("cli.py", "os.dup2(null.fileno(), sys.stdout.fileno())", "pass", [
         "tests/test_cli.py::test_stdout_write_failure_exits_2[verify]",
